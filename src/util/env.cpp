@@ -1,5 +1,6 @@
 #include "util/env.hpp"
 
+#include <cerrno>
 #include <cstdlib>
 
 namespace onebit::util {
@@ -8,8 +9,9 @@ std::int64_t envInt(const std::string& name, std::int64_t fallback) {
   const char* raw = std::getenv(name.c_str());
   if (raw == nullptr || *raw == '\0') return fallback;
   char* end = nullptr;
+  errno = 0;
   const long long v = std::strtoll(raw, &end, 10);
-  if (end == raw || *end != '\0') return fallback;
+  if (end == raw || *end != '\0' || errno == ERANGE) return fallback;
   return v;
 }
 

@@ -8,7 +8,8 @@
 
 namespace onebit::util {
 
-/// Read an integer environment variable; returns fallback when unset/invalid.
+/// Read an integer environment variable; returns fallback when unset, not an
+/// integer, or outside the int64 range.
 std::int64_t envInt(const std::string& name, std::int64_t fallback);
 
 /// Read a non-negative size knob. Unset/invalid values return `fallback`;

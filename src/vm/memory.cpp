@@ -1,12 +1,21 @@
 #include "vm/memory.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cstdlib>
 #include <cstring>
 #include <new>
 #include <stdexcept>
+#include <utility>
 
 #include "vm/state_hash.hpp"
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#else
+#define ASAN_POISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#define ASAN_UNPOISON_MEMORY_REGION(addr, size) ((void)(addr), (void)(size))
+#endif
 
 namespace onebit::vm {
 
@@ -14,20 +23,100 @@ using ir::kGlobalBase;
 using ir::kHeapBase;
 using ir::kStackBase;
 
-void Memory::CallocDeleter::operator()(std::uint8_t* p) const noexcept {
-  std::free(p);
+namespace {
+
+/// All-zero stack buffers this thread released, at most one per size, so a
+/// campaign thread keeps exactly one. Only the owning thread touches its
+/// pool, so it takes no lock; a Memory destroyed on another thread lands in
+/// that thread's pool. While pooled, a buffer is poisoned for
+/// AddressSanitizer, so a stale pointer into a released stack still reports.
+struct StackPool {
+  struct Slot {
+    std::uint8_t* buf = nullptr;
+    std::size_t bytes = 0;
+  };
+  std::array<Slot, 4> slots{};
+
+  StackPool() = default;
+  StackPool(const StackPool&) = delete;
+  StackPool& operator=(const StackPool&) = delete;
+  ~StackPool();
+};
+
+/// Set once this thread's pool is destroyed. A Memory released after that
+/// (later in the same thread's exit, or a static one after main's
+/// thread-locals) frees its buffer instead of touching the dead pool.
+thread_local bool tPoolGone = false;
+
+StackPool* threadPool() noexcept {
+  if (tPoolGone) return nullptr;
+  thread_local StackPool pool;
+  return &pool;
 }
+
+StackPool::~StackPool() {
+  for (Slot& s : slots) {
+    if (s.buf == nullptr) continue;
+    ASAN_UNPOISON_MEMORY_REGION(s.buf, s.bytes);
+    std::free(s.buf);
+  }
+  tPoolGone = true;
+}
+
+/// An all-zero buffer for a `bytes`-byte stack: this thread's pooled one
+/// when it has one, else a fresh calloc.
+std::uint8_t* acquireStack(std::size_t bytes) {
+  if (StackPool* pool = threadPool()) {
+    for (StackPool::Slot& s : pool->slots) {
+      if (s.buf != nullptr && s.bytes == bytes) {
+        ASAN_UNPOISON_MEMORY_REGION(s.buf, bytes);
+        return std::exchange(s.buf, nullptr);
+      }
+    }
+  }
+  auto* buf = static_cast<std::uint8_t*>(
+      std::calloc(bytes != 0 ? bytes : 1, 1));
+  if (buf == nullptr) throw std::bad_alloc();
+  return buf;
+}
+
+/// Give back a stack buffer whose bytes at or beyond `dirty` are all zero:
+/// zero the rest and pool it, or free it when the pool is gone or already
+/// holds a buffer of this size or has no free slot.
+void releaseStack(std::uint8_t* buf, std::size_t bytes,
+                  std::size_t dirty) noexcept {
+  StackPool::Slot* slot = nullptr;
+  if (StackPool* pool = threadPool()) {
+    for (StackPool::Slot& s : pool->slots) {
+      if (s.buf == nullptr) {
+        if (slot == nullptr) slot = &s;
+      } else if (s.bytes == bytes) {
+        slot = nullptr;
+        break;
+      }
+    }
+  }
+  if (slot == nullptr) {
+    std::free(buf);
+    return;
+  }
+  std::memset(buf, 0, dirty);
+  ASAN_POISON_MEMORY_REGION(buf, bytes);
+  *slot = {buf, bytes};
+}
+
+}  // namespace
 
 Memory::Memory(const std::vector<std::uint8_t>& globalImage,
                std::size_t stackBytes, std::size_t maxHeapBytes)
     : globals_(globalImage),
-      stack_(static_cast<std::uint8_t*>(
-          std::calloc(stackBytes != 0 ? stackBytes : 1, 1))),
       stackSize_(stackBytes),
       maxHeapBytes_(maxHeapBytes) {
-  if (stack_ == nullptr) throw std::bad_alloc();
   heap_.reserve(4096);
+  stack_ = acquireStack(stackSize_);  // last: nothing after it may throw
 }
+
+Memory::~Memory() { releaseStack(stack_, stackSize_, storeHighWater_); }
 
 std::uint8_t* Memory::resolve(std::uint64_t addr, unsigned width,
                               TrapKind& trap) noexcept {
@@ -43,7 +132,7 @@ std::uint8_t* Memory::resolve(std::uint64_t addr, unsigned width,
     return nullptr;
   };
   // Order by expected access frequency: stack, globals, heap.
-  if (auto* p = inSegment(kStackBase, stack_.get(), stackSize_)) return p;
+  if (auto* p = inSegment(kStackBase, stack_, stackSize_)) return p;
   if (auto* p = inSegment(kGlobalBase, globals_.data(), globals_.size())) {
     return p;
   }
@@ -113,7 +202,7 @@ void Memory::captureSegments(std::size_t stackUsed,
                              std::vector<std::uint8_t>& heap) const {
   globals = globals_;
   stackUsed = std::min(stackUsed, stackSize_);
-  stack.assign(stack_.get(), stack_.get() + stackUsed);
+  stack.assign(stack_, stack_ + stackUsed);
   heap = heap_;
 }
 
@@ -126,15 +215,14 @@ void Memory::restoreSegments(const std::vector<std::uint8_t>& globals,
         "vm::Memory: snapshot segments do not fit this memory geometry");
   }
   globals_ = globals;
-  std::copy(stackPrefix.begin(), stackPrefix.end(), stack_.get());
+  std::copy(stackPrefix.begin(), stackPrefix.end(), stack_);
   // Every byte at or beyond storeHighWater_ is still zero (the class
   // invariant), so only the slice the old content could have dirtied needs
   // re-zeroing — not the whole stack. Campaigns resume thousands of
   // snapshots per second; a full-stack fill here would dominate their
   // backend-independent cost.
   if (storeHighWater_ > stackPrefix.size()) {
-    std::fill(stack_.get() + stackPrefix.size(),
-              stack_.get() + storeHighWater_, 0);
+    std::fill(stack_ + stackPrefix.size(), stack_ + storeHighWater_, 0);
   }
   storeHighWater_ = stackPrefix.size();
   heap_ = heap;
@@ -151,7 +239,7 @@ std::uint64_t Memory::wordValueAt(std::uint64_t wordAddr) const noexcept {
   std::size_t segSize = 0;
   std::uint64_t base = 0;
   if (wordAddr >= kStackBase && wordAddr - kStackBase < stackSize_) {
-    seg = stack_.get();
+    seg = stack_;
     segSize = stackSize_;
     base = kStackBase;
   } else if (wordAddr >= kGlobalBase &&
@@ -194,21 +282,21 @@ std::uint64_t Memory::computeContentHash() const noexcept {
   fold(globals_.data(), globals_.size(), kGlobalBase, globals_.size());
   // Bytes at or beyond the store high-water mark are untouched zeros, so
   // words there contribute nothing — skip them.
-  fold(stack_.get(), stackSize_, kStackBase, storeHighWater_);
+  fold(stack_, stackSize_, kStackBase, storeHighWater_);
   fold(heap_.data(), heap_.size(), kHeapBase, heap_.size());
   return h;
 }
 
 std::uint64_t Memory::alloc(std::int64_t bytes, TrapKind& trap) {
-  if (bytes < 0 ||
-      heap_.size() + static_cast<std::uint64_t>(bytes) > maxHeapBytes_) {
+  // The budget covers the alignment padding too: a heap grown past
+  // maxHeapBytes_ would fail to restore from its own snapshot.
+  const std::size_t start = (heap_.size() + 7) & ~std::size_t{7};
+  if (bytes < 0 || start + static_cast<std::uint64_t>(bytes) > maxHeapBytes_) {
     trap = TrapKind::SegFault;
     return 0;
   }
-  while (heap_.size() % 8 != 0) heap_.push_back(0);
-  const std::uint64_t addr = kHeapBase + heap_.size();
-  heap_.insert(heap_.end(), static_cast<std::size_t>(bytes), 0);
-  return addr;
+  heap_.resize(start + static_cast<std::size_t>(bytes), 0);
+  return kHeapBase + start;
 }
 
 }  // namespace onebit::vm

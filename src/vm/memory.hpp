@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "ir/module.hpp"
@@ -20,6 +19,10 @@ class Memory {
  public:
   Memory(const std::vector<std::uint8_t>& globalImage, std::size_t stackBytes,
          std::size_t maxHeapBytes);
+  ~Memory();
+
+  Memory(const Memory&) = delete;
+  Memory& operator=(const Memory&) = delete;
 
   /// Load `width` (1 or 8) bytes, zero-extended into a 64-bit word.
   /// On failure sets `trap` and returns 0.
@@ -40,7 +43,8 @@ class Memory {
             TrapKind& trap) noexcept;
 
   /// Bump-allocate a zeroed heap block (8-byte aligned). Returns its
-  /// address, or 0 with `trap` set when the heap budget is exhausted.
+  /// address, or 0 with `trap` set when the block and its alignment padding
+  /// do not fit the heap budget.
   std::uint64_t alloc(std::int64_t bytes, TrapKind& trap);
 
   [[nodiscard]] std::size_t stackBytes() const noexcept { return stackSize_; }
@@ -102,18 +106,16 @@ class Memory {
   void foldWordDelta(std::uint64_t wordAddr, std::uint64_t oldWord,
                      std::uint64_t newWord) noexcept;
 
-  struct CallocDeleter {
-    void operator()(std::uint8_t* p) const noexcept;
-  };
-
   std::vector<std::uint8_t> globals_;
-  /// The stack segment is calloc-backed rather than a zero-filled vector:
-  /// campaigns construct a Memory per experiment, and for the default 1 MiB
-  /// stack an eager memset would cost more than a short experiment's whole
-  /// execution. calloc hands out lazily-zeroed pages, so only the pages a
-  /// program actually touches are ever materialized. The contents contract
-  /// is identical: every byte reads as zero until written.
-  std::unique_ptr<std::uint8_t[], CallocDeleter> stack_;
+  /// The stack segment is a zeroed buffer from a per-thread pool keyed by
+  /// size (memory.cpp), not a fresh allocation: campaigns construct a Memory
+  /// per experiment, and once the process is warm glibc serves a 1 MiB
+  /// calloc from recycled heap and memsets all of it: about 30 us per
+  /// calloc+free pair on a 4-core Xeon, a fifth of a fig1 experiment. The
+  /// destructor re-zeroes only [0, storeHighWater_) before pooling the
+  /// buffer, since every byte above it is still zero. The contents contract
+  /// is unchanged: every byte reads as zero until written.
+  std::uint8_t* stack_ = nullptr;
   std::size_t stackSize_ = 0;
   std::vector<std::uint8_t> heap_;
   std::size_t maxHeapBytes_;

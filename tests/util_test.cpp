@@ -225,8 +225,13 @@ TEST(Env, IntParsesValue) {
 }
 
 TEST(Env, IntFallbackOnGarbage) {
-  ::setenv("ONEBIT_TEST_BAD", "12abc", 1);
-  EXPECT_EQ(envInt("ONEBIT_TEST_BAD", 5), 5);
+  // Out-of-range input is garbage too, never a value clamped to the int64
+  // extremes.
+  for (const char* bad : {"12abc", "99999999999999999999999",
+                          "-99999999999999999999999"}) {
+    ::setenv("ONEBIT_TEST_BAD", bad, 1);
+    EXPECT_EQ(envInt("ONEBIT_TEST_BAD", 5), 5) << bad;
+  }
   ::unsetenv("ONEBIT_TEST_BAD");
 }
 
@@ -252,8 +257,11 @@ TEST(Env, SizeClampsNegativeToAuto) {
 }
 
 TEST(Env, SizeFallbackOnGarbage) {
-  ::setenv("ONEBIT_TEST_SIZE", "12abc", 1);
-  EXPECT_EQ(envSize("ONEBIT_TEST_SIZE", 5), 5u);
+  for (const char* bad : {"12abc", "99999999999999999999999",
+                          "-99999999999999999999999"}) {
+    ::setenv("ONEBIT_TEST_SIZE", bad, 1);
+    EXPECT_EQ(envSize("ONEBIT_TEST_SIZE", 5), 5u) << bad;
+  }
   ::unsetenv("ONEBIT_TEST_SIZE");
 }
 

@@ -1,6 +1,8 @@
 // Unit tests for src/vm: memory, traps, interpreter semantics, hooks.
 #include <cmath>
 #include <limits>
+#include <memory>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -8,12 +10,16 @@
 #include "ir/builder.hpp"
 #include "ir/verifier.hpp"
 #include "vm/interpreter.hpp"
+#include "vm/memory.hpp"
+#include "vm/snapshot.hpp"
 
 namespace onebit::vm {
 namespace {
 
 using ir::IRBuilder;
 using ir::kGlobalBase;
+using ir::kHeapBase;
+using ir::kStackBase;
 using ir::Module;
 using ir::Opcode;
 using ir::Operand;
@@ -302,6 +308,26 @@ TEST(Memory, HeapExhaustionTraps) {
   EXPECT_EQ(execute(mod).trap, TrapKind::SegFault);
 }
 
+TEST(Memory, HeapBudgetCountsAlignmentPadding) {
+  // alloc(5) pads the heap to 8 bytes, so 59 more would need 67 of 64.
+  Memory mem({}, 4096, 64);
+  TrapKind trap = TrapKind::None;
+  EXPECT_EQ(mem.alloc(5, trap), kHeapBase);
+  EXPECT_EQ(mem.alloc(59, trap), 0u);
+  EXPECT_EQ(trap, TrapKind::SegFault);
+  trap = TrapKind::None;
+  EXPECT_EQ(mem.alloc(56, trap), kHeapBase + 8);
+  EXPECT_EQ(trap, TrapKind::None);
+  EXPECT_EQ(mem.heapUsed(), 64u);
+  // The heap image stays within the budget its snapshot is restored under.
+  std::vector<std::uint8_t> globals;
+  std::vector<std::uint8_t> stack;
+  std::vector<std::uint8_t> heap;
+  mem.captureSegments(0, globals, stack, heap);
+  Memory restored({}, 4096, 64);
+  EXPECT_NO_THROW(restored.restoreSegments(globals, stack, heap));
+}
+
 TEST(Memory, NegativeAllocTraps) {
   Module mod;
   IRBuilder bld(mod);
@@ -311,6 +337,143 @@ TEST(Memory, NegativeAllocTraps) {
   const auto p = bld.emitAlloc(Operand::makeImm(ir::fromI64(-8)));
   bld.emitRet(Operand::makeReg(p));
   EXPECT_EQ(execute(mod).trap, TrapKind::SegFault);
+}
+
+// --- pooled stack reuse -----------------------------------------------------------
+
+constexpr std::size_t kSmallStack = 4 << 10;
+constexpr std::size_t kBigStack = 1 << 20;
+
+/// Stack offsets of the words the reuse tests dirty: bottom, middle, top.
+std::vector<std::uint64_t> dirtyOffsets(std::size_t stackBytes) {
+  return {0, 8, stackBytes / 2, stackBytes - 16, stackBytes - 8};
+}
+
+/// Write non-zero bytes at dirtyOffsets() through store() and poke().
+void dirtyStack(Memory& mem) {
+  TrapKind trap = TrapKind::None;
+  for (const std::uint64_t off : dirtyOffsets(mem.stackBytes())) {
+    mem.store(kStackBase + off, 8, 0xdead'beef'cafe'f00dULL, trap);
+    mem.poke(kStackBase + off + 7, 1, 0x5a, trap);
+  }
+  mem.poke(kStackBase + mem.stackBytes() - 1, 1, 0xff, trap);
+  ASSERT_EQ(trap, TrapKind::None);
+}
+
+/// A just-built `mem` must load 0 at every dirtied word, and its whole stack
+/// must hash like a fresh Memory's.
+void expectCleanStack(Memory& mem) {
+  TrapKind trap = TrapKind::None;
+  for (const std::uint64_t off : dirtyOffsets(mem.stackBytes())) {
+    EXPECT_EQ(mem.load(kStackBase + off, 8, trap), 0u) << "offset " << off;
+  }
+  // `fresh` is built while `mem` holds this thread's pooled buffer of this
+  // size, so its stack is newly allocated. A zero store at the last byte
+  // raises both store high-water marks to the stack end, so the hashes fold
+  // every stack word.
+  Memory fresh({}, mem.stackBytes(), 4096);
+  const std::uint64_t last = kStackBase + mem.stackBytes() - 1;
+  mem.store(last, 1, 0, trap);
+  fresh.store(last, 1, 0, trap);
+  ASSERT_EQ(trap, TrapKind::None);
+  EXPECT_EQ(mem.computeContentHash(), fresh.computeContentHash());
+}
+
+TEST(MemoryPool, ReusedStackIsZero) {
+  {
+    Memory dirty({}, kBigStack, 4096);
+    dirtyStack(dirty);
+  }
+  Memory reused({}, kBigStack, 4096);
+  expectCleanStack(reused);
+}
+
+TEST(MemoryPool, AlternatingSizesStayZero) {
+  for (int round = 0; round < 3; ++round) {
+    for (const std::size_t bytes : {kSmallStack, kBigStack}) {
+      {
+        Memory mem({}, bytes, 4096);
+        dirtyStack(mem);
+      }
+      Memory reused({}, bytes, 4096);
+      expectCleanStack(reused);
+    }
+  }
+}
+
+TEST(MemoryPool, DestroyedOnAnotherThread) {
+  auto mem = std::make_unique<Memory>(std::vector<std::uint8_t>{}, kBigStack,
+                                      4096);
+  dirtyStack(*mem);
+  std::thread([&mem] {
+    mem.reset();  // lands in this thread's pool
+    Memory reused({}, kBigStack, 4096);
+    expectCleanStack(reused);
+  }).join();
+  Memory here({}, kBigStack, 4096);
+  expectCleanStack(here);
+}
+
+TEST(MemoryPool, MemoryOutlivingItsThreadsPoolFreesItsStack) {
+  // `late` registers its destructor before the thread's pool exists, so at
+  // thread exit it is destroyed after the pool and must free its stack
+  // itself; the sanitizer lane reports a leak or a use after free if not.
+  std::thread([] {
+    thread_local std::unique_ptr<Memory> late;
+    late = std::make_unique<Memory>(std::vector<std::uint8_t>{}, kBigStack,
+                                    4096);
+    dirtyStack(*late);
+  }).join();
+}
+
+TEST(MemoryPool, ResumeAfterStackWritingRunMatchesFreshThread) {
+  // `writer` leaves non-zero words near the top of the default stack;
+  // `reader` loads them before anything stores there, so a resumed reader
+  // returns exactly its frame slot's 7 unless a reused stack leaks them.
+  const std::uint64_t top = kStackBase + ExecLimits{}.stackBytes - 8;
+  Module writer;
+  {
+    IRBuilder bld(writer);
+    bld.createFunction("main", Type::I64, 0);
+    bld.setInsertBlock(bld.createBlock("entry"));
+    bld.emitStore(Operand::makeImm(top), Operand::makeImm(0x1111), 8);
+    bld.emitStore(Operand::makeImm(top - 4096), Operand::makeImm(0x2222), 8);
+    bld.emitRet(Operand::makeImm(0));
+    ir::verifyOrThrow(writer);
+  }
+  Module reader;
+  {
+    IRBuilder bld(reader);
+    bld.createFunction("main", Type::I64, 0);
+    const auto off = bld.allocFrame(8);
+    bld.setInsertBlock(bld.createBlock("entry"));
+    const auto slot = bld.emitFrameAddr(off);
+    bld.emitStore(Operand::makeReg(slot), Operand::makeImm(7), 8);
+    const auto a = bld.emitLoad(Operand::makeImm(top), 8, Type::I64);
+    const auto b = bld.emitLoad(Operand::makeImm(top - 4096), 8, Type::I64);
+    const auto c = bld.emitLoad(Operand::makeReg(slot), 8, Type::I64);
+    const auto ab = bld.emitBin(Opcode::Add, Operand::makeReg(a),
+                                Operand::makeReg(b), Type::I64);
+    const auto sum = bld.emitBin(Opcode::Add, Operand::makeReg(ab),
+                                 Operand::makeReg(c), Type::I64);
+    bld.emitRet(Operand::makeReg(sum));
+    ir::verifyOrThrow(reader);
+  }
+  std::vector<Snapshot> snaps;
+  const SnapshotCapturePolicy dense{/*interval=*/1, /*maxSnapshots=*/0,
+                                    /*budgetBytes=*/0};
+  ASSERT_EQ(executeWithSnapshots(reader, {}, dense, snaps).returnValue, 7);
+  ASSERT_GE(snaps.size(), 3u);
+  for (const Snapshot& snap : snaps) {
+    ASSERT_EQ(execute(writer).status, ExecStatus::Ok);
+    const ExecResult here = resume(reader, snap, {});
+    ExecResult fresh;
+    std::thread([&] { fresh = resume(reader, snap, {}); }).join();
+    EXPECT_EQ(here.status, fresh.status);
+    EXPECT_EQ(here.instructions, fresh.instructions);
+    EXPECT_EQ(here.returnValue, fresh.returnValue);
+    EXPECT_EQ(here.returnValue, 7);
+  }
 }
 
 // --- control flow / calls --------------------------------------------------------
