@@ -8,6 +8,7 @@
 // destination register.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string_view>
 #include <vector>
@@ -18,6 +19,10 @@ namespace onebit::ir {
 
 using Reg = std::uint32_t;
 inline constexpr Reg kNoReg = 0xffffffffU;
+
+/// Most operands one instruction may have (ir::verify rejects more): both
+/// interpreter loops gather operand values into this many fixed slots.
+inline constexpr std::size_t kMaxOperands = 8;
 
 enum class Opcode : std::uint8_t {
   // Integer arithmetic / bitwise (i64 operands, i64 result).

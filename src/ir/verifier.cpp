@@ -2,6 +2,7 @@
 
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 namespace onebit::ir {
 
@@ -68,6 +69,10 @@ class Checker {
     const Function& fn = mod_.functions[fi];
     const Instr& in = fn.blocks[bi].instrs[ii];
 
+    if (in.operands.size() > kMaxOperands) {
+      failAt(fi, bi, ii, "more than " + std::to_string(kMaxOperands) +
+                             " operands");
+    }
     const int arity = fixedOperandCount(in.op);
     if (arity >= 0 && in.operands.size() != static_cast<std::size_t>(arity)) {
       failAt(fi, bi, ii, "wrong operand count for " +

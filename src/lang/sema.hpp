@@ -6,12 +6,14 @@
 // place. Throws CompileError on the first violation.
 #pragma once
 
+#include "ir/instr.hpp"
 #include "lang/ast.hpp"
 
 namespace onebit::lang {
 
-/// Maximum parameters per function (bounded by the VM operand buffer).
-inline constexpr std::size_t kMaxParams = 8;
+/// Maximum parameters per function: a call's operands, which ir::verify
+/// bounds.
+inline constexpr std::size_t kMaxParams = ir::kMaxOperands;
 
 void analyze(Program& prog);
 

@@ -1,5 +1,6 @@
 #include "vm/machine.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cmath>
 #include <cstdio>
@@ -86,6 +87,7 @@ Machine::Machine(const ir::Module& mod, const Snapshot& snap,
   if (snap.regs.size() != expectRegBase) badSnapshot("register file size is corrupt");
 
   regs_ = snap.regs;
+  regsTop_ = regs_.size();
   sp_ = snap.sp;
   instructions_ = snap.instructions;
   readCandidates_ = snap.readCandidates;
@@ -101,7 +103,7 @@ Machine::Machine(const ir::Module& mod, const Snapshot& snap,
   hashing_ = limits.trackStateHash;
   if (hashing_) {
     mem_.trackContentHash(true);
-    for (std::size_t i = 0; i < regs_.size(); ++i) {
+    for (std::size_t i = 0; i < regsTop_; ++i) {
       if (regs_[i] != 0) regsHash_ ^= statehash::regTerm(i, regs_[i]);
     }
     for (std::size_t i = 0; i + 1 < frames_.size(); ++i) {
@@ -129,7 +131,8 @@ Snapshot Machine::capture() const {
                         f.block, f.ip, static_cast<std::uint64_t>(f.regBase),
                         f.frameBase});
   }
-  s.regs = regs_;
+  s.regs.assign(regs_.begin(),
+                regs_.begin() + static_cast<std::ptrdiff_t>(regsTop_));
   const std::size_t stackUsed = mem_.stackStoreHighWater();
   mem_.captureSegments(stackUsed, s.globals, s.stack, s.heap);
   s.sp = sp_;
@@ -187,7 +190,7 @@ std::uint64_t Machine::stateHash() const {
 std::uint64_t Machine::computeStateHash() const {
   using statehash::mix64;
   std::uint64_t regs = 0;
-  for (std::size_t i = 0; i < regs_.size(); ++i) {
+  for (std::size_t i = 0; i < regsTop_; ++i) {
     if (regs_[i] != 0) regs ^= statehash::regTerm(i, regs_[i]);
   }
   std::uint64_t frames = 0;
@@ -261,11 +264,16 @@ void Machine::pushFrame(std::uint32_t fnId, std::span<const std::uint64_t> args,
   }
   CallFrame frame;
   frame.fn = &fn;
-  frame.regBase = regs_.size();
+  frame.regBase = regsTop_;
   frame.frameBase = ir::kStackBase + sp_;
   frame.pendingCall = pendingCall;
   sp_ += alignedFrame;
-  regs_.resize(regs_.size() + fn.numRegs, 0);
+  regsTop_ += fn.numRegs;
+  if (regsTop_ > regs_.size()) {
+    regs_.resize(std::max(regsTop_, 2 * regs_.size()));
+  }
+  std::fill(regs_.begin() + static_cast<std::ptrdiff_t>(frame.regBase),
+            regs_.begin() + static_cast<std::ptrdiff_t>(regsTop_), 0);
   for (std::size_t i = 0; i < args.size() && i < fn.numParams; ++i) {
     regs_[frame.regBase + i] = args[i];
   }
@@ -295,7 +303,7 @@ void Machine::popFrame() {
     // The popped frame's registers vanish; the caller un-parks (its term
     // still matches the one folded at call time — parked frames are
     // immutable).
-    for (std::size_t i = frame.regBase; i < regs_.size(); ++i) {
+    for (std::size_t i = frame.regBase; i < regsTop_; ++i) {
       if (regs_[i] != 0) regsHash_ ^= statehash::regTerm(i, regs_[i]);
     }
     if (frames_.size() > 1) {
@@ -303,7 +311,7 @@ void Machine::popFrame() {
           frameTerm(frames_.size() - 2, frames_[frames_.size() - 2]);
     }
   }
-  regs_.resize(frame.regBase);
+  regsTop_ = frame.regBase;
   frames_.pop_back();
 }
 
@@ -431,11 +439,13 @@ void Machine::runThreaded() {
     threaded_ = limits_.threadedCode != nullptr ? limits_.threadedCode
                                                 : ThreadedCode::get(mod_);
   }
-  if (threaded_ == nullptr) {
-    dispatchLoop<false>(false);  // decoder rejected the module shape
-    return;
+  if (threaded_ != nullptr) {
+    detail::runThreadedLoop(this, threaded_.get(), nullptr);
   }
-  detail::runThreadedLoop(this, threaded_.get(), nullptr);
+  // The reference loop finishes what the threaded loop leaves running: a
+  // segment that fuel does not cover (so the run stops on the exact
+  // instruction), or the whole run when the decoder rejected the module.
+  if (result_.status == ExecStatus::Ok && !halted_) dispatchLoop<false>(false);
 }
 
 bool Machine::runToBoundary(std::uint64_t grid) {
@@ -482,8 +492,8 @@ void Machine::loop() {
     }
 
     // Gather operand values; give the read hook a chance to corrupt them.
-    std::array<std::uint64_t, 8> vals{};
-    std::array<bool, 8> isReg{};
+    std::array<std::uint64_t, ir::kMaxOperands> vals{};
+    std::array<bool, ir::kMaxOperands> isReg{};
     const std::size_t nops = in.operands.size();
     bool anyReg = false;
     for (std::size_t i = 0; i < nops; ++i) {

@@ -144,7 +144,8 @@ class Machine {
 
   /// Run the hook-free remainder on the direct-threaded backend (decoded
   /// stream from ThreadedCode::get, executed by detail::runThreadedLoop).
-  /// Falls back to the reference loop for modules the decoder rejects.
+  /// The reference loop runs the segment in which fuel runs out, and the
+  /// whole remainder for modules the decoder rejects.
   /// Preconditions: between instructions, hook-free/exhausted, not
   /// capturing, not hashing.
   void runThreaded();
@@ -159,7 +160,12 @@ class Machine {
   ExecHook* hook_;
   Memory mem_;
   std::vector<CallFrame> frames_;
+  /// The register stack: frames' registers are [0, regsTop_), each frame's
+  /// at its regBase. regs_ is a buffer that only grows (pushFrame doubles
+  /// it), so pushing and popping a frame moves regsTop_ and never resizes;
+  /// slots at or above regsTop_ are stale and zeroed on the next push.
   std::vector<std::uint64_t> regs_;
+  std::size_t regsTop_ = 0;
   std::uint64_t sp_ = 0;
   std::uint64_t instructions_ = 0;
   std::uint64_t readCandidates_ = 0;

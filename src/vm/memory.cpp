@@ -141,8 +141,8 @@ std::uint8_t* Memory::resolve(std::uint64_t addr, unsigned width,
   return nullptr;
 }
 
-std::uint64_t Memory::load(std::uint64_t addr, unsigned width,
-                           TrapKind& trap) noexcept {
+std::uint64_t Memory::loadSlow(std::uint64_t addr, unsigned width,
+                               TrapKind& trap) noexcept {
   const std::uint8_t* p = resolve(addr, width, trap);
   if (p == nullptr) return 0;
   if (width == 8) {
@@ -153,8 +153,8 @@ std::uint64_t Memory::load(std::uint64_t addr, unsigned width,
   return *p;
 }
 
-void Memory::store(std::uint64_t addr, unsigned width, std::uint64_t value,
-                   TrapKind& trap) noexcept {
+void Memory::storeSlow(std::uint64_t addr, unsigned width,
+                       std::uint64_t value, TrapKind& trap) noexcept {
   std::uint8_t* p = resolve(addr, width, trap);
   if (p == nullptr) return;
   const std::uint64_t stackOff = addr - kStackBase;  // wraps below kStackBase

@@ -7,7 +7,9 @@
 // paper's inject-on-read results (§IV-A).
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
 #include "ir/module.hpp"
@@ -25,13 +27,41 @@ class Memory {
   Memory& operator=(const Memory&) = delete;
 
   /// Load `width` (1 or 8) bytes, zero-extended into a 64-bit word.
-  /// On failure sets `trap` and returns 0.
+  /// On failure sets `trap` and returns 0. Aligned and byte-wide stack and
+  /// global accesses take the inline fast path; heap accesses and every
+  /// trap go through loadSlow().
   std::uint64_t load(std::uint64_t addr, unsigned width,
-                     TrapKind& trap) noexcept;
+                     TrapKind& trap) noexcept {
+    if (const std::uint8_t* p = fastPtr(addr, width)) {
+      if (width == 8) {
+        std::uint64_t v;
+        std::memcpy(&v, p, 8);
+        return v;
+      }
+      return *p;
+    }
+    return loadSlow(addr, width, trap);
+  }
 
-  /// Store the low `width` bytes of value. On failure sets `trap`.
+  /// Store the low `width` bytes of value. On failure sets `trap`. Inline
+  /// for the same accesses as load() while content hashing is off.
   void store(std::uint64_t addr, unsigned width, std::uint64_t value,
-             TrapKind& trap) noexcept;
+             TrapKind& trap) noexcept {
+    if (std::uint8_t* p = hashing_ ? nullptr : fastPtr(addr, width)) {
+      if (width == 8) {
+        std::memcpy(p, &value, 8);
+      } else {
+        *p = static_cast<std::uint8_t>(value);
+      }
+      const std::uint64_t stackOff = addr - ir::kStackBase;  // may wrap
+      if (stackOff < stackSize_) {
+        storeHighWater_ = std::max(
+            storeHighWater_, static_cast<std::size_t>(stackOff) + width);
+      }
+      return;
+    }
+    storeSlow(addr, width, value, trap);
+  }
 
   /// XOR the low `width` bytes of `mask` into the bytes at addr — the fault
   /// injectors' poke interface for flipping bits of stored data in place
@@ -93,6 +123,30 @@ class Memory {
   [[nodiscard]] std::uint64_t computeContentHash() const noexcept;
 
  private:
+  /// Host pointer for an access that lies wholly inside the stack or the
+  /// globals and is 8-byte aligned when `width` is 8; nullptr otherwise
+  /// (heap, unmapped, misaligned), leaving resolve() to find the segment
+  /// or the trap. An offset below a segment base wraps to a huge value and
+  /// fails the bound, like one past the end.
+  [[nodiscard]] std::uint8_t* fastPtr(std::uint64_t addr,
+                                      unsigned width) noexcept {
+    if (width == 8 && (addr & 7U) != 0) return nullptr;
+    const std::uint64_t stackOff = addr - ir::kStackBase;
+    if (stackOff < stackSize_ && width <= stackSize_ - stackOff) {
+      return stack_ + stackOff;
+    }
+    const std::uint64_t globalOff = addr - ir::kGlobalBase;
+    if (globalOff < globals_.size() && width <= globals_.size() - globalOff) {
+      return globals_.data() + globalOff;
+    }
+    return nullptr;
+  }
+
+  std::uint64_t loadSlow(std::uint64_t addr, unsigned width,
+                         TrapKind& trap) noexcept;
+  void storeSlow(std::uint64_t addr, unsigned width, std::uint64_t value,
+                 TrapKind& trap) noexcept;
+
   /// Resolve addr/width to a host pointer, or nullptr with trap set.
   std::uint8_t* resolve(std::uint64_t addr, unsigned width,
                         TrapKind& trap) noexcept;

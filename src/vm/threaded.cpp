@@ -29,11 +29,27 @@ std::uint64_t hashInstr(std::uint64_t h, const ir::Instr& in) noexcept {
   return h;
 }
 
+/// True for the Ops after which control may leave straight-line order.
+bool endsSegment(ir::Opcode op) noexcept {
+  return op == ir::Opcode::Br || op == ir::Opcode::CondBr ||
+         op == ir::Opcode::Ret || op == ir::Opcode::Call;
+}
+
+/// Mirrors the reference loop's write-candidate gate: dest writes count
+/// except for Const/FrameAddr (immediate materialization) — and Call, whose
+/// return-value write is counted at Ret.
+std::uint32_t countsWrite(const ir::Instr& in) noexcept {
+  return in.dest != ir::kNoReg && in.op != ir::Opcode::Const &&
+                 in.op != ir::Opcode::FrameAddr && in.op != ir::Opcode::Call
+             ? 1
+             : 0;
+}
+
 /// Decode `mod` into a fresh stream, or nullptr for unsupported shapes.
 std::shared_ptr<const ThreadedCode> build(const ir::Module& mod,
                                           std::uint64_t fingerprint) {
   // The label table is owned by the loop translation unit; null labels mean
-  // the portable loop (switch over Op::op) runs the stream instead.
+  // the portable loop (switch over Op::handler) runs the stream instead.
   const void* const* labels = nullptr;
   detail::runThreadedLoop(nullptr, nullptr, &labels);
 
@@ -43,6 +59,8 @@ std::shared_ptr<const ThreadedCode> build(const ir::Module& mod,
   for (const ir::Function& fn : mod.functions) {
     ThreadedCode::FnCode fc;
     fc.opBase = static_cast<std::uint32_t>(code->ops.size());
+    fc.numRegs = fn.numRegs;
+    fc.frameSize = (static_cast<std::uint64_t>(fn.frameBytes) + 7U) & ~7ULL;
     fc.blockStart.reserve(fn.blocks.size());
     std::uint32_t local = 0;
     for (const ir::BasicBlock& bb : fn.blocks) {
@@ -51,14 +69,20 @@ std::shared_ptr<const ThreadedCode> build(const ir::Module& mod,
     }
     for (std::size_t bi = 0; bi < fn.blocks.size(); ++bi) {
       const ir::BasicBlock& bb = fn.blocks[bi];
+      const std::size_t blockBase = code->ops.size();
       for (std::size_t ii = 0; ii < bb.instrs.size(); ++ii) {
         const ir::Instr& in = bb.instrs[ii];
         if (in.operands.size() > ThreadedCode::kMaxOperands) return nullptr;
         ThreadedCode::Op op;
-        op.op = in.op;
-        if (labels != nullptr) {
-          op.label = labels[static_cast<std::size_t>(in.op)];
+        op.handler = static_cast<std::uint8_t>(in.op);
+        if (ThreadedCode::fusesMove(in.op) && ii + 1 < bb.instrs.size()) {
+          const ir::Instr& next = bb.instrs[ii + 1];
+          if (next.op == ir::Opcode::Move && next.operands.size() == 1 &&
+              next.operands[0].isReg() && next.operands[0].reg == in.dest) {
+            op.handler += ThreadedCode::kNumOpcodes;
+          }
         }
+        if (labels != nullptr) op.label = labels[op.handler];
         op.block = static_cast<std::uint32_t>(bi);
         op.ip = static_cast<std::uint32_t>(ii);
         op.dest = in.dest;
@@ -76,14 +100,6 @@ std::shared_ptr<const ThreadedCode> build(const ir::Module& mod,
           code->args.push_back(a);
         }
         op.countsRead = anyReg ? 1 : 0;
-        // Mirrors the reference loop's write-candidate gate: dest writes
-        // count except for Const/FrameAddr (immediate materialization) —
-        // and Call/Ret, whose return-value write is counted at Ret.
-        op.countsWrite =
-            (in.dest != ir::kNoReg && in.op != ir::Opcode::Const &&
-             in.op != ir::Opcode::FrameAddr && in.op != ir::Opcode::Call)
-                ? 1
-                : 0;
         switch (in.op) {
           case ir::Opcode::Br:
             op.target = fc.blockStart[in.target0];
@@ -115,6 +131,18 @@ std::shared_ptr<const ThreadedCode> build(const ir::Module& mod,
             break;
         }
         code->ops.push_back(op);
+      }
+      // Segment totals, accumulated backwards from each segment's end.
+      std::uint32_t instrs = 0;
+      std::uint32_t reads = 0;
+      std::uint32_t writes = 0;
+      for (std::size_t ii = bb.instrs.size(); ii-- > 0;) {
+        const ir::Instr& in = bb.instrs[ii];
+        ThreadedCode::Op& op = code->ops[blockBase + ii];
+        if (endsSegment(in.op)) instrs = reads = writes = 0;
+        op.segInstrs = ++instrs;
+        op.segReads = reads += op.countsRead;
+        op.segWrites = writes += countsWrite(in);
       }
     }
     code->fns.push_back(std::move(fc));

@@ -11,7 +11,11 @@
 //    InjectorHook through both backends (the hooked prefix is shared, the
 //    post-exhaustion suffix is where the backends diverge in code path);
 //  * snapshot-resume rounds enter the threaded stream mid-block,
-//    mid-call-stack, from snapshots captured by the reference loop.
+//    mid-call-stack, from snapshots captured by the reference loop — in one
+//    round at every candidate boundary of the run;
+//  * a fuel sweep stops the run on every instruction of its first few
+//    thousand, so fuel runs out on every Op of a segment, on Call and Ret,
+//    and on both Ops of a fused op+move pair.
 #include <cstdint>
 #include <random>
 #include <string>
@@ -24,6 +28,7 @@
 #include "lang/compile.hpp"
 #include "vm/machine.hpp"
 #include "vm/snapshot.hpp"
+#include "vm/threaded.hpp"
 
 namespace onebit {
 namespace {
@@ -58,6 +63,17 @@ void expectSameRun(const RunOutcome& sw, const RunOutcome& th,
   EXPECT_EQ(sw.result.outputTruncated, th.result.outputTruncated) << context;
   EXPECT_EQ(sw.result.output, th.result.output) << context;
   EXPECT_EQ(sw.postHash, th.postHash) << context;
+}
+
+/// True when instruction `i` of `bb` is the Move of a fused op+move pair:
+/// it copies the destination of the fusable op right before it.
+bool isFusedMove(const ir::BasicBlock& bb, std::size_t i) {
+  if (i == 0 || i >= bb.instrs.size()) return false;
+  const ir::Instr& mv = bb.instrs[i];
+  const ir::Instr& first = bb.instrs[i - 1];
+  return mv.op == ir::Opcode::Move && mv.operands.size() == 1 &&
+         mv.operands[0].isReg() && mv.operands[0].reg == first.dest &&
+         vm::ThreadedCode::fusesMove(first.op);
 }
 
 /// Random-program generator. Every emitted program is valid MiniC by
@@ -188,16 +204,46 @@ TEST(DispatchDifferential, FiveHundredRandomProgramsBitIdentical) {
 
 TEST(DispatchDifferential, TinyFuelAgreesOnFuelExhaustion) {
   // The fuel check sits between fetch and execute; an off-by-one in either
-  // backend shows up as a one-instruction disagreement here.
-  ProgramGen gen(0xF0E1ULL);
-  ir::Module mod = lang::compileMiniC(gen.generate());
-  for (const std::uint64_t fuel : {1ULL, 2ULL, 17ULL, 100ULL, 1000ULL}) {
-    const RunOutcome sw =
-        runOnce(mod, vm::DispatchBackend::Switch, nullptr, fuel);
-    const RunOutcome th =
-        runOnce(mod, vm::DispatchBackend::Threaded, nullptr, fuel);
-    expectSameRun(sw, th, "fuel " + std::to_string(fuel));
+  // backend shows up as a one-instruction disagreement here. Every fuel
+  // value from 1 up stops the run on each of its first kMaxFuel
+  // instructions in turn, so the threaded loop's per-segment fuel check
+  // meets every offset into every segment it enters. The stopping
+  // instruction is read off the reference machine's top frame (ip - 1 is
+  // the instruction fetched last).
+  constexpr std::uint64_t kMaxFuel = 2500;
+  int stoppedAtCall = 0;
+  int stoppedAtRet = 0;
+  int stoppedAtFusedOp = 0;
+  int stoppedAtFusedMove = 0;
+  for (const std::uint64_t seed : {0xF0E1ULL, 0xF0E2ULL, 0xF0E3ULL}) {
+    ProgramGen gen(seed);
+    ir::Module mod = lang::compileMiniC(gen.generate());
+    for (std::uint64_t fuel = 1; fuel <= kMaxFuel; ++fuel) {
+      vm::ExecLimits limits;
+      limits.maxInstructions = fuel;
+      limits.dispatch = vm::DispatchBackend::Switch;
+      vm::Machine ref(mod, limits, nullptr);
+      const RunOutcome sw{ref.run(), ref.computeStateHash()};
+      const RunOutcome th =
+          runOnce(mod, vm::DispatchBackend::Threaded, nullptr, fuel);
+      const std::string context = "seed " + std::to_string(seed) + " fuel " +
+                                  std::to_string(fuel);
+      expectSameRun(sw, th, context);
+      if (::testing::Test::HasFailure()) return;
+      if (sw.result.status != vm::ExecStatus::FuelExhausted) break;
+      const vm::Snapshot::Frame top = ref.capture().frames.back();
+      const ir::BasicBlock& bb = mod.functions[top.fn].blocks[top.block];
+      const std::size_t fetched = top.ip - 1;
+      stoppedAtCall += bb.instrs[fetched].op == ir::Opcode::Call ? 1 : 0;
+      stoppedAtRet += bb.instrs[fetched].op == ir::Opcode::Ret ? 1 : 0;
+      stoppedAtFusedOp += isFusedMove(bb, fetched + 1) ? 1 : 0;
+      stoppedAtFusedMove += isFusedMove(bb, fetched) ? 1 : 0;
+    }
   }
+  EXPECT_GT(stoppedAtCall, 0);
+  EXPECT_GT(stoppedAtRet, 0);
+  EXPECT_GT(stoppedAtFusedOp, 0);
+  EXPECT_GT(stoppedAtFusedMove, 0);
 }
 
 TEST(DispatchDifferential, InjectionRoundsAcrossAllDomains) {
@@ -250,43 +296,79 @@ TEST(DispatchDifferential, InjectionRoundsAcrossAllDomains) {
   }
 }
 
+/// Resume every snapshot on both backends; both continuations must agree
+/// with each other and with the uninterrupted reference run.
+void expectResumesAgree(const ir::Module& mod, const vm::ExecLimits& limits,
+                        const vm::ExecResult& full,
+                        const std::vector<vm::Snapshot>& snaps,
+                        const std::string& where) {
+  for (std::size_t s = 0; s < snaps.size(); ++s) {
+    vm::ExecLimits sw = limits;
+    sw.dispatch = vm::DispatchBackend::Switch;
+    vm::ExecLimits th = limits;
+    th.dispatch = vm::DispatchBackend::Threaded;
+    const vm::ExecResult a = vm::resume(mod, snaps[s], sw, nullptr);
+    const vm::ExecResult b = vm::resume(mod, snaps[s], th, nullptr);
+    const std::string context = where + " snapshot " + std::to_string(s);
+    EXPECT_EQ(a.status, b.status) << context;
+    EXPECT_EQ(a.trap, b.trap) << context;
+    EXPECT_EQ(a.instructions, b.instructions) << context;
+    EXPECT_EQ(a.output, b.output) << context;
+    EXPECT_EQ(a.readCandidates, b.readCandidates) << context;
+    EXPECT_EQ(a.writeCandidates, b.writeCandidates) << context;
+    EXPECT_EQ(a.storeCandidates, b.storeCandidates) << context;
+    // Both resumed continuations must also agree with the uninterrupted
+    // reference run (the snapshot contract).
+    EXPECT_EQ(b.status, full.status) << context;
+    EXPECT_EQ(b.instructions, full.instructions) << context;
+    EXPECT_EQ(b.output, full.output) << context;
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
 TEST(DispatchDifferential, SnapshotResumeEntersThreadedMidBlock) {
+  // Two capture rounds per program. Interval 64 with a cap keeps a spread
+  // of mid-block, mid-call-stack points. Interval 1 with no retention cap
+  // keeps a snapshot at every candidate boundary, so the threaded loop is
+  // entered on the Move of every fused pair and right after every Call
+  // (at the return point) that the run reaches.
   constexpr int kPrograms = 10;
+  int atFusedMove = 0;
+  int afterCall = 0;
   for (int p = 0; p < kPrograms; ++p) {
     ProgramGen gen(0x5AA5ULL + static_cast<std::uint64_t>(p) * 977);
     ir::Module mod = lang::compileMiniC(gen.generate());
     vm::ExecLimits limits;
     limits.maxInstructions = 2'000'000;
-    vm::SnapshotCapturePolicy capture;
-    capture.interval = 64;  // dense: many mid-block, mid-call-stack points
-    capture.maxSnapshots = 32;
-    std::vector<vm::Snapshot> snaps;
-    const vm::ExecResult full =
-        vm::executeWithSnapshots(mod, limits, capture, snaps);
-    ASSERT_FALSE(snaps.empty()) << "program " << p;
-    for (std::size_t s = 0; s < snaps.size(); ++s) {
-      vm::ExecLimits sw = limits;
-      sw.dispatch = vm::DispatchBackend::Switch;
-      vm::ExecLimits th = limits;
-      th.dispatch = vm::DispatchBackend::Threaded;
-      const vm::ExecResult a = vm::resume(mod, snaps[s], sw, nullptr);
-      const vm::ExecResult b = vm::resume(mod, snaps[s], th, nullptr);
-      const std::string context =
-          "program " + std::to_string(p) + " snapshot " + std::to_string(s);
-      EXPECT_EQ(a.status, b.status) << context;
-      EXPECT_EQ(a.trap, b.trap) << context;
-      EXPECT_EQ(a.instructions, b.instructions) << context;
-      EXPECT_EQ(a.output, b.output) << context;
-      EXPECT_EQ(a.readCandidates, b.readCandidates) << context;
-      EXPECT_EQ(a.writeCandidates, b.writeCandidates) << context;
-      EXPECT_EQ(a.storeCandidates, b.storeCandidates) << context;
-      // Both resumed continuations must also agree with the uninterrupted
-      // reference run (the snapshot contract).
-      EXPECT_EQ(b.status, full.status) << context;
-      EXPECT_EQ(b.instructions, full.instructions) << context;
-      EXPECT_EQ(b.output, full.output) << context;
+    vm::SnapshotCapturePolicy sparse;
+    sparse.interval = 64;
+    sparse.maxSnapshots = 32;
+    vm::SnapshotCapturePolicy every;
+    every.interval = 1;
+    every.maxSnapshots = 0;
+    every.budgetBytes = 0;
+    for (const vm::SnapshotCapturePolicy& capture : {sparse, every}) {
+      std::vector<vm::Snapshot> snaps;
+      const vm::ExecResult full =
+          vm::executeWithSnapshots(mod, limits, capture, snaps);
+      const std::string where = "program " + std::to_string(p) +
+                                " interval " +
+                                std::to_string(capture.interval);
+      ASSERT_FALSE(snaps.empty()) << where;
+      expectResumesAgree(mod, limits, full, snaps, where);
+      if (capture.interval != 1) continue;
+      for (const vm::Snapshot& snap : snaps) {
+        const vm::Snapshot::Frame& top = snap.frames.back();
+        const ir::BasicBlock& bb = mod.functions[top.fn].blocks[top.block];
+        atFusedMove += isFusedMove(bb, top.ip) ? 1 : 0;
+        afterCall +=
+            top.ip > 0 && bb.instrs[top.ip - 1].op == ir::Opcode::Call ? 1
+                                                                        : 0;
+      }
     }
   }
+  EXPECT_GT(atFusedMove, 0);
+  EXPECT_GT(afterCall, 0);
 }
 
 }  // namespace

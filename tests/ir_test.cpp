@@ -260,6 +260,35 @@ TEST(Verifier, CallArgCountMismatchFails) {
   EXPECT_FALSE(verify(mod).empty());
 }
 
+TEST(Verifier, CallWiderThanOperandSlotsFails) {
+  // A well-matched call is still rejected past ir::kMaxOperands operands:
+  // both interpreter loops gather operands into that many slots.
+  for (const std::uint32_t params : {8U, 10U}) {
+    Module mod;
+    IRBuilder b(mod);
+    const auto f = b.createFunction("f", Type::Void, params);
+    auto bb = b.createBlock("entry");
+    b.setInsertBlock(bb);
+    b.emitRetVoid();
+    b.createFunction("main", Type::I64, 0);
+    bb = b.createBlock("entry");
+    b.setInsertBlock(bb);
+    b.emitCall(f, std::vector<Operand>(params, Operand::makeImm(1)),
+               Type::Void);
+    b.emitRet(Operand::makeImm(0));
+    mod.entry = 1;
+    const auto errors = verify(mod);
+    if (params <= kMaxOperands) {
+      EXPECT_TRUE(errors.empty()) << params;
+    } else {
+      ASSERT_EQ(errors.size(), 1U) << params;
+      EXPECT_NE(errors[0].message.find("more than 8 operands"),
+                std::string::npos)
+          << errors[0].message;
+    }
+  }
+}
+
 TEST(Verifier, BadLoadWidthFails) {
   Module mod = tinyModule();
   Instr ld;

@@ -1,7 +1,9 @@
 // Unit tests for src/vm: memory, traps, interpreter semantics, hooks.
 #include <cmath>
+#include <cstring>
 #include <limits>
 #include <memory>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -337,6 +339,90 @@ TEST(Memory, NegativeAllocTraps) {
   const auto p = bld.emitAlloc(Operand::makeImm(ir::fromI64(-8)));
   bld.emitRet(Operand::makeReg(p));
   EXPECT_EQ(execute(mod).trap, TrapKind::SegFault);
+}
+
+TEST(Memory, SegmentEdges) {
+  // Direct load()/store() at the edges of the inline fast path. A 60-byte
+  // stack and a 20-byte global segment put an aligned 8-byte word across
+  // each end. Every row runs with content hashing off (the inline path for
+  // stack and global hits) and on (always the out-of-line path); both must
+  // agree on value, trap kind and stack store high-water mark.
+  constexpr std::size_t kStack = 60;
+  constexpr std::size_t kGlobals = 20;
+  std::vector<std::uint8_t> image(kGlobals);
+  for (std::size_t i = 0; i < kGlobals; ++i) {
+    image[i] = static_cast<std::uint8_t>(i + 1);
+  }
+  struct Row {
+    const char* what;
+    std::uint64_t addr;
+    unsigned width;
+    TrapKind trap;
+    std::size_t highWater;  ///< after the store
+  };
+  const Row rows[] = {
+      {"stack first byte", kStackBase, 1, TrapKind::None, 1},
+      {"stack last byte", kStackBase + 59, 1, TrapKind::None, 60},
+      {"stack last word", kStackBase + 48, 8, TrapKind::None, 56},
+      {"stack one byte past end", kStackBase + 60, 1, TrapKind::SegFault, 0},
+      {"stack word straddling end", kStackBase + 56, 8, TrapKind::SegFault,
+       0},
+      {"byte below stack", kStackBase - 1, 1, TrapKind::SegFault, 0},
+      {"word below stack", kStackBase - 8, 8, TrapKind::SegFault, 0},
+      {"globals first word", kGlobalBase, 8, TrapKind::None, 0},
+      {"globals last byte", kGlobalBase + 19, 1, TrapKind::None, 0},
+      {"globals last word", kGlobalBase + 8, 8, TrapKind::None, 0},
+      {"globals one byte past end", kGlobalBase + 20, 1, TrapKind::SegFault,
+       0},
+      {"globals word straddling end", kGlobalBase + 16, 8,
+       TrapKind::SegFault, 0},
+      {"byte below globals", kGlobalBase - 1, 1, TrapKind::SegFault, 0},
+      {"word below globals", kGlobalBase - 8, 8, TrapKind::SegFault, 0},
+      {"misaligned word in stack", kStackBase + 4, 8, TrapKind::Misaligned,
+       0},
+      {"misaligned word in globals", kGlobalBase + 1, 8,
+       TrapKind::Misaligned, 0},
+      {"misaligned word past stack end", kStackBase + 61, 8,
+       TrapKind::Misaligned, 0},
+      {"misaligned word below globals", kGlobalBase - 3, 8,
+       TrapKind::Misaligned, 0},
+      {"misaligned word at null", 3, 8, TrapKind::Misaligned, 0},
+  };
+  constexpr std::uint64_t kValue = 0xa1b2'c3d4'e5f6'0718ULL;
+  for (const bool hashing : {false, true}) {
+    for (const Row& row : rows) {
+      const std::string ctx =
+          std::string(row.what) + (hashing ? " (hashing)" : "");
+      Memory mem(image, kStack, 4096);
+      mem.trackContentHash(hashing);
+      // Before any store: globals read the image, the stack reads zero.
+      std::uint64_t before = 0;
+      if (row.trap == TrapKind::None && row.addr >= kGlobalBase &&
+          row.addr < kGlobalBase + kGlobals) {
+        std::memcpy(&before, image.data() + (row.addr - kGlobalBase),
+                    row.width);
+      }
+      TrapKind trap = TrapKind::None;
+      EXPECT_EQ(mem.load(row.addr, row.width, trap), before) << ctx;
+      EXPECT_EQ(trap, row.trap) << ctx;
+
+      trap = TrapKind::None;
+      mem.store(row.addr, row.width, kValue, trap);
+      EXPECT_EQ(trap, row.trap) << ctx;
+      EXPECT_EQ(mem.stackStoreHighWater(), row.highWater) << ctx;
+
+      trap = TrapKind::None;
+      const std::uint64_t stored =
+          row.width == 8 ? kValue : (kValue & 0xffU);
+      EXPECT_EQ(mem.load(row.addr, row.width, trap),
+                row.trap == TrapKind::None ? stored : 0U)
+          << ctx;
+      EXPECT_EQ(trap, row.trap) << ctx;
+      if (hashing) {
+        EXPECT_EQ(mem.contentHash(), mem.computeContentHash()) << ctx;
+      }
+    }
+  }
 }
 
 // --- pooled stack reuse -----------------------------------------------------------
