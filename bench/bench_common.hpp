@@ -90,7 +90,9 @@
 // they should declare every (workload × spec) cell on a SweepBuilder and
 // run() it once: the whole sweep executes as ONE fi::CampaignSuite, shards
 // from all campaigns interleaved on a single thread pool, with results
-// bit-identical to the one-at-a-time loop (see fi/suite.hpp).
+// bit-identical to the one-at-a-time loop (see fi/suite.hpp). The fig1–fig4
+// drivers are one runFigure() call each: the figure itself lives in
+// analytics/figures.cpp, shared with `report --figure`.
 #pragma once
 
 #include <algorithm>
@@ -98,9 +100,12 @@
 #include <cstdlib>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "analytics/aggregate.hpp"
+#include "analytics/figures.hpp"
 #include "analytics/knobs.hpp"
 #include "fi/campaign.hpp"
 #include "fi/campaign_store.hpp"
@@ -470,18 +475,48 @@ inline fi::CampaignResult campaign(const fi::Workload& w,
 
 /// Print a table as aligned text, or CSV when ONEBIT_CSV=1 (for plotting).
 inline void emitTable(const util::TextTable& table) {
-  if (analytics::csvEnabled()) {
-    std::fputs(table.renderCsv().c_str(), stdout);
-  } else {
-    std::fputs(table.render().c_str(), stdout);
-  }
+  std::fputs(analytics::renderTable(table, analytics::csvEnabled()).c_str(),
+             stdout);
 }
 
 inline void printHeaderNote(const char* artifact, std::size_t n) {
-  std::printf("== %s ==\n", artifact);
-  std::printf("(%zu experiments per campaign; scale with ONEBIT_EXPERIMENTS; "
-              "error bars are 95%% CIs)\n\n",
-              n);
+  std::fputs(analytics::headerNote(artifact, n).c_str(), stdout);
+}
+
+/// Run paper figure `id` ("fig1".."fig4", see analytics/figures.hpp) and
+/// print it. Each batch of cells the figure asks for runs as ONE
+/// SweepBuilder sweep: one for fig1–fig3; two for fig4 (the grids, then the
+/// validation campaigns of the complete grids). A capped run
+/// (ONEBIT_MAX_SHARDS) prints incomplete(recorded/expected) markers where
+/// values would be.
+inline int runFigure(std::string_view id) {
+  const std::vector<NamedWorkload> workloads = loadWorkloads();
+  const auto runBatch = [&](const std::vector<analytics::CellKey>& cells) {
+    SweepBuilder sweep;
+    for (const analytics::CellKey& cell : cells) {
+      const auto w = std::find_if(
+          workloads.begin(), workloads.end(),
+          [&](const NamedWorkload& nw) { return nw.name == cell.workload; });
+      fi::CampaignConfig config;
+      config.model = cell.model;
+      config.experiments = cell.experiments;
+      config.seed = cell.seed;
+      sweep.addConfig(cell.workload, w->workload, config);
+    }
+    using State = analytics::CellResolution::State;
+    std::vector<analytics::CellResolution> out;
+    for (const fi::CampaignResult& r : sweep.run()) {
+      analytics::CellResolution& res = out.emplace_back();
+      res.state = r.complete() ? State::Complete : State::Partial;
+      res.counts = r.counts;
+      res.hist = r.activationHist;
+      res.recorded = r.completedExperiments;
+      res.expected = r.config.experiments;
+    }
+    return out;
+  };
+  std::fputs(analytics::runFigure(id, runBatch).value().text.c_str(), stdout);
+  return 0;
 }
 
 }  // namespace onebit::bench

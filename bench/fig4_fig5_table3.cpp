@@ -4,225 +4,12 @@
 //   * Table III: the (max-MBF, win-size) pair with the highest SDC% per
 //     program and technique, compared against the single bit-flip model.
 //
-// One binary computes all three because they share the same 81-campaign
-// grid per program/technique (1 single-bit + 8 win-sizes x 10 max-MBF).
-//
-// The grid runs in two suite phases: phase 1 batches EVERY grid campaign of
-// every program × technique (~2430 campaigns) onto one SweepBuilder sweep;
-// phase 2 selects each grid's pessimistic pair and batches the independent
-// re-validation campaigns onto a second sweep. Results are bit-identical to
+// The figures (cells, seeds, table text) are defined once, in
+// src/analytics/figures.cpp; `report --figure fig4` renders the same text
+// from a store. The run takes two suites: every grid campaign of every
+// program × technique (~2430 campaigns), then the re-validation campaigns
+// of each complete grid's pessimistic pair. Results are bit-identical to
 // the serial pruning::findPessimisticPair path (same specs, same seeds).
-#include <map>
-
 #include "bench_common.hpp"
-#include "pruning/pessimistic_pairs.hpp"
-#include "util/table.hpp"
 
-namespace {
-
-using namespace onebit;
-
-struct ProgramGrid {
-  std::string name;
-  pruning::PessimisticPairResult result;
-};
-
-void printFigure(const char* title, const std::vector<ProgramGrid>& grids) {
-  std::printf("--- %s ---\n", title);
-  // One row per program/win-size, SDC% per max-MBF column (the bar series
-  // of the figure).
-  std::vector<std::string> header = {"program", "win-size", "m=1"};
-  for (const unsigned m : fi::FaultModel::paperMaxMbf()) {
-    header.push_back("m=" + std::to_string(m));
-  }
-  util::TextTable table(header);
-  for (const auto& grid : grids) {
-    // Group campaigns by win-size label.
-    std::map<std::string, std::vector<const pruning::CampaignSdc*>> byWin;
-    double singleSdc = 0.0;
-    for (const auto& c : grid.result.all) {
-      if (c.model.isSingleBit()) {
-        singleSdc = c.sdc.fraction;
-        continue;
-      }
-      byWin[c.model.spread.label()].push_back(&c);
-    }
-    for (const auto& [win, cells] : byWin) {
-      std::vector<std::string> row = {grid.name, win,
-                                      util::fmtPercent(singleSdc)};
-      for (const unsigned m : fi::FaultModel::paperMaxMbf()) {
-        const pruning::CampaignSdc* found = nullptr;
-        for (const auto* c : cells) {
-          if (c->model.pattern.count == m) found = c;
-        }
-        row.push_back(found != nullptr
-                          ? util::fmtPercent(found->sdc.fraction)
-                          : "-");
-      }
-      table.addRow(std::move(row));
-    }
-  }
-  bench::emitTable(table);
-  std::printf("\n");
-}
-
-void printTableThree(
-    const std::vector<ProgramGrid>& read,
-    const std::vector<ProgramGrid>& write) {
-  std::printf(
-      "--- Table III: configurations with the highest SDC%% among all "
-      "multi-bit campaigns ---\n");
-  util::TextTable table({"program", "read max-MBF", "read win-size",
-                         "read best SDC% (valid.)", "read single SDC%",
-                         "write max-MBF", "write win-size",
-                         "write best SDC% (valid.)", "write single SDC%"});
-  int pessimisticCampaignsRead = 0;
-  int pessimisticCampaignsWrite = 0;
-  for (std::size_t i = 0; i < read.size(); ++i) {
-    const auto& r = read[i].result;
-    const auto& w = write[i].result;
-    pessimisticCampaignsRead += r.singleIsPessimistic() ? 1 : 0;
-    pessimisticCampaignsWrite += w.singleIsPessimistic() ? 1 : 0;
-    table.addRow({read[i].name, std::to_string(r.bestModel.pattern.count),
-                  r.bestModel.spread.label(),
-                  util::fmtPercent(r.validatedBestSdc.fraction),
-                  util::fmtPercent(r.singleSdc.fraction),
-                  std::to_string(w.bestModel.pattern.count),
-                  w.bestModel.spread.label(),
-                  util::fmtPercent(w.validatedBestSdc.fraction),
-                  util::fmtPercent(w.singleSdc.fraction)});
-  }
-  bench::emitTable(table);
-  std::printf(
-      "\n(best SDC%% columns are unbiased two-stage re-validations of the "
-      "grid argmax; the raw\ngrid maximum overstates SDC%% at small campaign "
-      "sizes - winner's curse.)\n");
-  std::printf(
-      "RQ2: single bit-flip model pessimistic (within 1pp) for %d/%zu "
-      "programs (read), %d/%zu (write).\n",
-      pessimisticCampaignsRead, read.size(), pessimisticCampaignsWrite,
-      write.size());
-
-  // RQ3: how many flips reach the highest SDC%?
-  int atMostThreeRead = 0;
-  int atMostThreeWrite = 0;
-  for (const auto& g : read) {
-    atMostThreeRead += g.result.bestModel.pattern.count <= 3 ? 1 : 0;
-  }
-  for (const auto& g : write) {
-    atMostThreeWrite += g.result.bestModel.pattern.count <= 3 ? 1 : 0;
-  }
-  std::printf(
-      "RQ3: best multi-bit config needs <=3 flips for %d/%zu programs "
-      "(read) and %d/%zu (write).\n",
-      atMostThreeRead, read.size(), atMostThreeWrite, write.size());
-  std::printf(
-      "Paper check: read favors 2 flips at large win-sizes; write favors "
-      "2-3 flips at small\nwin-sizes (Table III), and the single-bit model "
-      "fails to be pessimistic mostly under\ninject-on-write (RQ2).\n");
-}
-
-/// One program/technique's grid: its phase-1 plan and suite cell indices.
-struct GridSweep {
-  std::string name;
-  const fi::Workload* workload = nullptr;
-  std::uint64_t baseSeed = 0;  ///< seed the grid AND validation derive from
-  std::vector<fi::CampaignConfig> configs;
-  std::vector<std::size_t> cells;
-};
-
-std::vector<GridSweep> queueGrids(bench::SweepBuilder& sweep,
-                                  const std::vector<bench::NamedWorkload>& ws,
-                                  fi::FaultDomain tech, std::size_t n,
-                                  std::uint64_t& salt) {
-  std::vector<GridSweep> grids;
-  for (const auto& [name, w] : ws) {
-    GridSweep grid;
-    grid.name = name;
-    grid.workload = &w;
-    grid.baseSeed = util::hashCombine(bench::masterSeed(), salt++);
-    grid.configs =
-        pruning::gridCampaigns(tech, n, grid.baseSeed, bench::flipWidth());
-    for (const fi::CampaignConfig& config : grid.configs) {
-      grid.cells.push_back(sweep.addConfig(name, w, config));
-    }
-    grids.push_back(std::move(grid));
-  }
-  return grids;
-}
-
-/// Phase 2: select each grid's pessimistic pair and queue its re-validation
-/// campaign on the SHARED `validation` sweep (read and write batches land in
-/// the same suite, so there is no barrier between them). `validationCells`
-/// receives one suite index per grid (unused when !hasBest).
-std::vector<ProgramGrid> selectGrids(bench::SweepBuilder& gridSweep,
-                                     const std::vector<GridSweep>& grids,
-                                     std::size_t n,
-                                     bench::SweepBuilder& validation,
-                                     std::vector<std::size_t>& validationCells) {
-  std::vector<ProgramGrid> out;
-  for (const GridSweep& grid : grids) {
-    std::vector<pruning::CampaignSdc> all;
-    for (std::size_t j = 0; j < grid.configs.size(); ++j) {
-      all.push_back({grid.configs[j].model, gridSweep[grid.cells[j]].sdc()});
-    }
-    ProgramGrid pg{grid.name, pruning::selectPessimisticPair(std::move(all))};
-    validationCells.push_back(
-        pg.result.hasBest
-            ? validation.addConfig(
-                  grid.name, *grid.workload,
-                  pruning::validationCampaign(pg.result.bestModel, n,
-                                              grid.baseSeed, 3))
-            : 0);
-    out.push_back(std::move(pg));
-  }
-  return out;
-}
-
-/// Phase 3: overwrite each selected pair's SDC with the unbiased estimate
-/// from the (already run) shared validation sweep.
-void applyValidation(std::vector<ProgramGrid>& grids,
-                     bench::SweepBuilder& validation,
-                     const std::vector<std::size_t>& validationCells) {
-  for (std::size_t i = 0; i < grids.size(); ++i) {
-    if (grids[i].result.hasBest) {
-      grids[i].result.validatedBestSdc = validation[validationCells[i]].sdc();
-    }
-  }
-}
-
-}  // namespace
-
-int main() {
-  const std::size_t n = bench::experimentsPerCampaign(80);
-  bench::printHeaderNote(
-      "Fig. 4 + Fig. 5 + Table III: multi-register injections", n);
-
-  const auto workloads = bench::loadWorkloads();
-
-  // Phase 1: the full read + write grid of every program, as ONE suite.
-  bench::SweepBuilder gridSweep;
-  std::uint64_t salt = 50000;
-  std::vector<GridSweep> readGrids =
-      queueGrids(gridSweep, workloads, fi::FaultDomain::RegisterRead, n, salt);
-  std::vector<GridSweep> writeGrids =
-      queueGrids(gridSweep, workloads, fi::FaultDomain::RegisterWrite, n, salt);
-  gridSweep.run();
-
-  // Phase 2+3: one SHARED validation suite for read and write batches.
-  bench::SweepBuilder validation;
-  std::vector<std::size_t> readValidation;
-  std::vector<std::size_t> writeValidation;
-  std::vector<ProgramGrid> read =
-      selectGrids(gridSweep, readGrids, n, validation, readValidation);
-  std::vector<ProgramGrid> write =
-      selectGrids(gridSweep, writeGrids, n, validation, writeValidation);
-  validation.run();
-  applyValidation(read, validation, readValidation);
-  applyValidation(write, validation, writeValidation);
-
-  printFigure("Fig. 4: SDC%, multi-register, inject-on-read", read);
-  printFigure("Fig. 5: SDC%, multi-register, inject-on-write", write);
-  printTableThree(read, write);
-  return 0;
-}
+int main() { return onebit::bench::runFigure("fig4"); }

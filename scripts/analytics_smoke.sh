@@ -1,27 +1,29 @@
 #!/bin/sh
 # Analytics smoke: the store-backed `report` tool must regenerate paper
-# figures from records alone. Run the fig1 driver against a store, then
+# figures from records alone. Run each figure driver against a store, then
 # require:
 #
-#   1. `report --figure fig1` stdout is byte-identical to the driver's,
-#      in text mode AND in CSV mode (ONEBIT_CSV=1 / --csv),
+#   1. `report --figure figN` stdout is byte-identical to the driver's,
+#      in text mode AND in CSV mode (ONEBIT_CSV=1 / --csv), for fig1 and —
+#      at 8 experiments per cell — fig2, fig3 and fig4,
 #   2. a partial store (driver capped at one shard per cell) exits 3 and
 #      every affected cell carries an explicit "incomplete(...)" marker —
 #      partial data is marked, never reported as a final value,
 #   3. `report --trend` across the partial and the complete snapshot marks
 #      the partial column explicitly,
 #   4. `report --watch --once` renders one dashboard frame over the store,
-#   5. `store_stats --json` emits the machine-readable summary.
+#   5. `report --summary --json` emits the machine-readable summary.
 #
 #   scripts/analytics_smoke.sh [BUILD_DIR]
 #
-# BUILD_DIR defaults to ./build; it must contain bench_fig1_single_bit,
-# report, and store_stats (built by the default CMake configuration).
+# BUILD_DIR defaults to ./build; it must contain the bench_fig* drivers and
+# report (built by the default CMake configuration).
 set -eu
 
 build=${1:-build}
 
-for tool in bench_fig1_single_bit report store_stats; do
+for tool in bench_fig1_single_bit bench_fig2_same_register \
+    bench_fig3_activated_errors bench_fig4_fig5_table3 report; do
   if [ ! -x "$build/$tool" ]; then
     echo "error: $build/$tool not found or not executable; build first" >&2
     echo "  cmake -B $build -S . && cmake --build $build -j" >&2
@@ -49,6 +51,23 @@ ONEBIT_STORE="$tmp/fig1.jsonl" ONEBIT_RESUME=1 ONEBIT_CSV=1 \
 "$build/report" --csv --figure fig1 "$tmp/fig1.jsonl" > "$tmp/fig1_report.csv"
 diff "$tmp/fig1_driver.csv" "$tmp/fig1_report.csv"
 
+for fig in fig2:fig2_same_register fig3:fig3_activated_errors \
+    fig4:fig4_fig5_table3; do
+  id=${fig%%:*}
+  driver=bench_${fig#*:}
+  echo "== report --figure $id: byte-identical to $driver (text, CSV)"
+  ONEBIT_EXPERIMENTS=8 ONEBIT_STORE="$tmp/$id.jsonl" \
+    "$build/$driver" > "$tmp/${id}_driver.txt"
+  ONEBIT_EXPERIMENTS=8 \
+    "$build/report" --figure "$id" "$tmp/$id.jsonl" > "$tmp/${id}_report.txt"
+  diff "$tmp/${id}_driver.txt" "$tmp/${id}_report.txt"
+  ONEBIT_EXPERIMENTS=8 ONEBIT_STORE="$tmp/$id.jsonl" ONEBIT_RESUME=1 \
+    ONEBIT_CSV=1 "$build/$driver" > "$tmp/${id}_driver.csv"
+  ONEBIT_EXPERIMENTS=8 "$build/report" --csv --figure "$id" \
+    "$tmp/$id.jsonl" > "$tmp/${id}_report.csv"
+  diff "$tmp/${id}_driver.csv" "$tmp/${id}_report.csv"
+done
+
 echo "== partial store: exit 3 + explicit incomplete markers"
 ONEBIT_STORE="$tmp/partial.jsonl" ONEBIT_SHARD_SIZE=8 ONEBIT_MAX_SHARDS=1 \
   "$build/bench_fig1_single_bit" > /dev/null
@@ -69,8 +88,8 @@ echo "== watch dashboard, one frame"
 "$build/report" --watch --once "$tmp/fig1.jsonl" > "$tmp/watch.txt"
 grep -q 'report --watch' "$tmp/watch.txt"
 
-echo "== store_stats --json"
-"$build/store_stats" --json "$tmp/fig1.jsonl" > "$tmp/stats.json"
+echo "== report --summary --json"
+"$build/report" --summary --json "$tmp/fig1.jsonl" > "$tmp/stats.json"
 grep -q '"campaigns"' "$tmp/stats.json"
 
 echo "analytics smoke: OK"

@@ -15,17 +15,17 @@
 #      duplicate lines from re-run shards are benign),
 #   4. fsck --repair followed by a resume reproduces the solo CSV from the
 #      rewritten store,
-#   5. store_stats reads the store and counts the quarantine record.
+#   5. `report --summary` reads the store and counts the quarantine record.
 #
 #   scripts/fleet_chaos.sh [BUILD_DIR]
 #
 # BUILD_DIR defaults to ./build; it must contain bench_fig1_single_bit,
-# fsck_store, and store_stats (built by the default CMake configuration).
+# fsck_store, and report (built by the default CMake configuration).
 set -eu
 
 build=${1:-build}
 
-for tool in bench_fig1_single_bit fsck_store store_stats; do
+for tool in bench_fig1_single_bit fsck_store report; do
   if [ ! -x "$build/$tool" ]; then
     echo "error: $build/$tool not found or not executable; build first" >&2
     echo "  cmake -B $build -S . && cmake --build $build -j" >&2
@@ -72,8 +72,8 @@ ONEBIT_STORE="$tmp/fleet.jsonl" ONEBIT_RESUME=1 \
   "$build/bench_fig1_single_bit" > "$tmp/fig1_resumed.csv"
 diff "$tmp/fig1_solo.csv" "$tmp/fig1_resumed.csv"
 
-echo "== store_stats reads the store and counts the quarantine"
-"$build/store_stats" "$tmp/fleet.jsonl" | tee "$tmp/stats.txt"
+echo "== report --summary reads the store and counts the quarantine"
+"$build/report" --summary "$tmp/fleet.jsonl" | tee "$tmp/stats.txt"
 grep -q "quarantine record" "$tmp/stats.txt"
 
 echo "fleet chaos smoke: OK"

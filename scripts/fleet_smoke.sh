@@ -8,7 +8,7 @@
 #   2. byte-identical shard records between the solo and fleet stores
 #      (sorted + deduplicated: re-run shards are byte-duplicates by the
 #      determinism contract),
-#   3. store_stats reads the fleet store and reports it complete,
+#   3. `report --summary` reads the fleet store and reports it complete,
 #   4. `report --figure fig1` regenerates the solo CSV byte-identically
 #      from the fleet store's records, and `report --watch --once` renders
 #      a dashboard frame over it,
@@ -18,13 +18,12 @@
 #   scripts/fleet_smoke.sh [BUILD_DIR]
 #
 # BUILD_DIR defaults to ./build; it must contain bench_fig1_single_bit,
-# store_stats, report, and compact_store (built by the default CMake
-# configuration).
+# report, and compact_store (built by the default CMake configuration).
 set -eu
 
 build=${1:-build}
 
-for tool in bench_fig1_single_bit store_stats report compact_store; do
+for tool in bench_fig1_single_bit report compact_store; do
   if [ ! -x "$build/$tool" ]; then
     echo "error: $build/$tool not found or not executable; build first" >&2
     echo "  cmake -B $build -S . && cmake --build $build -j" >&2
@@ -58,8 +57,8 @@ grep '"kind":"shard"' "$tmp/solo.jsonl" | sort -u > "$tmp/shards_solo.jsonl"
 grep '"kind":"shard"' "$tmp/fleet.jsonl" | sort -u > "$tmp/shards_fleet.jsonl"
 diff "$tmp/shards_solo.jsonl" "$tmp/shards_fleet.jsonl"
 
-echo "== store_stats on the fleet store"
-"$build/store_stats" "$tmp/fleet.jsonl"
+echo "== report --summary on the fleet store"
+"$build/report" --summary "$tmp/fleet.jsonl"
 
 echo "== report --figure fig1 regenerates the solo CSV from the fleet store"
 "$build/report" --figure fig1 "$tmp/fleet.jsonl" > "$tmp/fig1_report.csv"

@@ -47,7 +47,7 @@ struct GroupRow {
 /// sorted by (workload, spec, flipWidth).
 std::vector<GroupRow> groupBy(const Dataset& ds, const GroupAxes& axes);
 
-/// Per-campaign live progress, derived the way tools/store_stats always
+/// Per-campaign live progress, derived the way the store summary always
 /// has: a lease superseded by a shard record attributes the shard to its
 /// worker; an unsuperseded lease is active (deadline > nowMs) or expired;
 /// a quarantine blocks only while no shard record covers its range.

@@ -1,6 +1,8 @@
 #include "analytics/figures.hpp"
 
 #include <map>
+#include <stdexcept>
+#include <tuple>
 #include <utility>
 #include <vector>
 
@@ -50,42 +52,34 @@ std::string aggregateMarker(const std::vector<const CellResolution*>& cells) {
          std::to_string(expected) + ")";
 }
 
-/// bench::printHeaderNote, onto a string.
-void headerNote(std::string& out, const char* artifact, std::size_t n) {
-  appendf(out, "== %s ==\n", artifact);
-  appendf(out,
-          "(%zu experiments per campaign; scale with ONEBIT_EXPERIMENTS; "
-          "error bars are 95%% CIs)\n\n",
-          n);
-}
+/// What a render asks for each campaign cell it needs.
+using CellSource = std::function<CellResolution(const CellKey&)>;
 
-/// bench::emitTable, onto a string.
-void emit(std::string& out, const util::TextTable& table) {
-  out += csvEnabled() ? table.renderCsv() : table.render();
-}
-
-/// Shared resolution bookkeeping for one figure rendering.
+/// One render: the source it asks and the output it builds.
 struct Ctx {
-  const Dataset& ds;
+  const CellSource& source;
   FigureOutput out;
 
-  CellResolution resolve(const std::string& workload,
-                         const fi::FaultModel& model, std::uint64_t seed,
-                         std::size_t experiments) {
-    CellResolution r = resolveCell(ds, workload, model, seed, experiments);
+  CellResolution resolve(const CellKey& cell) {
+    CellResolution r = source(cell);
     ++out.cells;
     if (!r.complete()) ++out.incompleteCells;
     return r;
   }
+
+  void emit(const util::TextTable& table) {
+    out.text += renderTable(table, csvEnabled());
+  }
 };
 
 // ---------------------------------------------------------------------------
-// Fig. 1 — mirrors bench/fig1_single_bit.cpp: salts 100 (read) / 200
-// (write), incremented per selected program.
+// Fig. 1 (a, b): outcome classification of single bit-flip campaigns for
+// both injection techniques, per program. Each technique has its own seed
+// salt base, incremented per selected program.
 void renderFig1(Ctx& ctx) {
   const std::size_t n = experimentsPerCampaign(400);
-  headerNote(ctx.out.text, "Fig. 1: single bit-flip outcome classification",
-             n);
+  ctx.out.text +=
+      headerNote("Fig. 1: single bit-flip outcome classification", n);
   const std::vector<std::string> programs = selectedPrograms();
   for (const fi::FaultDomain tech :
        {fi::FaultDomain::RegisterRead, fi::FaultDomain::RegisterWrite}) {
@@ -96,8 +90,8 @@ void renderFig1(Ctx& ctx) {
     std::vector<CellResolution> cells;
     cells.reserve(programs.size());
     for (const std::string& name : programs) {
-      cells.push_back(
-          ctx.resolve(name, spec, util::hashCombine(masterSeed(), salt++), n));
+      cells.push_back(ctx.resolve(
+          {name, spec, util::hashCombine(masterSeed(), salt++), n}));
     }
     appendf(ctx.out.text, "--- (%c) %s ---\n",
             tech == fi::FaultDomain::RegisterRead ? 'a' : 'b',
@@ -113,6 +107,7 @@ void renderFig1(Ctx& ctx) {
       }
       const auto benign = r.counts.proportion(stats::Outcome::Benign);
       const auto sdc = r.counts.proportion(stats::Outcome::SDC);
+      // "Detection" = Detected + Hang + NoOutput (§III-E).
       const std::size_t detection = r.counts.count(stats::Outcome::Detected) +
                                     r.counts.count(stats::Outcome::Hang) +
                                     r.counts.count(stats::Outcome::NoOutput);
@@ -124,7 +119,7 @@ void renderFig1(Ctx& ctx) {
            std::to_string(r.counts.count(stats::Outcome::Hang)),
            std::to_string(r.counts.count(stats::Outcome::NoOutput))});
     }
-    emit(ctx.out.text, table);
+    ctx.emit(table);
     ctx.out.text += "\n";
   }
   appendf(ctx.out.text,
@@ -134,13 +129,16 @@ void renderFig1(Ctx& ctx) {
 }
 
 // ---------------------------------------------------------------------------
-// Fig. 2 — mirrors bench/fig2_same_register.cpp: salts 1000/2000, walked
-// over the FULL sameRegisterCampaigns axis (also past filtered-out specs)
-// per selected program, so filtered runs keep unfiltered seeds.
+// Fig. 2 (a, b): SDC percentage when injecting 1..30 errors into the SAME
+// instruction/register (win-size = 0), per program and technique.
+// ONEBIT_SPECS drops columns the way ONEBIT_PROGRAMS drops rows. The salt
+// walks the FULL sameRegisterCampaigns axis (also past filtered-out specs)
+// per selected program, so a filtered run keeps every surviving cell's seed
+// (and store campaign key) identical to the unfiltered run's.
 void renderFig2(Ctx& ctx) {
   const std::size_t n = experimentsPerCampaign(200);
-  headerNote(ctx.out.text,
-             "Fig. 2: SDC% vs max-MBF, same register (win-size = 0)", n);
+  ctx.out.text +=
+      headerNote("Fig. 2: SDC% vs max-MBF, same register (win-size = 0)", n);
   const std::vector<std::string> programs = selectedPrograms();
   for (const fi::FaultDomain tech :
        {fi::FaultDomain::RegisterRead, fi::FaultDomain::RegisterWrite}) {
@@ -154,7 +152,7 @@ void renderFig2(Ctx& ctx) {
     }
     if (specs.empty()) continue;
     std::uint64_t salt = tech == fi::FaultDomain::RegisterRead ? 1000 : 2000;
-    // cells[program][selected spec], row-major like the driver's sweep.
+    // cells[program][selected spec]
     std::vector<std::vector<CellResolution>> cells;
     for (const std::string& name : programs) {
       std::vector<CellResolution> row;
@@ -166,7 +164,7 @@ void renderFig2(Ctx& ctx) {
         fi::FaultModel spec = allSpecs[j];
         spec.flipWidth = flipWidth();
         row.push_back(ctx.resolve(
-            name, spec, util::hashCombine(masterSeed(), salt++), n));
+            {name, spec, util::hashCombine(masterSeed(), salt++), n}));
       }
       cells.push_back(std::move(row));
     }
@@ -189,7 +187,7 @@ void renderFig2(Ctx& ctx) {
       }
       table.addRow(std::move(row));
     }
-    emit(ctx.out.text, table);
+    ctx.emit(table);
     ctx.out.text += "\n";
   }
   appendf(ctx.out.text,
@@ -200,13 +198,15 @@ void renderFig2(Ctx& ctx) {
 }
 
 // ---------------------------------------------------------------------------
-// Fig. 3 — mirrors bench/fig3_activated_errors.cpp: salts 3000/4000, one
-// per selected program; the nine win-size campaign seeds come from
-// pruning::activationCampaigns on the program's base seed.
+// Fig. 3 (a, b): distribution of the number of ACTIVATED errors before a
+// crash, when intending to inject 30 (max-MBF = 30), aggregated over all
+// win-size values — the RQ1 analysis. One seed salt per selected program;
+// the nine win-size campaign seeds come from pruning::activationCampaigns
+// on the program's base seed.
 void renderFig3(Ctx& ctx) {
   const std::size_t n = experimentsPerCampaign(100);
-  headerNote(ctx.out.text,
-             "Fig. 3: activated errors before crash (max-MBF = 30)", n);
+  ctx.out.text +=
+      headerNote("Fig. 3: activated errors before crash (max-MBF = 30)", n);
   const std::vector<std::string> programs = selectedPrograms();
   for (const fi::FaultDomain tech :
        {fi::FaultDomain::RegisterRead, fi::FaultDomain::RegisterWrite}) {
@@ -217,7 +217,7 @@ void renderFig3(Ctx& ctx) {
       for (const fi::CampaignConfig& config : pruning::activationCampaigns(
                tech, n, util::hashCombine(masterSeed(), salt), flipWidth())) {
         programCells.push_back(
-            ctx.resolve(name, config.model, config.seed, config.experiments));
+            ctx.resolve({name, config.model, config.seed, config.experiments}));
       }
       ++salt;
       cells.push_back(std::move(programCells));
@@ -265,7 +265,7 @@ void renderFig3(Ctx& ctx) {
       const std::string m = aggregateMarker(sectionCells);
       table.addRow({"== all ==", m, m, m, m});
     }
-    emit(ctx.out.text, table);
+    ctx.emit(table);
     ctx.out.text += "\n";
   }
   appendf(ctx.out.text,
@@ -276,10 +276,19 @@ void renderFig3(Ctx& ctx) {
 }
 
 // ---------------------------------------------------------------------------
-// Fig. 4 / Fig. 5 / Table III — mirrors bench/fig4_fig5_table3.cpp: one
-// salt counter starting at 50000 walks read grids then write grids; each
-// program's grid and validation seeds derive from its base seed exactly as
-// pruning::gridCampaigns / pruning::validationCampaign do.
+// Fig. 4 / Fig. 5 / Table III from one grid computation: Fig. 4 and Fig. 5
+// are the SDC% of multi-register injections on read and on write, and
+// Table III is the (max-MBF, win-size) pair with the highest SDC% per
+// program and technique, compared against the single bit-flip model. They
+// share the 81-campaign grid per program/technique (1 single-bit + 8
+// win-sizes x 10 max-MBF). One salt counter walks read grids then write
+// grids; each program's grid and validation seeds derive from its base
+// seed through pruning::gridCampaigns / pruning::validationCampaign.
+//
+// The validation campaign re-runs the grid argmax with a fresh seed (the
+// raw argmax is biased upward — winner's curse). Its identity depends on
+// that argmax, so a grid asks for it only once every grid cell is
+// complete: a driver runs the grids, then the validations.
 
 struct ResolvedGrid {
   std::string name;
@@ -305,7 +314,7 @@ std::vector<ResolvedGrid> resolveGrids(Ctx& ctx,
     std::vector<pruning::CampaignSdc> all;
     for (const fi::CampaignConfig& config : grid.configs) {
       CellResolution r =
-          ctx.resolve(name, config.model, config.seed, config.experiments);
+          ctx.resolve({name, config.model, config.seed, config.experiments});
       if (!r.complete()) grid.gridComplete = false;
       all.push_back(
           {config.model, r.counts.proportion(stats::Outcome::SDC)});
@@ -313,12 +322,10 @@ std::vector<ResolvedGrid> resolveGrids(Ctx& ctx,
     }
     grid.result = pruning::selectPessimisticPair(std::move(all));
     if (grid.gridComplete && grid.result.hasBest) {
-      // The validation campaign's identity depends on the grid argmax, so
-      // it is only knowable once the grid itself is complete.
       const fi::CampaignConfig config = pruning::validationCampaign(
           grid.result.bestModel, n, grid.baseSeed, 3);
       grid.validation =
-          ctx.resolve(name, config.model, config.seed, config.experiments);
+          ctx.resolve({name, config.model, config.seed, config.experiments});
       if (grid.validation.complete()) {
         grid.result.validatedBestSdc =
             grid.validation.counts.proportion(stats::Outcome::SDC);
@@ -331,17 +338,18 @@ std::vector<ResolvedGrid> resolveGrids(Ctx& ctx,
   return grids;
 }
 
-void printFigure(std::string& out, const char* title,
+void printFigure(Ctx& ctx, const char* title,
                  const std::vector<ResolvedGrid>& grids) {
-  appendf(out, "--- %s ---\n", title);
+  appendf(ctx.out.text, "--- %s ---\n", title);
   std::vector<std::string> header = {"program", "win-size", "m=1"};
   for (const unsigned m : fi::FaultModel::paperMaxMbf()) {
     header.push_back("m=" + std::to_string(m));
   }
   util::TextTable table(header);
   for (const ResolvedGrid& grid : grids) {
-    // Group by win-size label, like the driver; keep cell indices so
-    // incomplete campaigns can be marked in place.
+    // One row per win-size label, SDC% per max-MBF column (the bar series
+    // of the figure); keep cell indices so incomplete campaigns can be
+    // marked in place.
     std::map<std::string, std::vector<std::size_t>> byWin;
     std::string singleCell = "-";
     for (std::size_t j = 0; j < grid.configs.size(); ++j) {
@@ -378,8 +386,8 @@ void printFigure(std::string& out, const char* title,
       table.addRow(std::move(row));
     }
   }
-  emit(out, table);
-  out += "\n";
+  ctx.emit(table);
+  ctx.out.text += "\n";
 }
 
 void printTableThree(Ctx& ctx, const std::vector<ResolvedGrid>& read,
@@ -423,7 +431,7 @@ void printTableThree(Ctx& ctx, const std::vector<ResolvedGrid>& read,
     pessimisticWrite += write[i].result.singleIsPessimistic() ? 1 : 0;
     table.addRow(std::move(row));
   }
-  emit(out, table);
+  ctx.emit(table);
   appendf(out,
           "\n(best SDC%% columns are unbiased two-stage re-validations of "
           "the grid argmax; the raw\ngrid maximum overstates SDC%% at small "
@@ -460,30 +468,43 @@ void printTableThree(Ctx& ctx, const std::vector<ResolvedGrid>& read,
 
 void renderFig4(Ctx& ctx) {
   const std::size_t n = experimentsPerCampaign(80);
-  headerNote(ctx.out.text,
-             "Fig. 4 + Fig. 5 + Table III: multi-register injections", n);
+  ctx.out.text +=
+      headerNote("Fig. 4 + Fig. 5 + Table III: multi-register injections", n);
   const std::vector<std::string> programs = selectedPrograms();
   std::uint64_t salt = 50000;
   std::vector<ResolvedGrid> read =
       resolveGrids(ctx, programs, fi::FaultDomain::RegisterRead, n, salt);
   std::vector<ResolvedGrid> write =
       resolveGrids(ctx, programs, fi::FaultDomain::RegisterWrite, n, salt);
-  printFigure(ctx.out.text, "Fig. 4: SDC%, multi-register, inject-on-read",
-              read);
-  printFigure(ctx.out.text, "Fig. 5: SDC%, multi-register, inject-on-write",
-              write);
+  printFigure(ctx, "Fig. 4: SDC%, multi-register, inject-on-read", read);
+  printFigure(ctx, "Fig. 5: SDC%, multi-register, inject-on-write", write);
   printTableThree(ctx, read, write);
+}
+
+std::optional<FigureOutput> render(std::string_view id,
+                                   const CellSource& source) {
+  Ctx ctx{source, {}};
+  if (id == "fig1") {
+    renderFig1(ctx);
+  } else if (id == "fig2") {
+    renderFig2(ctx);
+  } else if (id == "fig3") {
+    renderFig3(ctx);
+  } else if (id == "fig4" || id == "fig5" || id == "table3") {
+    renderFig4(ctx);
+  } else {
+    return std::nullopt;
+  }
+  return std::move(ctx.out);
 }
 
 }  // namespace
 
-CellResolution resolveCell(const Dataset& ds, const std::string& workload,
-                           const fi::FaultModel& model, std::uint64_t seed,
-                           std::size_t experiments) {
+CellResolution resolveCell(const Dataset& ds, const CellKey& cell) {
   CellResolution res;
-  res.expected = experiments;
+  res.expected = cell.experiments;
   const std::vector<const CampaignTable*> candidates =
-      ds.match(workload, model.label(), seed, experiments);
+      ds.match(cell.workload, cell.model.label(), cell.seed, cell.experiments);
   // Flip-width variants share a spec label (labels never carried the
   // width) but have distinct campaign keys. A fleet cell record pins the
   // width explicitly; a shard-only campaign leaves it unknown, which is
@@ -492,8 +513,8 @@ CellResolution resolveCell(const Dataset& ds, const std::string& workload,
   std::vector<const CampaignTable*> exact;
   for (const CampaignTable* table : candidates) {
     const unsigned width = table->flipWidth();
-    if (width == model.flipWidth) exact.push_back(table);
-    if (width == 0 || width == model.flipWidth) viable.push_back(table);
+    if (width == cell.model.flipWidth) exact.push_back(table);
+    if (width == 0 || width == cell.model.flipWidth) viable.push_back(table);
   }
   if (exact.size() == 1) viable = exact;
   if (viable.empty()) return res;
@@ -512,23 +533,60 @@ CellResolution resolveCell(const Dataset& ds, const std::string& workload,
 
 std::optional<FigureOutput> renderFigure(std::string_view id,
                                          const Dataset& ds) {
-  Ctx ctx{ds, {}};
-  if (id == "fig1") {
-    renderFig1(ctx);
-  } else if (id == "fig2") {
-    renderFig2(ctx);
-  } else if (id == "fig3") {
-    renderFig3(ctx);
-  } else if (id == "fig4" || id == "fig5" || id == "table3") {
-    renderFig4(ctx);
-  } else {
-    return std::nullopt;
+  return render(id, [&ds](const CellKey& cell) {
+    return resolveCell(ds, cell);
+  });
+}
+
+std::optional<FigureOutput> runFigure(std::string_view id,
+                                      const BatchRunner& runBatch) {
+  // The label carries every model field but the flip width.
+  using CellId = std::tuple<std::string, std::string, unsigned,
+                            std::uint64_t, std::size_t>;
+  const auto idOf = [](const CellKey& cell) {
+    return CellId{cell.workload, cell.model.label(), cell.model.flipWidth,
+                  cell.seed, cell.experiments};
+  };
+  std::map<CellId, CellResolution> ran;
+  std::vector<CellKey> pending;  // no render asks for a cell twice
+  const CellSource source = [&](const CellKey& cell) {
+    if (const auto it = ran.find(idOf(cell)); it != ran.end()) {
+      return it->second;
+    }
+    pending.push_back(cell);
+    CellResolution missing;
+    missing.expected = cell.experiments;
+    return missing;
+  };
+  for (;;) {
+    std::optional<FigureOutput> out = render(id, source);
+    if (!out || pending.empty()) return out;
+    const std::vector<CellResolution> results = runBatch(pending);
+    if (results.size() != pending.size()) {
+      throw std::logic_error("figure batch runner answered " +
+                             std::to_string(results.size()) + " of " +
+                             std::to_string(pending.size()) + " cells");
+    }
+    for (std::size_t i = 0; i < pending.size(); ++i) {
+      ran.emplace(idOf(pending[i]), results[i]);
+    }
+    pending.clear();
   }
-  return std::move(ctx.out);
 }
 
 std::string_view figureIds() {
   return "fig1 fig2 fig3 fig4 (aliases: fig5, table3)";
+}
+
+std::string headerNote(std::string_view artifact, std::size_t n) {
+  std::string out;
+  appendf(out, "== %.*s ==\n", static_cast<int>(artifact.size()),
+          artifact.data());
+  appendf(out,
+          "(%zu experiments per campaign; scale with ONEBIT_EXPERIMENTS; "
+          "error bars are 95%% CIs)\n\n",
+          n);
+  return out;
 }
 
 }  // namespace onebit::analytics

@@ -1,6 +1,9 @@
 #include "analytics/knobs.hpp"
 
 #include <algorithm>
+#include <atomic>
+#include <cinttypes>
+#include <cstdio>
 
 #include "progs/registry.hpp"
 #include "util/env.hpp"
@@ -44,7 +47,17 @@ bool specSelected(const fi::FaultModel& model) {
 }
 
 unsigned flipWidth() {
-  return static_cast<unsigned>(util::envInt("ONEBIT_FLIP_WIDTH", 32));
+  constexpr std::int64_t kDefault = 32;
+  const std::int64_t width = util::envInt("ONEBIT_FLIP_WIDTH", kDefault);
+  if (width >= 1 && width <= 64) return static_cast<unsigned>(width);
+  static std::atomic<bool> warned{false};
+  if (!warned.exchange(true)) {
+    std::fprintf(stderr,
+                 "warning: ONEBIT_FLIP_WIDTH=%" PRId64
+                 " is outside 1..64; using %" PRId64 "\n",
+                 width, kDefault);
+  }
+  return static_cast<unsigned>(kDefault);
 }
 
 bool csvEnabled() { return util::envInt("ONEBIT_CSV", 0) != 0; }

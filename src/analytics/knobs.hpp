@@ -42,6 +42,8 @@ std::vector<std::string> selectedPrograms();
 bool specSelected(const fi::FaultModel& model);
 
 /// ONEBIT_FLIP_WIDTH (default 32 = paper-faithful; 64 = raw VM width).
+/// A value outside 1..64 is treated like an unparsable one: the first such
+/// read warns on stderr, and every one returns the default.
 unsigned flipWidth();
 
 /// ONEBIT_CSV: emit tables as CSV instead of aligned text.

@@ -1,7 +1,7 @@
-// The classic store-summary report (tools/store_stats.cpp is a thin shell
-// around renderSummaryText) and its JSON twin: per-campaign completion,
-// outcome totals, fleet lease status, quarantined shard ranges, and the
-// per-worker progress rollup.
+// The classic store-summary report (`report --summary`) and its JSON twin
+// (`report --summary --json`): per-campaign completion, outcome totals,
+// fleet lease status, quarantined shard ranges, and the per-worker progress
+// rollup.
 //
 // For a single-source Dataset the text output is byte-stable against the
 // historical store_stats format — scripts that parse it keep working. A

@@ -1,15 +1,24 @@
 // Analytics subsystem tests (src/analytics/): the Dataset reader over
-// campaign stores, the group-by/progress aggregations, and — through the
+// campaign stores, the group-by/progress aggregations, the selection knobs,
+// the figure render loop (with a fake batch runner), and — through the
 // sibling binaries in the build directory — the figure-regeneration
 // contract: `report --figure figN` over a complete store is byte-identical
 // to the driver's stdout, and a partial (live or interrupted) store is
 // always EXPLICITLY marked partial, never reported as a final value.
+#include <algorithm>
 #include <array>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <initializer_list>
+#include <optional>
+#include <regex>
+#include <set>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -17,6 +26,8 @@
 
 #include "analytics/aggregate.hpp"
 #include "analytics/dataset.hpp"
+#include "analytics/figures.hpp"
+#include "analytics/knobs.hpp"
 #include "analytics/summary.hpp"
 #include "analytics/trend.hpp"
 #include "fi/campaign_store.hpp"
@@ -76,9 +87,11 @@ std::string readFile(const std::string& path) {
 class AnalyticsFixture : public ::testing::Test {
  protected:
   void SetUp() override {
-    path_ = ::testing::TempDir() + "analytics_" +
-            ::testing::UnitTest::GetInstance()->current_test_info()->name() +
-            ".jsonl";
+    // Parameterized test names contain '/'.
+    std::string name =
+        ::testing::UnitTest::GetInstance()->current_test_info()->name();
+    std::replace(name.begin(), name.end(), '/', '_');
+    path_ = ::testing::TempDir() + "analytics_" + name + ".jsonl";
     std::remove(path_.c_str());
   }
   void TearDown() override { std::remove(path_.c_str()); }
@@ -277,6 +290,194 @@ TEST_F(AnalyticsFixture, StoreTrendMarksPartialSnapshotsExplicitly) {
 }
 
 // ---------------------------------------------------------------------------
+// Selection knobs and the figure render loop. These tests set ONEBIT_*
+// variables in-process, so each restores them before the subprocess-based
+// tests below inherit the environment.
+
+/// Sets (or, for a null value, unsets) environment variables for one scope.
+class ScopedEnv {
+ public:
+  ScopedEnv(std::initializer_list<std::pair<const char*, const char*>> vars) {
+    for (const auto& [name, value] : vars) {
+      const char* old = std::getenv(name);
+      saved_.emplace_back(name, std::nullopt);
+      if (old != nullptr) saved_.back().second = old;
+      set(name, value);
+    }
+  }
+  ~ScopedEnv() {
+    for (auto it = saved_.rbegin(); it != saved_.rend(); ++it) {
+      set(it->first.c_str(), it->second ? it->second->c_str() : nullptr);
+    }
+  }
+  ScopedEnv(const ScopedEnv&) = delete;
+  ScopedEnv& operator=(const ScopedEnv&) = delete;
+
+  static void set(const char* name, const char* value) {
+    if (value == nullptr) {
+      ::unsetenv(name);
+    } else {
+      ::setenv(name, value, 1);
+    }
+  }
+
+ private:
+  std::vector<std::pair<std::string, std::optional<std::string>>> saved_;
+};
+
+TEST(Knobs, FlipWidthOutsideOneToSixtyFourFallsBackToDefault) {
+  ScopedEnv env({{"ONEBIT_FLIP_WIDTH", nullptr}});
+  const std::pair<const char*, unsigned> cases[] = {
+      {"0", 32}, {"65", 32}, {"-1", 32}, {"1", 1}, {"64", 64}};
+  ::testing::internal::CaptureStderr();
+  for (const auto& [value, want] : cases) {
+    ScopedEnv::set("ONEBIT_FLIP_WIDTH", value);
+    EXPECT_EQ(flipWidth(), want) << "ONEBIT_FLIP_WIDTH=" << value;
+  }
+  const std::string err = ::testing::internal::GetCapturedStderr();
+  // Warned at most once per process (an earlier test may have used it up).
+  std::size_t warnings = 0;
+  for (std::size_t at = err.find("outside 1..64"); at != std::string::npos;
+       at = err.find("outside 1..64", at + 1)) {
+    ++warnings;
+  }
+  EXPECT_LE(warnings, 1u) << err;
+}
+
+/// A batch runner that fabricates tallies instead of running workloads.
+/// Cells `capped` selects come back Partial (one experiment recorded).
+struct FakeRunner {
+  std::function<bool(const CellKey&)> capped = [](const CellKey&) {
+    return false;
+  };
+  std::vector<std::vector<CellKey>> batches;
+
+  std::vector<CellResolution> operator()(const std::vector<CellKey>& cells) {
+    batches.push_back(cells);
+    std::vector<CellResolution> out;
+    // A loop that never stops asking fails (runFigure throws on a short
+    // answer) instead of hanging the suite.
+    if (batches.size() > 4) return out;
+    for (const CellKey& cell : cells) {
+      CellResolution& r = out.emplace_back();
+      r.expected = cell.experiments;
+      r.recorded = capped(cell) ? 1 : cell.experiments;
+      r.state = r.recorded == r.expected ? CellResolution::State::Complete
+                                         : CellResolution::State::Partial;
+      // Seed-dependent SDC share, so Fig. 4's argmax has a winner.
+      const std::size_t sdc = cell.seed % (r.recorded + 1);
+      for (std::size_t k = 0; k < r.recorded; ++k) {
+        r.counts.add(k < sdc ? Outcome::SDC : Outcome::Detected);
+      }
+      r.hist[static_cast<std::size_t>(Outcome::Detected)][1 + cell.seed % 12] =
+          static_cast<std::uint32_t>(r.recorded - sdc);
+    }
+    return out;
+  }
+};
+
+using CellId = std::tuple<std::string, std::string, unsigned, std::uint64_t,
+                          std::size_t>;
+
+CellId idOf(const CellKey& cell) {
+  return {cell.workload, cell.model.label(), cell.model.flipWidth, cell.seed,
+          cell.experiments};
+}
+
+/// Two programs, four experiments per cell, no spec filter, text tables.
+ScopedEnv smallFigureEnv() {
+  return ScopedEnv({{"ONEBIT_PROGRAMS", "qsort,crc32"},
+                    {"ONEBIT_EXPERIMENTS", "4"},
+                    {"ONEBIT_SPECS", nullptr},
+                    {"ONEBIT_SEED", nullptr},
+                    {"ONEBIT_FLIP_WIDTH", nullptr},
+                    {"ONEBIT_CSV", nullptr}});
+}
+
+TEST(FigureLoop, RunsEachCellOnceInOneBatchPerPhase) {
+  const ScopedEnv env = smallFigureEnv();
+  for (const char* id : {"fig1", "fig2", "fig3", "fig4"}) {
+    SCOPED_TRACE(id);
+    FakeRunner runner;
+    const std::optional<FigureOutput> out =
+        runFigure(id, std::ref(runner));
+    ASSERT_TRUE(out.has_value());
+    EXPECT_TRUE(out->complete());
+    EXPECT_EQ(out->text.find("incomplete("), std::string::npos);
+    const bool fig4 = std::string_view(id) == "fig4";
+    ASSERT_EQ(runner.batches.size(), fig4 ? 2u : 1u);
+    std::set<CellId> handed;
+    std::size_t total = 0;
+    for (const std::vector<CellKey>& batch : runner.batches) {
+      for (const CellKey& cell : batch) handed.insert(idOf(cell));
+      total += batch.size();
+    }
+    EXPECT_EQ(handed.size(), total) << "a cell was handed to the runner twice";
+    EXPECT_EQ(out->cells, total);
+  }
+}
+
+TEST(FigureLoop, Fig4ValidatesOnlyCompleteGrids) {
+  const ScopedEnv env = smallFigureEnv();
+  FakeRunner runner;
+  // Leave one cell of the first grid partial: that grid (one program, one
+  // technique) must not ask for its validation campaign.
+  std::optional<CellId> partial;
+  runner.capped = [&](const CellKey& cell) {
+    if (!partial) partial = idOf(cell);
+    return idOf(cell) == *partial;
+  };
+  const std::optional<FigureOutput> out = runFigure("fig4", std::ref(runner));
+  ASSERT_TRUE(out.has_value());
+  ASSERT_EQ(runner.batches.size(), 2u);
+  const CellKey& first = runner.batches[0].front();
+  // Grid cells have n experiments; validation campaigns have 3n.
+  for (const CellKey& cell : runner.batches[0]) {
+    EXPECT_EQ(cell.experiments, 4u) << cell.model.label();
+  }
+  // 2 programs × 2 techniques, less the incomplete grid.
+  ASSERT_EQ(runner.batches[1].size(), 3u);
+  for (const CellKey& cell : runner.batches[1]) {
+    EXPECT_EQ(cell.experiments, 12u);
+    EXPECT_FALSE(cell.workload == first.workload &&
+                 cell.model.domain == first.model.domain)
+        << "validation asked for a grid with an incomplete cell";
+  }
+  EXPECT_FALSE(out->complete());
+  EXPECT_NE(out->text.find("incomplete(1/4)"), std::string::npos);
+  EXPECT_NE(out->text.find("RQ2/RQ3: unavailable"), std::string::npos);
+}
+
+TEST(FigureLoop, CappedRunEndsWithIncompleteMarkers) {
+  const ScopedEnv env = smallFigureEnv();
+  for (const char* id : {"fig1", "fig2", "fig3", "fig4"}) {
+    SCOPED_TRACE(id);
+    FakeRunner runner;
+    runner.capped = [](const CellKey&) { return true; };
+    const std::optional<FigureOutput> out =
+        runFigure(id, std::ref(runner));
+    ASSERT_TRUE(out.has_value());
+    // No grid completes, so fig4 asks for no validation either.
+    EXPECT_EQ(runner.batches.size(), 1u);
+    EXPECT_FALSE(out->complete());
+    EXPECT_EQ(out->incompleteCells, out->cells);
+    EXPECT_NE(out->text.find("incomplete("), std::string::npos);
+    // No percentage sneaks into a program row.
+    std::istringstream lines(out->text);
+    for (std::string line; std::getline(lines, line);) {
+      if (line.rfind("qsort", 0) != 0 && line.rfind("crc32", 0) != 0) continue;
+      EXPECT_FALSE(std::regex_search(line, std::regex("[0-9]%"))) << line;
+    }
+  }
+}
+
+TEST(FigureLoop, UnknownFigureRunsNothing) {
+  FakeRunner runner;
+  EXPECT_FALSE(runFigure("fig9", std::ref(runner)).has_value());
+  EXPECT_TRUE(runner.batches.empty());
+}
+
+// ---------------------------------------------------------------------------
 // Figure byte-identity, through the real binaries. The test locates its
 // sibling executables next to its own binary and skips (never fails) when
 // they are absent — e.g. under a partial build.
@@ -304,14 +505,17 @@ class FigureIdentityFixture : public AnalyticsFixture {
   void SetUp() override {
     AnalyticsFixture::SetUp();
     dir_ = buildDir();
-    if (dir_.empty() || !exists(dir_ + "/bench_fig1_single_bit") ||
+    if (dir_.empty() || !exists(dir_ + "/" + driver()) ||
         !exists(dir_ + "/report")) {
       GTEST_SKIP() << "driver/report binaries not built next to the test";
     }
     out_ = path_ + ".out";
-    // A tiny but real slice of Fig. 1: one program, 20 experiments/cell.
-    env_ = "ONEBIT_EXPERIMENTS=20 ONEBIT_PROGRAMS=crc32 ";
+    // A tiny but real slice of a figure: one program, few experiments/cell.
+    env_ = "ONEBIT_EXPERIMENTS=" + std::to_string(experiments()) +
+           " ONEBIT_PROGRAMS=crc32 ";
   }
+  virtual std::string driver() const { return "bench_fig1_single_bit"; }
+  virtual std::size_t experiments() const { return 20; }
   void TearDown() override {
     std::remove(out_.c_str());
     std::remove((out_ + ".2").c_str());
@@ -323,23 +527,56 @@ class FigureIdentityFixture : public AnalyticsFixture {
   std::string env_;
 };
 
-TEST_F(FigureIdentityFixture, ReportRegeneratesFig1ByteIdentically) {
-  ASSERT_EQ(runShell("env " + env_ + "ONEBIT_STORE=" + path_ + " " + dir_ +
-                     "/bench_fig1_single_bit > " + out_ + " 2>/dev/null"),
-            0);
-  ASSERT_EQ(runShell("env " + env_ + dir_ + "/report --figure fig1 " +
-                     path_ + " > " + out_ + ".2 2>/dev/null"),
-            0);
-  EXPECT_EQ(readFile(out_), readFile(out_ + ".2"));
+struct FigureCase {
+  const char* id;
+  const char* driver;
+  std::size_t experiments;
+};
+
+void PrintTo(const FigureCase& c, std::ostream* os) { *os << c.id; }
+
+class FigureIdentityTest : public FigureIdentityFixture,
+                           public ::testing::WithParamInterface<FigureCase> {
+ protected:
+  std::string driver() const override { return GetParam().driver; }
+  std::size_t experiments() const override { return GetParam().experiments; }
+};
+
+TEST_P(FigureIdentityTest, ReportRegeneratesFigureByteIdentically) {
+  const std::string id = GetParam().id;
+  for (const char* csv : {"", "ONEBIT_CSV=1 "}) {
+    SCOPED_TRACE(csv);
+    std::remove(path_.c_str());
+    ASSERT_EQ(runShell("env " + env_ + csv + "ONEBIT_STORE=" + path_ + " " +
+                       dir_ + "/" + driver() + " > " + out_ + " 2>/dev/null"),
+              0);
+    ASSERT_EQ(runShell("env " + env_ + csv + dir_ + "/report --figure " + id +
+                       " " + path_ + " > " + out_ + ".2 2>/dev/null"),
+              0);
+    const std::string driverText = readFile(out_);
+    EXPECT_NE(driverText.find("Paper check"), std::string::npos);
+    EXPECT_EQ(driverText, readFile(out_ + ".2"));
+  }
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Figures, FigureIdentityTest,
+    ::testing::Values(FigureCase{"fig1", "bench_fig1_single_bit", 20},
+                      FigureCase{"fig2", "bench_fig2_same_register", 8},
+                      FigureCase{"fig3", "bench_fig3_activated_errors", 8},
+                      FigureCase{"fig4", "bench_fig4_fig5_table3", 4}),
+    [](const ::testing::TestParamInfo<FigureCase>& info) {
+      return std::string(info.param.id);
+    });
 
 TEST_F(FigureIdentityFixture, IncompleteStoreExitsThreeWithMarkers) {
   // Cap the driver at one shard per cell: the store ends up partial, the
-  // way a live or interrupted campaign would.
+  // way a live or interrupted campaign would. The capped driver still
+  // exits 0 and prints the same marked-up figure report renders.
   ASSERT_EQ(runShell("env " + env_ +
                      "ONEBIT_SHARD_SIZE=8 ONEBIT_MAX_SHARDS=1 ONEBIT_STORE=" +
-                     path_ + " " + dir_ +
-                     "/bench_fig1_single_bit > /dev/null 2>&1"),
+                     path_ + " " + dir_ + "/bench_fig1_single_bit > " + out_ +
+                     ".2 2>/dev/null"),
             0);
   EXPECT_EQ(runShell("env " + env_ + dir_ + "/report --figure fig1 " +
                      path_ + " > " + out_ + " 2>/dev/null"),
@@ -348,6 +585,7 @@ TEST_F(FigureIdentityFixture, IncompleteStoreExitsThreeWithMarkers) {
   EXPECT_NE(text.find("incomplete("), std::string::npos);
   // No unmarked percentage sneaks into the partial table rows.
   EXPECT_EQ(text.find("20.0%"), std::string::npos);
+  EXPECT_EQ(readFile(out_ + ".2"), text);
 }
 
 TEST_F(FigureIdentityFixture, MissingCampaignRendersMissingMarker) {

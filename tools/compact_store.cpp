@@ -1,8 +1,7 @@
 // Compact a campaign-results store in place: keep the newest record per
 // (campaign key, shard range) / workload name / cell key, drop torn lines
 // and fleet leases that are superseded by a shard record or past their
-// heartbeat deadline. See CampaignStore::compact and
-// scripts/compact_store.sh.
+// heartbeat deadline. See CampaignStore::compact.
 #include <cstdio>
 #include <cstring>
 
