@@ -26,13 +26,11 @@
 //   ONEBIT_SNAPSHOT_BUDGET    per-workload byte budget for kept snapshots
 //                       (default 16 MiB); 0 = disable the cache
 //
-// Outcome-equivalence pruning knobs (see docs/ARCHITECTURE.md):
+// Outcome-equivalence pruning knob (see docs/ARCHITECTURE.md):
 //   ONEBIT_PRUNE        1 = short-circuit experiments whose post-injection
-//                       state hash matches the golden run or an earlier
-//                       experiment (default 0). Pure speedup: all outputs
-//                       are bit-identical with it on or off.
-//   ONEBIT_PRUNE_GRID   state-hash boundary spacing in dynamic instructions
-//                       (unset/0 = auto, ~128 boundaries per golden run)
+//                       state hash matches the golden run (default 0).
+//                       Pure speedup: all outputs are bit-identical with it
+//                       on or off.
 //
 // Dispatch-backend knob (see docs/ARCHITECTURE.md):
 //   ONEBIT_DISPATCH     "threaded" (default) runs hook-free segments on the
@@ -146,12 +144,11 @@ inline fi::SnapshotPolicy snapshotPolicyFromEnv() {
   return policy;
 }
 
-/// The outcome-equivalence pruning policy selected by ONEBIT_PRUNE /
-/// ONEBIT_PRUNE_GRID (default off).
+/// The outcome-equivalence pruning policy selected by ONEBIT_PRUNE (default
+/// off).
 inline fi::PrunePolicy prunePolicyFromEnv() {
   fi::PrunePolicy policy;
   policy.enabled = util::envInt("ONEBIT_PRUNE", 0) != 0;
-  policy.grid = util::envSize("ONEBIT_PRUNE_GRID");
   return policy;
 }
 
@@ -204,9 +201,15 @@ inline fi::CampaignStore* sharedStore() {
     std::fprintf(stderr,
                  "[store] %s: %zu shard record(s), %zu workload record(s)",
                  path.c_str(), stats.shardRecords, stats.workloadRecords);
-    if (stats.malformed != 0) {
+    // Unknown kinds (e.g. the "outcome" lines of older pruning builds) are
+    // not damage; count them apart, as `report --summary` does.
+    if (stats.malformed != stats.unknownKinds) {
       std::fprintf(stderr, ", %zu malformed line(s) skipped",
-                   stats.malformed);
+                   stats.malformed - stats.unknownKinds);
+    }
+    if (stats.unknownKinds != 0) {
+      std::fprintf(stderr, ", %zu unknown-kind line(s) skipped",
+                   stats.unknownKinds);
     }
     std::fputc('\n', stderr);
     return s;
@@ -252,7 +255,6 @@ inline void applyFleetEnv(fi::FleetConfig& config) {
       util::envSize("ONEBIT_FLEET_LEASE_MS", config.leaseMs));
   config.heartbeatMs = static_cast<std::uint64_t>(
       util::envSize("ONEBIT_FLEET_HEARTBEAT_MS", config.heartbeatMs));
-  config.pruning = prunePolicyFromEnv().enabled;
   const std::string quantile = util::envStr("ONEBIT_LEASE_QUANTILE", "");
   if (!quantile.empty()) {
     char* end = nullptr;
@@ -316,7 +318,6 @@ inline fi::SuiteConfig suiteConfigFromEnv() {
   cfg.threads = util::envSize("ONEBIT_THREADS");
   cfg.shardSize = util::envSize("ONEBIT_SHARD_SIZE");
   cfg.maxShards = util::envSize("ONEBIT_MAX_SHARDS");
-  cfg.pruning = prunePolicyFromEnv().enabled;
   cfg.withStore(storeBinding({}));
   return cfg;
 }
@@ -401,17 +402,15 @@ class SweepBuilder {
                            "partial runs resumable");
       }
       // Machine-greppable pruning summary (scripts/bench_prune.sh parses
-      // this line). Stderr, not stdout: hit counters depend on thread
-      // scheduling, and bench stdout must stay byte-identical under
-      // ONEBIT_PRUNE.
+      // this line). Stderr, not stdout: bench stdout must stay
+      // byte-identical under ONEBIT_PRUNE.
       if (prunePolicyFromEnv().enabled) {
         fi::PruneStats total;
         for (const fi::CampaignResult& r : results_) total += r.prune;
         std::fprintf(stderr,
-                     "[prune] golden_hits=%zu cache_hits=%zu misses=%zu "
+                     "[prune] golden_hits=%zu misses=%zu "
                      "short_circuited=%zu\n",
-                     total.goldenHits, total.cacheHits, total.misses,
-                     total.shortCircuited());
+                     total.goldenHits, total.misses, total.goldenHits);
       }
     }
     return results_;

@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # Outcome-equivalence pruning benchmark: times the fig1 and fig4 drivers with
 # pruning off (ONEBIT_PRUNE=0) and on (ONEBIT_PRUNE=1), checks the CSV outputs
-# are byte-identical, parses the hit-rate counters from the drivers' stderr
-# summary line, and writes a BENCH_6.json perf record.
+# are byte-identical, parses the golden-hit counters from the drivers' stderr
+# summary line, and writes a perf record in the BENCH_6.json schema.
 #
 # Usage: scripts/bench_prune.sh [build-dir] [output-json]
 # Knobs (env):
@@ -11,7 +11,6 @@
 #   BENCH_PROGRAMS          ONEBIT_PROGRAMS filter           (default all)
 #   ONEBIT_THREADS          worker threads                   (default 1, so
 #                           the measurement is pure interpreter time)
-#   ONEBIT_PRUNE_GRID       boundary grid override           (default auto)
 set -eu
 
 BUILD_DIR="${1:-build}"
@@ -20,7 +19,6 @@ FIG1_N="${BENCH_EXPERIMENTS_FIG1:-400}"
 FIG4_N="${BENCH_EXPERIMENTS_FIG4:-48}"
 THREADS="${ONEBIT_THREADS:-1}"
 PROGRAMS="${BENCH_PROGRAMS:-}"
-GRID="${ONEBIT_PRUNE_GRID:-0}"
 
 [ -x "$BUILD_DIR/bench_fig1_single_bit" ] || {
   echo "error: $BUILD_DIR/bench_fig1_single_bit not built" >&2
@@ -46,7 +44,6 @@ run_driver() {
   _start="$(now_ms)"
   env ONEBIT_EXPERIMENTS="$_n" ONEBIT_CSV=1 ONEBIT_THREADS="$THREADS" \
       ONEBIT_PROGRAMS="$PROGRAMS" ONEBIT_PRUNE="$_prune" \
-      ONEBIT_PRUNE_GRID="$GRID" \
       "$_bin" > "$_out" 2> "$_err"
   _end="$(now_ms)"
   echo "$(( _end - _start ))"
@@ -68,7 +65,6 @@ bench_one() {
     exit 1
   fi
   _golden="$(counter "$TMP/$_name.on.err" golden_hits)"
-  _cache="$(counter "$TMP/$_name.on.err" cache_hits)"
   _miss="$(counter "$TMP/$_name.on.err" misses)"
   _short="$(counter "$TMP/$_name.on.err" short_circuited)"
   if [ -z "$_short" ]; then
@@ -77,9 +73,9 @@ bench_one() {
     exit 1
   fi
   echo "   off: ${_off_ms} ms   on: ${_on_ms} ms" \
-       "(golden_hits=$_golden cache_hits=$_cache misses=$_miss)" >&2
-  printf '%s %s %s %s %s %s %s\n' \
-         "$_name" "$_off_ms" "$_on_ms" "$_golden" "$_cache" "$_miss" "$_short" \
+       "(golden_hits=$_golden misses=$_miss)" >&2
+  printf '%s %s %s %s %s %s\n' \
+         "$_name" "$_off_ms" "$_on_ms" "$_golden" "$_miss" "$_short" \
          >> "$TMP/rows"
 }
 
@@ -98,13 +94,13 @@ bench_one fig4_fig5_table3 "$BUILD_DIR/bench_fig4_fig5_table3" "$FIG4_N"
   printf '  "outputs_byte_identical": true,\n'
   printf '  "drivers": {\n'
   _first=1
-  while read -r _name _off _on _golden _cache _miss _short; do
+  while read -r _name _off _on _golden _miss _short; do
     [ "$_first" = 1 ] || printf ',\n'
     _first=0
     _speedup="$(awk "BEGIN { printf \"%.2f\", $_off / ($_on > 0 ? $_on : 1) }")"
     _rate="$(awk "BEGIN { _t = $_short + $_miss; printf \"%.3f\", (_t > 0 ? $_short / _t : 0) }")"
-    printf '    "%s": {"off_ms": %s, "on_ms": %s, "speedup": %s, "golden_hits": %s, "cache_hits": %s, "misses": %s, "short_circuit_rate": %s}' \
-           "$_name" "$_off" "$_on" "$_speedup" "$_golden" "$_cache" "$_miss" "$_rate"
+    printf '    "%s": {"off_ms": %s, "on_ms": %s, "speedup": %s, "golden_hits": %s, "misses": %s, "short_circuit_rate": %s}' \
+           "$_name" "$_off" "$_on" "$_speedup" "$_golden" "$_miss" "$_rate"
   done < "$TMP/rows"
   printf '\n  }\n}\n'
 } > "$OUT_JSON"

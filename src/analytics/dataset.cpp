@@ -1,7 +1,5 @@
 #include "analytics/dataset.hpp"
 
-#include <algorithm>
-
 namespace onebit::analytics {
 
 std::size_t CampaignTable::recordedExperiments() const {
@@ -73,9 +71,6 @@ std::size_t Dataset::addSnapshot(const fi::CampaignStore::Snapshot& snap,
     stats.quarantineRecords += campaign.quarantines.size();
   }
   stats.workloadRecords = snap.workloads.size();
-  for (const auto& [key, entries] : snap.outcomeEntries) {
-    stats.outcomeRecords += entries;
-  }
   sources_.push_back(Source{std::move(label), stats});
   ingest(snap);
   return sources_.size() - 1;
@@ -152,10 +147,6 @@ void Dataset::ingest(const fi::CampaignStore::Snapshot& snap) {
   }
   for (const auto& [name, record] : snap.workloads) {
     workloads_.try_emplace(name, record);
-  }
-  for (const auto& [key, entries] : snap.outcomeEntries) {
-    std::size_t& cur = outcomeEntries_[key];
-    cur = std::max(cur, entries);
   }
 }
 

@@ -115,13 +115,6 @@ class Dataset {
     return workloads_;
   }
 
-  /// Outcome-equivalence cache volume per cache key (largest seen wins —
-  /// entry counts only grow, so the max is the freshest view).
-  [[nodiscard]] const std::map<std::uint64_t, std::size_t>& outcomeEntries()
-      const noexcept {
-    return outcomeEntries_;
-  }
-
   [[nodiscard]] const std::vector<Source>& sources() const noexcept {
     return sources_;
   }
@@ -148,7 +141,6 @@ class Dataset {
   std::map<std::uint64_t, CampaignTable> campaigns_;
   std::map<std::string, fi::CampaignStore::WorkloadRecord, std::less<>>
       workloads_;
-  std::map<std::uint64_t, std::size_t> outcomeEntries_;
 };
 
 }  // namespace onebit::analytics

@@ -18,19 +18,17 @@ void appendHeader(std::string& out, const Dataset::Source& src,
     // campaign count would be a lie).
     appendf(out,
             "%s: %zu shard record(s), %zu workload profile(s), %zu "
-            "outcome-cache record(s), %zu quarantine record(s), %zu "
-            "malformed, %zu unknown\n",
+            "quarantine record(s), %zu malformed, %zu unknown\n",
             src.path.c_str(), s.shardRecords, s.workloadRecords,
-            s.outcomeRecords, s.quarantineRecords,
-            s.malformed - s.unknownKinds, s.unknownKinds);
+            s.quarantineRecords, s.malformed - s.unknownKinds,
+            s.unknownKinds);
     return;
   }
   appendf(out,
-          "%s: %zu campaign(s), %zu workload profile(s), %zu "
-          "outcome-cache record(s), %zu quarantine record(s), %zu "
-          "malformed, %zu unknown\n",
-          src.path.c_str(), campaigns, s.workloadRecords, s.outcomeRecords,
-          s.quarantineRecords, s.malformed - s.unknownKinds, s.unknownKinds);
+          "%s: %zu campaign(s), %zu workload profile(s), %zu quarantine "
+          "record(s), %zu malformed, %zu unknown\n",
+          src.path.c_str(), campaigns, s.workloadRecords, s.quarantineRecords,
+          s.malformed - s.unknownKinds, s.unknownKinds);
 }
 
 void appendCampaign(std::string& out, const CampaignTable& table,
@@ -126,8 +124,6 @@ util::Json summaryJson(const Dataset& ds, std::uint64_t nowMs) {
     obj.set("workload_records",
             util::Json::number(
                 static_cast<std::uint64_t>(s.workloadRecords)));
-    obj.set("outcome_records",
-            util::Json::number(static_cast<std::uint64_t>(s.outcomeRecords)));
     obj.set("cell_records",
             util::Json::number(static_cast<std::uint64_t>(s.cellRecords)));
     obj.set("lease_records",

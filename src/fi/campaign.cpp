@@ -90,7 +90,6 @@ CampaignResult CampaignEngine::run(const Workload& workload) const {
   cfg.threads = config_.threads;
   cfg.shardSize = config_.shardSize;
   cfg.maxShards = config_.maxShards;
-  cfg.pruning = config_.pruning;
   cfg.record = record_;
   cfg.resume = resume_;
   CampaignSuite suite(cfg);

@@ -45,13 +45,6 @@ struct CampaignConfig {
   /// bound store it checkpoints exactly the shards it ran — the knob that
   /// makes interruption testable without killing the process.
   std::size_t maxShards = 0;
-  /// Outcome-equivalence pruning (see fi/outcome_cache.hpp). Takes effect
-  /// only on workloads built with PrunePolicy.enabled (which carry the
-  /// golden boundary-hash table). Like threads/shardSize, pruning is pure
-  /// scheduling: counts, histograms, and store shard records are
-  /// bit-identical with it on or off — only wall-clock and the PruneStats
-  /// counters change.
-  bool pruning = false;
 };
 
 /// Resolve a requested worker-thread count: 0 picks hardware concurrency;
@@ -80,30 +73,26 @@ void mergeHistogram(ActivationHistogram& into,
                     const ActivationHistogram& from) noexcept;
 
 /// How outcome-equivalence pruning resolved the freshly executed experiments
-/// of a campaign (resumed shards contribute nothing — they never ran).
-/// Counter totals depend on thread scheduling (which experiment of an
-/// equivalence class runs first is a race), so they are diagnostics only and
-/// are deliberately excluded from result comparisons and store records.
+/// of a campaign (resumed shards contribute nothing — they never ran). Each
+/// experiment's event depends only on its plan and workload, so the counts
+/// do not depend on threads or shard size. They never enter store records:
+/// a shard record must not depend on whether its workload prunes.
 struct PruneStats {
   std::size_t goldenHits = 0;  ///< short-circuited via golden-hash match
-  std::size_t cacheHits = 0;   ///< short-circuited via outcome-cache match
   std::size_t misses = 0;      ///< compared at a boundary, ran to completion
-  [[nodiscard]] std::size_t shortCircuited() const noexcept {
-    return goldenHits + cacheHits;
-  }
   PruneStats& operator+=(const PruneStats& o) noexcept {
     goldenHits += o.goldenHits;
-    cacheHits += o.cacheHits;
     misses += o.misses;
     return *this;
   }
+  bool operator==(const PruneStats&) const = default;
 };
 
 struct CampaignResult {
   CampaignConfig config;
   stats::OutcomeCounts counts;
   ActivationHistogram activationHist{};
-  PruneStats prune;  ///< zeros unless config.pruning was in effect
+  PruneStats prune;  ///< zeros unless the workload was built to prune
   /// Experiments tallied into `counts` — executed this run plus resumed
   /// from the store. Less than config.experiments after a capped run.
   std::size_t completedExperiments = 0;

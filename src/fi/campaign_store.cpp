@@ -138,13 +138,6 @@ std::uint64_t CampaignStore::campaignKey(
   return h;
 }
 
-std::uint64_t CampaignStore::outcomeCacheKey(
-    std::uint64_t campaignKey) noexcept {
-  return util::hashCombine(
-      util::hashCombine(0x0b17'0c0d'e11f'ca5eULL, kPruneSemanticsVersion),
-      campaignKey);
-}
-
 namespace {
 
 /// One decoded-and-validated shard record (shared by load and compact).
@@ -215,41 +208,6 @@ bool parseWorkloadRecord(const util::Json& record,
   rec.candRead = getUint(record, "cand_read", 0);
   rec.candWrite = getUint(record, "cand_write", 0);
   rec.candStore = getUint(record, "cand_store", 0);
-  return true;
-}
-
-/// One decoded-and-validated outcome record (shared by load and compact).
-struct ParsedOutcome {
-  std::uint64_t key = 0;
-  CampaignStore::OutcomeRecord rec;
-};
-
-/// Decode an "outcome" record. The enums are range-checked: a record whose
-/// outcome or trap no longer decodes would replay garbage into results.
-bool parseOutcomeRecord(const util::Json& record, ParsedOutcome& out) {
-  const util::Json* keyField = record.find("key");
-  const std::optional<std::uint64_t> key =
-      keyField != nullptr ? keyFromHex(keyField->asString()) : std::nullopt;
-  const util::Json* hashField = record.find("hash");
-  const std::optional<std::uint64_t> hash =
-      hashField != nullptr ? keyFromHex(hashField->asString()) : std::nullopt;
-  const std::uint64_t bad = ~0ULL;
-  const std::uint64_t boundary = getUint(record, "boundary", bad);
-  const std::uint64_t outcome = getUint(record, "outcome", bad);
-  const std::uint64_t trap = getUint(record, "trap", bad);
-  const std::uint64_t instructions = getUint(record, "instructions", bad);
-  if (!key || !hash || boundary == bad || boundary == 0 ||
-      outcome >= stats::kOutcomeCount ||
-      trap > static_cast<std::uint64_t>(vm::TrapKind::Abort) ||
-      instructions == bad) {
-    return false;
-  }
-  out.key = *key;
-  out.rec.boundary = boundary;
-  out.rec.hash = *hash;
-  out.rec.outcome = static_cast<stats::Outcome>(outcome);
-  out.rec.trap = static_cast<vm::TrapKind>(trap);
-  out.rec.instructions = instructions;
   return true;
 }
 
@@ -430,7 +388,6 @@ void CampaignStore::clearIndex() {
   shards_.clear();
   metas_.clear();
   workloads_.clear();
-  outcomes_.clear();
   cellOrder_.clear();
   cellIndex_.clear();
   leases_.clear();
@@ -474,23 +431,6 @@ CampaignStore::LoadStats CampaignStore::readInto(std::uint64_t offset,
           }
           workloads_.insert_or_assign(rec.name, std::move(rec));
           ++stats.workloadRecords;
-          return;
-        }
-        if (kind->asString() == "outcome") {
-          ParsedOutcome outcome;
-          if (!parseOutcomeRecord(record, outcome)) {
-            ++stats.malformed;
-            return;
-          }
-          if (outcomes_[outcome.key]
-                  .emplace(
-                      OutcomeKey{outcome.rec.boundary, outcome.rec.hash},
-                      outcome.rec)
-                  .second) {
-            ++stats.outcomeRecords;
-          } else {
-            ++stats.duplicates;
-          }
           return;
         }
         if (kind->asString() == "cell") {
@@ -552,9 +492,6 @@ std::optional<CampaignStore::CompactStats> CampaignStore::compact(
            std::size_t>
       shardAt;
   std::map<std::string, std::size_t, std::less<>> workloadAt;
-  std::map<std::pair<std::uint64_t, std::pair<std::uint64_t, std::uint64_t>>,
-           std::size_t>
-      outcomeAt;
   std::map<std::uint64_t, std::size_t> cellAt;
   // Newest lease per (key, range); whether it survives is decided AFTER the
   // scan, when every shard record is known (a superseding shard may appear
@@ -601,23 +538,6 @@ std::optional<CampaignStore::CompactStats> CampaignStore::compact(
           }
           const auto [it, inserted] =
               workloadAt.try_emplace(rec.name, kept.size());
-          if (inserted) {
-            kept.push_back(std::move(record));
-          } else {
-            kept[it->second] = std::move(record);
-            ++stats.droppedDuplicates;
-          }
-          return;
-        }
-        if (kind->asString() == "outcome") {
-          ParsedOutcome outcome;
-          if (!parseOutcomeRecord(record, outcome)) {
-            ++stats.droppedMalformed;
-            return;
-          }
-          const auto [it, inserted] = outcomeAt.try_emplace(
-              {outcome.key, {outcome.rec.boundary, outcome.rec.hash}},
-              kept.size());
           if (inserted) {
             kept.push_back(std::move(record));
           } else {
@@ -717,7 +637,6 @@ std::optional<CampaignStore::CompactStats> CampaignStore::compact(
   }
   stats.shardRecords = shardAt.size();
   stats.workloadRecords = workloadAt.size();
-  stats.outcomeRecords = outcomeAt.size();
   stats.cellRecords = cellAt.size();
   stats.leaseRecords = leaseAt.size();
   stats.quarantineRecords = quarantineAt.size();
@@ -812,13 +731,12 @@ std::optional<CampaignStore::FsckStats> CampaignStore::fsck(
   const RawLines raw = readRawLines(path);
   if (raw.missing) return stats;  // missing file: clean and empty
 
-  // Identity of a VALUE record (shard = 0, outcome = 1): records whose
-  // bytes the determinism contract fixes given their identity. Scheduling
+  // Identity of a shard record — (key, first, count) — the one kind whose
+  // bytes the determinism contract fixes given its identity. Scheduling
   // kinds (cell/lease/quarantine/workload) are legitimately re-appended
   // with new content — newest wins at load — so every one of their lines
   // is kept and none can "conflict".
-  using Identity = std::tuple<int, std::uint64_t, std::uint64_t,
-                              std::uint64_t>;
+  using Identity = std::tuple<std::uint64_t, std::size_t, std::size_t>;
   std::map<Identity, std::size_t> firstAt;  ///< identity → index in `kept`
   std::vector<std::size_t> kept;            ///< surviving line indices
   std::vector<std::size_t> quarantined;     ///< sidecar-bound line indices
@@ -852,14 +770,7 @@ std::optional<CampaignStore::FsckStats> CampaignStore::fsck(
     if (kind->asString() == "shard") {
       ParsedShard shard;
       valid = parseShardRecord(*record, shard);
-      if (valid) identity = Identity{0, shard.key, shard.first, shard.count};
-    } else if (kind->asString() == "outcome") {
-      ParsedOutcome outcome;
-      valid = parseOutcomeRecord(*record, outcome);
-      if (valid) {
-        identity =
-            Identity{1, outcome.key, outcome.rec.boundary, outcome.rec.hash};
-      }
+      if (valid) identity = Identity{shard.key, shard.first, shard.count};
     } else if (kind->asString() == "workload") {
       WorkloadRecord rec;
       valid = parseWorkloadRecord(*record, rec);
@@ -1084,32 +995,6 @@ bool CampaignStore::appendWorkload(const WorkloadRecord& rec) {
   return true;
 }
 
-bool CampaignStore::appendOutcome(std::uint64_t cacheKey,
-                                  const OutcomeRecord& rec) {
-  util::Json record = util::Json::object();
-  record.set("v", util::Json::number(kFormatVersion));
-  record.set("kind", util::Json::string("outcome"));
-  record.set("key", util::Json::string(keyToHex(cacheKey)));
-  record.set("boundary", util::Json::number(rec.boundary));
-  record.set("hash", util::Json::string(keyToHex(rec.hash)));
-  record.set("outcome", util::Json::number(
-                            static_cast<std::uint64_t>(rec.outcome)));
-  record.set("trap",
-             util::Json::number(static_cast<std::uint64_t>(rec.trap)));
-  record.set("instructions", util::Json::number(rec.instructions));
-
-  OptionalLockGuard fileGuard(fileLock_.get());
-  std::lock_guard lock(mutex_);
-  const auto cache = outcomes_.find(cacheKey);
-  if (cache != outcomes_.end() &&
-      cache->second.count({rec.boundary, rec.hash}) != 0) {
-    return true;  // already on file; entry values are key-determined
-  }
-  if (!writeRecord(record)) return false;
-  outcomes_[cacheKey].emplace(OutcomeKey{rec.boundary, rec.hash}, rec);
-  return true;
-}
-
 bool CampaignStore::appendCell(const CellRecord& rec) {
   if (rec.experiments == 0 || rec.shardSize == 0 || rec.workload.empty() ||
       rec.spec.empty() || rec.flipWidth == 0 || rec.flipWidth > 64) {
@@ -1212,15 +1097,6 @@ void CampaignStore::forEachLease(
   for (const auto& [range, rec] : ranges->second) fn(rec);
 }
 
-void CampaignStore::forEachOutcome(
-    std::uint64_t cacheKey,
-    const std::function<void(const OutcomeRecord&)>& fn) const {
-  std::lock_guard lock(mutex_);
-  const auto cache = outcomes_.find(cacheKey);
-  if (cache == outcomes_.end()) return;
-  for (const auto& [key, rec] : cache->second) fn(rec);
-}
-
 const CampaignStore::ShardAggregate* CampaignStore::findShard(
     std::uint64_t key, std::size_t firstExperiment,
     std::size_t experimentCount) const {
@@ -1279,9 +1155,6 @@ CampaignStore::Snapshot CampaignStore::snapshot() const {
     c.quarantines = ranges;
   }
   snap.workloads = workloads_;
-  for (const auto& [key, entries] : outcomes_) {
-    snap.outcomeEntries[key] = entries.size();
-  }
   return snap;
 }
 

@@ -7,7 +7,7 @@
 // spec label, seed, and campaign geometry) so a store file is meaningful on
 // its own, greppable, and loadable by plotting scripts.
 //
-// Two record kinds share the file:
+// Two record kinds hold results:
 //
 //   shard record (kind "shard") — one completed campaign shard:
 //     {"v":1,"kind":"shard","key":"0x<16 hex>","workload":"qsort",
@@ -27,16 +27,7 @@
 //      "ir_instrs":210,"dyn_instrs":51234,"cand_read":30321,
 //      "cand_write":20117,"cand_store":9876}
 //
-//   outcome record (kind "outcome") — one outcome-equivalence cache entry
-//   (fi/outcome_cache.hpp), so resumed pruned campaigns keep their warm
-//   cache and hit rates:
-//     {"v":1,"kind":"outcome","key":"0x<16 hex>","boundary":4096,
-//      "hash":"0x<16 hex>","outcome":0,"trap":0,"instructions":51234}
-//   `key` is outcomeCacheKey(campaign key) — derived from, but never equal
-//   to, a campaign key, so outcome records can never collide with shard
-//   records and paper-cell results are untouched by pruning.
-//
-// Two further kinds turn the store into the campaign fleet's durable work
+// Three further kinds turn the store into the campaign fleet's durable work
 // queue (fi/fleet.hpp):
 //
 //   cell record (kind "cell") — one submitted campaign cell, self-describing
@@ -78,6 +69,12 @@
 //   The newest record per (key, range) wins (re-quarantining updates the
 //   crash count). A shard record for the range supersedes it — the work got
 //   done after all (e.g. by a `--force` pass) — and compact() then drops it.
+//
+// Any other kind is unknown: load() counts it (LoadStats::unknownKinds) and
+// skips it, fsck preserves it, compact() drops it. Stores written by older
+// pruning builds carry such lines — "outcome" records of a since-deleted
+// outcome cache; they never affected shard records, so those stores still
+// resume unchanged.
 //
 // Writer concurrency: by default a store instance assumes it is the ONLY
 // writer process (appends are dedup'd against the in-memory index and
@@ -148,13 +145,6 @@ class CampaignStore {
   /// cells' recorded results, and extension records can never collide with
   /// a paper-cell key.
   static constexpr std::uint64_t kExtendedSemanticsVersion = 1;
-
-  /// Semantics version of the outcome-equivalence pruning layer (state-hash
-  /// definition, boundary placement, cache soundness rules). Folded into
-  /// every outcome-cache key: bump it whenever the hash function or pruning
-  /// semantics change, so stale cache entries are orphaned instead of
-  /// replayed into results they no longer describe.
-  static constexpr std::uint64_t kPruneSemanticsVersion = 1;
 
   /// Aggregates of one recorded shard.
   struct ShardAggregate {
@@ -255,19 +245,9 @@ class CampaignStore {
     bool operator==(const QuarantineRecord&) const = default;
   };
 
-  /// One outcome-equivalence cache entry (see fi/outcome_cache.hpp).
-  struct OutcomeRecord {
-    std::uint64_t boundary = 0;  ///< hash-grid boundary (dynamic instructions)
-    std::uint64_t hash = 0;      ///< vm::Machine::stateHash() at the boundary
-    stats::Outcome outcome = stats::Outcome::Benign;
-    vm::TrapKind trap = vm::TrapKind::None;
-    std::uint64_t instructions = 0;  ///< final faulty instruction count
-  };
-
   struct LoadStats {
     std::size_t shardRecords = 0;     ///< accepted shard records
     std::size_t workloadRecords = 0;  ///< accepted workload records
-    std::size_t outcomeRecords = 0;   ///< accepted outcome-cache records
     std::size_t cellRecords = 0;      ///< accepted fleet cell records
     std::size_t leaseRecords = 0;     ///< accepted fleet lease records
     std::size_t quarantineRecords = 0;  ///< accepted quarantine records
@@ -275,21 +255,21 @@ class CampaignStore {
                                 ///< (incl. a torn final line)
     std::size_t duplicates = 0;  ///< re-recorded shards (first one wins)
     /// Of `malformed`: lines that parsed as JSON but carried an unknown
-    /// record kind or a foreign format version — possibly a future format
-    /// (fsck preserves them), as opposed to actual damage.
+    /// record kind or a foreign format version — possibly a future format or
+    /// a retired kind such as "outcome" (fsck preserves them), as opposed to
+    /// actual damage.
     std::size_t unknownKinds = 0;
 
     /// Non-empty lines this read consumed (every line lands in exactly one
     /// accepted/malformed/duplicate bucket).
     [[nodiscard]] std::size_t lines() const noexcept {
-      return shardRecords + workloadRecords + outcomeRecords + cellRecords +
-             leaseRecords + quarantineRecords + malformed + duplicates;
+      return shardRecords + workloadRecords + cellRecords + leaseRecords +
+             quarantineRecords + malformed + duplicates;
     }
 
     LoadStats& operator+=(const LoadStats& o) noexcept {
       shardRecords += o.shardRecords;
       workloadRecords += o.workloadRecords;
-      outcomeRecords += o.outcomeRecords;
       cellRecords += o.cellRecords;
       leaseRecords += o.leaseRecords;
       quarantineRecords += o.quarantineRecords;
@@ -303,14 +283,13 @@ class CampaignStore {
   struct CompactStats {
     std::size_t shardRecords = 0;     ///< surviving shard records
     std::size_t workloadRecords = 0;  ///< surviving workload records
-    std::size_t outcomeRecords = 0;   ///< surviving outcome-cache records
     std::size_t cellRecords = 0;      ///< surviving fleet cell records
     std::size_t leaseRecords = 0;     ///< surviving (still-live) leases
     std::size_t quarantineRecords = 0;  ///< surviving quarantine records
     std::size_t droppedDuplicates = 0;  ///< superseded records dropped
     std::size_t droppedLeases = 0;  ///< expired/superseded leases dropped
     std::size_t droppedQuarantines = 0;  ///< superseded quarantines dropped
-    std::size_t droppedMalformed = 0;   ///< torn/invalid lines dropped
+    std::size_t droppedMalformed = 0;  ///< torn/invalid/unknown lines dropped
     bool rewritten = false;  ///< false = file was already canonical
   };
 
@@ -373,13 +352,6 @@ class CampaignStore {
                                    std::size_t experiments,
                                    std::uint64_t seed,
                                    std::uint64_t workloadFingerprint) noexcept;
-
-  /// The key outcome-cache records are stored under for a campaign cell:
-  /// a salted rehash of the cell's campaign key chained with
-  /// kPruneSemanticsVersion. Deriving (rather than reusing) the campaign key
-  /// keeps the two record populations disjoint, and the version fold orphans
-  /// cached outcomes whenever pruning semantics change.
-  static std::uint64_t outcomeCacheKey(std::uint64_t campaignKey) noexcept;
 
   /// Read all records currently on disk into the in-memory index. Missing
   /// file loads as empty. Malformed lines are counted, never fatal: the
@@ -445,19 +417,6 @@ class CampaignStore {
   /// Append one workload profile (thread-safe). An identical record already
   /// in the index is skipped. Returns false on I/O error.
   bool appendWorkload(const WorkloadRecord& record);
-
-  /// Append one outcome-cache entry under `cacheKey` (thread-safe). An entry
-  /// already indexed for (cacheKey, boundary, hash) is skipped — entry
-  /// values are pure functions of their key, so the first record is as good
-  /// as any later one. Returns false on I/O error.
-  bool appendOutcome(std::uint64_t cacheKey, const OutcomeRecord& record);
-
-  /// Visit every outcome-cache entry recorded under `cacheKey` (the warm
-  /// start of a resumed pruned campaign). Do not call appendOutcome from
-  /// inside the callback (the store lock is held).
-  void forEachOutcome(
-      std::uint64_t cacheKey,
-      const std::function<void(const OutcomeRecord&)>& fn) const;
 
   /// Look up a recorded shard by campaign key and exact experiment range.
   /// Returns nullptr when absent. Pointers stay valid until the next
@@ -548,9 +507,6 @@ class CampaignStore {
     };
     std::map<std::uint64_t, Campaign> campaigns;  ///< key-ordered
     std::map<std::string, WorkloadRecord, std::less<>> workloads;
-    /// Outcome-cache entry count per cache key (analytics only needs the
-    /// volume; resume reads entries through forEachOutcome).
-    std::map<std::uint64_t, std::size_t> outcomeEntries;
   };
 
   /// Copy the current index (see Snapshot). Safe to call on a store other
@@ -581,7 +537,6 @@ class CampaignStore {
 
  private:
   using ShardRange = Range;  ///< (first, count)
-  using OutcomeKey = std::pair<std::uint64_t, std::uint64_t>;  ///< (bnd, hash)
 
   bool indexShard(std::uint64_t key, ShardRange range, ShardAggregate agg);
   bool indexCell(const CellRecord& record);
@@ -606,8 +561,6 @@ class CampaignStore {
   /// campaign keys (which would need compiled workloads).
   std::unordered_map<std::uint64_t, CampaignMeta> metas_;
   std::map<std::string, WorkloadRecord, std::less<>> workloads_;
-  std::unordered_map<std::uint64_t, std::map<OutcomeKey, OutcomeRecord>>
-      outcomes_;
   std::vector<CellRecord> cellOrder_;  ///< first-submission order
   std::unordered_map<std::uint64_t, std::size_t> cellIndex_;  ///< key → idx
   std::unordered_map<std::uint64_t, std::map<ShardRange, LeaseRecord>>

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "fi/outcome_cache.hpp"
 #include "util/rng.hpp"
 #include "vm/machine.hpp"
 #include "vm/threaded.hpp"
@@ -23,15 +22,9 @@ Workload::Workload(ir::Module mod, std::uint64_t hangFactor,
   // faultyLimits_ carries it into runExperiment's post-exhaustion suffixes.
   goldenLimits.dispatch = dispatch;
   if (dispatch == vm::DispatchBackend::Threaded) {
-    // Precompile once: every faulty run would otherwise pay the registry's
-    // per-run structural-fingerprint validation (O(module size), ~10us —
-    // comparable to a short experiment suffix). A null stream means the
-    // decoder rejected the module shape; run everything on the reference
-    // loop instead of re-attempting the decode per experiment.
-    goldenLimits.threadedCode = vm::ThreadedCode::get(mod_);
-    if (goldenLimits.threadedCode == nullptr) {
-      goldenLimits.dispatch = vm::DispatchBackend::Switch;
-    }
+    // Decode once: every faulty run would otherwise decode the module again
+    // (O(module size) — comparable to a short experiment suffix).
+    goldenLimits.threadedCode = vm::ThreadedCode::decode(mod_);
   }
   vm::SnapshotCapturePolicy capture;  // default interval = the auto spacing
   if (snapshots.interval != SnapshotPolicy::kAutoInterval) {
@@ -53,13 +46,11 @@ Workload::Workload(ir::Module mod, std::uint64_t hangFactor,
     // differential self-check below.
     golden_ = vm::execute(mod_, goldenLimits, nullptr);
     if (golden_.status == vm::ExecStatus::Ok) {
-      hashGrid_ = prune.grid != 0
-                      ? prune.grid
-                      : std::clamp<std::uint64_t>(golden_.instructions / 128,
-                                                  64, 16384);
+      hashGrid_ = std::clamp<std::uint64_t>(golden_.instructions / 128, 64,
+                                            16384);
       // Pass 2: the hashing golden run records the boundary-hash table and
-      // (when snapshots are on) captures the snapshot cache — with
-      // Snapshot::stateHash stamped — under the same retention policy.
+      // (when snapshots are on) captures the snapshot cache under the same
+      // retention policy.
       vm::ExecLimits hashedLimits = goldenLimits;
       hashedLimits.trackStateHash = true;
       vm::Machine machine(mod_, hashedLimits, nullptr);
@@ -183,93 +174,55 @@ stats::Outcome classify(const vm::ExecResult& faulty,
 ExperimentResult runExperiment(const Workload& workload,
                                const FaultPlan& plan) {
   InjectorHook hook(plan);
-  const vm::ExecLimits& limits = workload.faultyLimits();
   // Golden-prefix fast-forward: everything before the plan's first injection
   // is bit-identical to the golden run (the hook neither mutates state nor
   // consumes randomness before its first index), so resume from the densest
   // snapshot at-or-before that index instead of re-interpreting the prefix.
   const vm::Snapshot* snap = workload.snapshotAtOrBefore(
-      plan.domain, plan.firstIndex, limits.maxInstructions);
-  const vm::ExecResult faulty =
-      snap != nullptr
-          ? vm::resume(workload.module(), *snap, limits, &hook)
-          : vm::execute(workload.module(), limits, &hook);
+      plan.domain, plan.firstIndex, workload.faultyLimits().maxInstructions);
   ExperimentResult result;
-  result.outcome = classify(faulty, workload.golden());
-  result.trap = faulty.trap;
-  result.activations = hook.activations();
-  result.instructions = faulty.instructions;
-  return result;
-}
-
-ExperimentResult runExperiment(const Workload& workload, const FaultPlan& plan,
-                               OutcomeCache* cache) {
-  if (cache == nullptr || !workload.pruningEnabled()) {
-    return runExperiment(workload, plan);
-  }
-  InjectorHook hook(plan);
-  vm::ExecLimits limits = workload.faultyLimits();
-  limits.trackStateHash = true;
-  const vm::Snapshot* snap = workload.snapshotAtOrBefore(
-      plan.domain, plan.firstIndex, limits.maxInstructions);
-  std::optional<vm::Machine> machine;
-  if (snap != nullptr) {
-    machine.emplace(workload.module(), *snap, limits, &hook);
+  vm::ExecResult faulty;
+  if (!workload.pruningEnabled()) {
+    faulty = snap != nullptr ? vm::resume(workload.module(), *snap,
+                                          workload.faultyLimits(), &hook)
+                             : vm::execute(workload.module(),
+                                           workload.faultyLimits(), &hook);
   } else {
-    machine.emplace(workload.module(), limits, &hook);
-  }
-  ExperimentResult result;
-  if (machine->runToBoundary(workload.hashGrid())) {
-    // Paused between instructions with the hook exhausted: hash comparisons
-    // are sound from here on (no pending injections, deterministic suffix).
-    const std::uint64_t boundary = machine->instructions();
-    const std::uint64_t hash = machine->stateHash();
-    const std::optional<std::uint64_t> goldenHash =
-        workload.goldenHashAt(boundary);
-    if (goldenHash.has_value() && *goldenHash == hash &&
-        workload.golden().instructions <= limits.maxInstructions) {
-      // Masked fault: the state collapsed to the golden state at the same
-      // dynamic point, so the hook-free continuation IS the golden
-      // continuation — same output, normal termination, golden instruction
-      // count. (The budget guard covers degenerate hangFactor < 1 setups
-      // where the faulty fuel could not replay the golden suffix.)
-      result.outcome = stats::Outcome::Benign;
-      result.activations = hook.activations();
-      result.instructions = workload.golden().instructions;
-      result.prune = PruneEvent::GoldenHash;
-      return result;
+    vm::ExecLimits limits = workload.faultyLimits();
+    limits.trackStateHash = true;
+    std::optional<vm::Machine> machine;
+    if (snap != nullptr) {
+      machine.emplace(workload.module(), *snap, limits, &hook);
+    } else {
+      machine.emplace(workload.module(), limits, &hook);
     }
-    if (const std::optional<OutcomeCache::Entry> hit =
-            cache->find(boundary, hash)) {
-      // Same state at the same dynamic point as an earlier experiment of
-      // this cell: identical continuation, so the cached outcome applies.
-      // Activations stay per-experiment — they describe the injection, not
-      // the continuation.
-      result.outcome = hit->outcome;
-      result.trap = hit->trap;
-      result.activations = hook.activations();
-      result.instructions = hit->instructions;
-      result.prune = PruneEvent::CachedOutcome;
-      return result;
+    // runToBoundary pauses between instructions with the hook exhausted, so
+    // the hash comparison is sound there: no pending injections, and a
+    // deterministic hook-free suffix. It returns false when the run ends
+    // (halt / trap / fuel) before a boundary, or when the hook never
+    // exhausts (unbounded RandomValue windows).
+    if (machine->runToBoundary(workload.hashGrid())) {
+      if (workload.goldenHashAt(machine->instructions()) ==
+              machine->stateHash() &&
+          workload.golden().instructions <= limits.maxInstructions) {
+        // Masked fault: the state collapsed to the golden state at the same
+        // dynamic point, so the hook-free continuation IS the golden
+        // continuation — same output, normal termination, golden
+        // instruction count. (The budget guard covers degenerate
+        // hangFactor < 1 setups where the faulty fuel could not replay the
+        // golden suffix.)
+        result.activations = hook.activations();
+        result.instructions = workload.golden().instructions;
+        result.prune = PruneEvent::GoldenHash;
+        return result;
+      }
+      result.prune = PruneEvent::Miss;
     }
-    // The cache decision is made; the hash is dead weight from here on, so
-    // run the remainder on the hash-free fast path.
+    // The decision is made; the hash is dead weight from here on, so run
+    // the remainder on the hash-free fast path.
     machine->stopStateHashTracking();
-    const vm::ExecResult faulty = machine->run();
-    result.outcome = classify(faulty, workload.golden());
-    result.trap = faulty.trap;
-    result.activations = hook.activations();
-    result.instructions = faulty.instructions;
-    result.prune = PruneEvent::Miss;
-    cache->insert(boundary, hash,
-                  {result.outcome, result.trap, result.instructions});
-    return result;
+    faulty = machine->run();
   }
-  // The run ended (halt / trap / fuel) before a comparable boundary, or the
-  // hook never exhausts (unbounded RandomValue windows): plain
-  // classification, nothing cacheable.
-  machine->stopStateHashTracking();
-  const vm::ExecResult faulty = machine->run();
   result.outcome = classify(faulty, workload.golden());
   result.trap = faulty.trap;
   result.activations = hook.activations();

@@ -15,8 +15,6 @@
 
 namespace onebit::fi {
 
-class OutcomeCache;
-
 /// Golden-prefix fast-forward knobs: how densely a Workload checkpoints its
 /// golden run, and how much memory those checkpoints may hold. Every faulty
 /// run's prefix before its first injection is identical to the golden run,
@@ -51,23 +49,17 @@ struct SnapshotPolicy {
   }
 };
 
-/// Outcome-equivalence pruning knobs (AFL exec_cksum-style). When enabled,
-/// the Workload's golden run additionally records the incremental VM state
-/// hash (vm/state_hash.hpp) at every multiple of a dynamic-instruction
-/// `grid`, and runExperiment(w, plan, cache) pauses each faulty run at the
-/// first boundary past hook exhaustion to compare hashes: a golden-hash
-/// match short-circuits to the golden (masked) outcome, a cache match
-/// replays a previously computed outcome, a miss runs to completion and
-/// populates the cache. Like SnapshotPolicy, pruning is a pure speedup — it
-/// must never change results — and is therefore NOT part of the workload
-/// fingerprint.
+/// Outcome-equivalence pruning (AFL exec_cksum-style). When enabled, the
+/// Workload's golden run additionally records the incremental VM state hash
+/// (vm/state_hash.hpp) at every multiple of a dynamic-instruction grid
+/// (~128 boundaries over the golden run, clamped to [64, 16384]
+/// instructions), and runExperiment pauses each faulty run at the first
+/// boundary past hook exhaustion: a golden-hash match short-circuits to the
+/// golden (masked) outcome, anything else runs to completion. Like
+/// SnapshotPolicy, pruning is a pure speedup — it must never change results
+/// — and is therefore NOT part of the workload fingerprint.
 struct PrunePolicy {
   bool enabled = false;
-  /// Boundary spacing in dynamic instructions. 0 = auto: ~128 boundaries
-  /// over the golden run, clamped to [64, 16384]. Grid choice trades pause
-  /// overhead against how early a short-circuit can trigger; it never
-  /// affects correctness (cache entries are keyed by exact boundary).
-  std::uint64_t grid = 0;
 
   static PrunePolicy on() noexcept {
     PrunePolicy p;
@@ -173,7 +165,7 @@ class Workload {
   [[nodiscard]] std::size_t snapshotBytes() const noexcept;
 
   /// True when this workload was built with PrunePolicy.enabled (the golden
-  /// boundary-hash table exists and pruned experiments may run on it).
+  /// boundary-hash table exists and runExperiment prunes against it).
   [[nodiscard]] bool pruningEnabled() const noexcept { return hashGrid_ != 0; }
   /// The resolved boundary grid in dynamic instructions (0 = pruning off).
   [[nodiscard]] std::uint64_t hashGrid() const noexcept { return hashGrid_; }
@@ -199,7 +191,6 @@ class Workload {
 enum class PruneEvent : unsigned char {
   None,        ///< pruning off, or the run ended before a comparable boundary
   GoldenHash,  ///< short-circuited: state collapsed to the golden state
-  CachedOutcome,  ///< short-circuited: state matched a previously seen state
   Miss,  ///< compared at a boundary with no match; ran to completion
 };
 
@@ -218,20 +209,13 @@ stats::Outcome classify(const vm::ExecResult& faulty,
 
 /// Execute one experiment described by `plan` on `workload`, fast-forwarding
 /// over the golden prefix via the workload's snapshot cache when possible.
-/// Bit-identical to a from-scratch run for every plan and policy.
+/// On a workload built with PrunePolicy.enabled, the run pauses at the first
+/// boundary of the workload's hash grid after the injector hook is exhausted;
+/// a golden-hash match returns the golden (masked) outcome without running
+/// the rest. Outcome, trap, activations and instruction count are
+/// bit-identical to a from-scratch run for every plan and policy; only
+/// `prune` and wall-clock differ.
 ExperimentResult runExperiment(const Workload& workload,
                                const FaultPlan& plan);
-
-/// Pruned variant: once the injector hook is exhausted, pause at the next
-/// boundary of the workload's hash grid and compare state hashes — golden
-/// match returns the golden (masked) outcome, a `cache` hit replays the
-/// cached outcome, a miss runs to completion and populates `cache`. The
-/// outcome/trap/instruction data is bit-identical to the unpruned overload
-/// for every plan (activations are always computed per experiment); only
-/// `prune` and wall-clock differ. Falls back to the unpruned overload when
-/// `cache` is null or the workload was built without PrunePolicy.enabled.
-/// Thread-safe for concurrent calls sharing one cache.
-ExperimentResult runExperiment(const Workload& workload, const FaultPlan& plan,
-                               OutcomeCache* cache);
 
 }  // namespace onebit::fi

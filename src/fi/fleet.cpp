@@ -16,7 +16,6 @@
 #endif
 
 #include "fi/fault_plan.hpp"
-#include "fi/outcome_cache.hpp"
 #include "progs/registry.hpp"
 #include "util/file_lock.hpp"
 #include "util/rng.hpp"
@@ -74,8 +73,9 @@ std::shared_ptr<const Workload> defaultResolve(
   if (info == nullptr) return nullptr;
   const std::uint64_t hangFactor =
       cell.hangFactor != 0 ? cell.hangFactor : Workload::kDefaultHangFactor;
-  return std::make_shared<const Workload>(progs::compileProgram(*info),
-                                          hangFactor);
+  return std::make_shared<const Workload>(
+      progs::compileProgram(*info), hangFactor, SnapshotPolicy{},
+      PrunePolicy{}, vm::DispatchBackend::Threaded);
 }
 
 }  // namespace
@@ -237,7 +237,6 @@ struct FleetWorker::CellExec {
   FaultModel model;
   std::uint64_t candidates = 0;
   CampaignStore::CampaignMeta meta;
-  std::unique_ptr<OutcomeCache> cache;
 };
 
 FleetWorker::FleetWorker(const std::string& storePath, std::string workerId,
@@ -309,12 +308,6 @@ FleetWorker::CellExec* FleetWorker::resolve(
   exec->meta.seed = cell.seed;
   exec->meta.experiments = cell.experiments;
   exec->meta.candidates = exec->candidates;
-  if (config_.pruning && workload->pruningEnabled()) {
-    exec->cache = std::make_unique<OutcomeCache>();
-    const std::uint64_t cacheKey = CampaignStore::outcomeCacheKey(cell.key);
-    exec->cache->warmFrom(store_, cacheKey);
-    exec->cache->bindStore(&store_, cacheKey);
-  }
   return execs_.emplace(cell.key, std::move(exec)).first->second.get();
 }
 
@@ -449,7 +442,7 @@ FleetWorker::Step FleetWorker::step() {
     const FaultPlan fp = FaultPlan::forExperiment(exec->model,
                                                   exec->candidates,
                                                   cell.seed, i);
-    acc.add(runExperiment(*exec->workload, fp, exec->cache.get()));
+    acc.add(runExperiment(*exec->workload, fp));
     const std::uint64_t t = now();
     if (t - lastBeat >= config_.resolvedHeartbeatMs()) {
       // Renew within our epoch: same claim, pushed-out deadline.
@@ -535,89 +528,117 @@ FleetWorker::Step FleetWorker::run(std::size_t maxShards) {
 
 // ------------------------------------------------------------------- runFleet
 
+namespace detail {
+
+std::size_t submitSuite(const CampaignSuite& suite, const SuiteConfig& config,
+                        const std::string& storePath, FleetConfig& fleet) {
+  FleetBroker broker(storePath, fleet);
+  std::unordered_map<std::uint64_t, const Workload*> workloads;
+  for (std::size_t c = 0; c < suite.cellCount(); ++c) {
+    const SuiteCell& cell = suite.cell(c);
+    if (cell.workload == nullptr || cell.experiments == 0) continue;
+    const std::optional<CampaignStore::CellRecord> rec =
+        FleetBroker::makeCell(
+            cell.storeName, *cell.workload, cell.model, cell.experiments,
+            cell.seed, resolveShardSize(cell.experiments, config.shardSize));
+    // A cell makeCell() refuses (unnamed, or a degenerate model whose label
+    // does not round-trip) is simply left for the in-process remainder pass.
+    if (rec && broker.submit(*rec)) workloads.emplace(rec->key, cell.workload);
+  }
+  const std::size_t submitted = workloads.size();
+  if (!fleet.workloadResolver) {
+    // Forked workers inherit the suite's workloads: running those skips the
+    // recompile and re-profile, and keeps the caller's snapshot, prune and
+    // dispatch policies. The parent owns them, hence the non-owning
+    // (aliasing, empty-owner) shared_ptr.
+    fleet.workloadResolver =
+        [workloads = std::move(workloads)](
+            const CampaignStore::CellRecord& cell)
+        -> std::shared_ptr<const Workload> {
+      const auto it = workloads.find(cell.key);
+      if (it == workloads.end()) return nullptr;
+      return std::shared_ptr<const Workload>(std::shared_ptr<void>(),
+                                             it->second);
+    };
+  }
+  return submitted;
+}
+
+std::vector<CampaignResult> finishInProcess(const CampaignSuite& suite,
+                                            SuiteConfig config,
+                                            const std::string& storePath) {
+  // A resume-bound suite over the fleet store completes any remainder
+  // (cells never submitted, shards lost to crashes, quarantined shards) and
+  // performs the cell-order merge. By the suite's resume contract its
+  // results are bit-identical to suite.run() — this is what makes the fleet
+  // safe: no lease interleaving can change the answer, only how much of the
+  // work this final pass still has to do.
+  CampaignStore store(storePath, CampaignStore::WriteMode::Atomic);
+  store.load();
+  config.record = &store;
+  config.resume = &store;
+  CampaignSuite remainder(config);
+  for (std::size_t c = 0; c < suite.cellCount(); ++c) {
+    remainder.addCell(suite.cell(c));
+  }
+  return remainder.run();
+}
+
+}  // namespace detail
+
 std::vector<CampaignResult> runFleet(const CampaignSuite& suite,
                                      SuiteConfig config,
                                      const std::string& storePath,
                                      const LocalFleetOptions& options) {
 #if !defined(_WIN32)
-  {
-    FleetBroker broker(storePath, options.config);
-    std::size_t submitted = 0;
-    for (std::size_t c = 0; c < suite.cellCount(); ++c) {
-      const SuiteCell& cell = suite.cell(c);
-      if (cell.workload == nullptr || cell.experiments == 0) continue;
-      const std::optional<CampaignStore::CellRecord> rec =
-          FleetBroker::makeCell(
-              cell.storeName, *cell.workload, cell.model, cell.experiments,
-              cell.seed, resolveShardSize(cell.experiments,
-                                          config.shardSize));
-      // A cell makeCell() refuses (unnamed, or a degenerate model whose
-      // label does not round-trip) is simply left for the in-process
-      // remainder pass below.
-      if (rec && broker.submit(*rec)) ++submitted;
-    }
-    if (submitted != 0 && options.workers != 0) {
-      std::vector<pid_t> children;
-      for (std::size_t w = 0; w < options.workers; ++w) {
-        const pid_t pid = ::fork();
-        if (pid < 0) break;  // fork pressure: run with fewer workers
-        if (pid == 0) {
-          FleetConfig cfg = options.config;
-          if (w == 0 && options.killFirstWorkerAfterClaims != 0) {
-            const std::size_t killAfter = options.killFirstWorkerAfterClaims;
-            cfg.onClaim = [killAfter](std::size_t claims) {
-              if (claims >= killAfter) ::raise(SIGKILL);
-            };
-          }
-          int exitCode = 1;
-          try {
-            FleetWorker worker(storePath, {}, std::move(cfg));
-            const FleetWorker::Step last =
-                worker.run(options.maxShardsPerWorker);
-            exitCode = last == FleetWorker::Step::Stalled      ? 3
-                       : last == FleetWorker::Step::Quarantined ? 4
-                                                                : 0;
-          } catch (...) {
-            exitCode = 1;
-          }
-          // _Exit: no atexit handlers, no flushing the parent's inherited
-          // stdio buffers twice.
-          std::_Exit(exitCode);
+  FleetConfig fleet = options.config;
+  if (detail::submitSuite(suite, config, storePath, fleet) != 0 &&
+      options.workers != 0) {
+    std::vector<pid_t> children;
+    for (std::size_t w = 0; w < options.workers; ++w) {
+      const pid_t pid = ::fork();
+      if (pid < 0) break;  // fork pressure: run with fewer workers
+      if (pid == 0) {
+        FleetConfig cfg = fleet;
+        if (w == 0 && options.killFirstWorkerAfterClaims != 0) {
+          const std::size_t killAfter = options.killFirstWorkerAfterClaims;
+          cfg.onClaim = [killAfter](std::size_t claims) {
+            if (claims >= killAfter) ::raise(SIGKILL);
+          };
         }
-        children.push_back(pid);
+        int exitCode = 1;
+        try {
+          FleetWorker worker(storePath, {}, std::move(cfg));
+          const FleetWorker::Step last =
+              worker.run(options.maxShardsPerWorker);
+          exitCode = last == FleetWorker::Step::Stalled      ? 3
+                     : last == FleetWorker::Step::Quarantined ? 4
+                                                              : 0;
+        } catch (...) {
+          exitCode = 1;
+        }
+        // _Exit: no atexit handlers, no flushing the parent's inherited
+        // stdio buffers twice.
+        std::_Exit(exitCode);
       }
-      for (const pid_t pid : children) {
-        int status = 0;
-        while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
-        }
-        if (WIFSIGNALED(status)) {
-          std::fprintf(stderr,
-                       "fleet worker (pid %ld) died on signal %d; its "
-                       "shards will be re-leased or finished in-process\n",
-                       static_cast<long>(pid), WTERMSIG(status));
-        }
+      children.push_back(pid);
+    }
+    for (const pid_t pid : children) {
+      int status = 0;
+      while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
+      }
+      if (WIFSIGNALED(status)) {
+        std::fprintf(stderr,
+                     "fleet worker (pid %ld) died on signal %d; its "
+                     "shards will be re-leased or finished in-process\n",
+                     static_cast<long>(pid), WTERMSIG(status));
       }
     }
-  }  // broker closes its store handle before the final pass reopens it
+  }
 #else
   (void)options;
 #endif
-  // Final pass: a resume-bound suite over the fleet store completes any
-  // remainder (cells never submitted, shards lost to crashes) and performs
-  // the cell-order merge. By the suite's resume contract its results are
-  // bit-identical to suite.run() — this is what makes the fleet safe: no
-  // lease interleaving can change the answer, only how much of the work
-  // this final pass still has to do.
-  CampaignStore store(storePath, CampaignStore::WriteMode::Atomic);
-  store.load();
-  SuiteConfig finalConfig = config;
-  finalConfig.record = &store;
-  finalConfig.resume = &store;
-  CampaignSuite remainder(finalConfig);
-  for (std::size_t c = 0; c < suite.cellCount(); ++c) {
-    remainder.addCell(suite.cell(c));
-  }
-  return remainder.run();
+  return detail::finishInProcess(suite, std::move(config), storePath);
 }
 
 }  // namespace onebit::fi

@@ -96,10 +96,6 @@ struct FleetConfig {
   /// fleets; expiry alone is always sufficient. Disable for fleets spanning
   /// hosts, where foreign pids are meaningless.
   bool sameHostLiveness = true;
-  /// Run experiments with outcome-equivalence pruning when the resolved
-  /// workload carries a golden boundary-hash table (pure speedup; results
-  /// are bit-identical either way).
-  bool pruning = false;
   /// The fleet clock, milliseconds. Null uses util::wallClockMs. Tests
   /// inject a fake clock to make lease expiry deterministic.
   std::function<std::uint64_t()> clock;
@@ -109,8 +105,10 @@ struct FleetConfig {
   std::function<void(std::size_t)> onClaim;
   /// Maps a cell record to the workload to run. Null uses the default
   /// resolver: compile the progs registry program named by the record with
-  /// the record's hang factor and plain policies. A resolver returning null
-  /// marks the cell unrunnable for this worker.
+  /// the record's hang factor, default snapshots, no pruning, and the
+  /// threaded backend (runFleet and runSupervisedFleet instead hand their
+  /// forked workers the suite cells' own workloads). A resolver returning
+  /// null marks the cell unrunnable for this worker.
   std::function<std::shared_ptr<const Workload>(
       const CampaignStore::CellRecord&)>
       workloadResolver;
@@ -228,7 +226,7 @@ class FleetWorker {
   [[nodiscard]] std::size_t shardsRun() const noexcept { return shardsRun_; }
 
  private:
-  struct CellExec;  ///< resolved workload + per-cell cache (fleet.cpp)
+  struct CellExec;  ///< resolved workload + shard metadata (fleet.cpp)
 
   [[nodiscard]] std::uint64_t now() const;
   [[nodiscard]] bool leaseActive(const CampaignStore::LeaseRecord& lease,
@@ -268,6 +266,9 @@ struct LocalFleetOptions {
 /// results are bit-identical to `suite.run()` by the suite's own resume
 /// contract — regardless of worker count or crash pattern. On platforms
 /// without fork(), the whole suite runs in-process (results unchanged).
+/// Unless options.config sets a workloadResolver, the forked workers run
+/// each cell on the suite cell's own Workload (inherited across fork), so
+/// they use the caller's snapshot, prune and dispatch policies.
 ///
 /// `config` must be the SuiteConfig `suite` was built with (it fixes the
 /// shard geometry); its record/resume stores are ignored in favor of the
@@ -276,5 +277,22 @@ std::vector<CampaignResult> runFleet(const CampaignSuite& suite,
                                      SuiteConfig config,
                                      const std::string& storePath,
                                      const LocalFleetOptions& options = {});
+
+namespace detail {
+
+/// The halves runFleet and runSupervisedFleet share. submitSuite submits
+/// every expressible cell of `suite` to the store at `storePath`, returns
+/// how many it submitted, and — when `fleet.workloadResolver` is unset —
+/// installs a resolver mapping each submitted cell key to the suite cell's
+/// own Workload (non-owning: valid in this process and its forked children
+/// while the suite's workloads live). finishInProcess runs the resume-bound
+/// remainder pass over the store and returns the merged results.
+std::size_t submitSuite(const CampaignSuite& suite, const SuiteConfig& config,
+                        const std::string& storePath, FleetConfig& fleet);
+std::vector<CampaignResult> finishInProcess(const CampaignSuite& suite,
+                                            SuiteConfig config,
+                                            const std::string& storePath);
+
+}  // namespace detail
 
 }  // namespace onebit::fi

@@ -3,11 +3,9 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <memory>
 #include <mutex>
 #include <utility>
 
-#include "fi/outcome_cache.hpp"
 #include "util/thread_pool.hpp"
 
 namespace onebit::fi {
@@ -27,7 +25,6 @@ struct ShardAccumulator {
     switch (r.prune) {
       case PruneEvent::None: break;
       case PruneEvent::GoldenHash: ++prune.goldenHits; break;
-      case PruneEvent::CachedOutcome: ++prune.cacheHits; break;
       case PruneEvent::Miss: ++prune.misses; break;
     }
   }
@@ -47,9 +44,6 @@ struct CellPlan {
   std::vector<unsigned char> resumed;
   std::vector<unsigned char> executed;
   std::vector<std::size_t> pending;
-  /// The cell's outcome-equivalence cache; null when pruning is off or the
-  /// cell's workload has no golden boundary-hash table.
-  std::unique_ptr<OutcomeCache> cache;
   std::size_t resumedExperiments = 0;
   // Progress-side counters, guarded by the suite's progress mutex.
   std::size_t completedShards = 0;
@@ -128,19 +122,6 @@ std::vector<CampaignResult> CampaignSuite::run() const {
       plan.meta.experiments = n;
       plan.meta.candidates = plan.candidates;
     }
-    if (config_.pruning && cell.workload->pruningEnabled()) {
-      plan.cache = std::make_unique<OutcomeCache>();
-      if (useStore) {
-        const std::uint64_t cacheKey =
-            CampaignStore::outcomeCacheKey(plan.meta.key);
-        if (config_.resume != nullptr) {
-          plan.cache->warmFrom(*config_.resume, cacheKey);
-        }
-        if (config_.record != nullptr) {
-          plan.cache->bindStore(config_.record, cacheKey);
-        }
-      }
-    }
     for (std::size_t s = 0; s < plan.shards; ++s) {
       if (config_.resume != nullptr) {
         if (const CampaignStore::ShardAggregate* agg =
@@ -198,7 +179,7 @@ std::vector<CampaignResult> CampaignSuite::run() const {
     plan.completedExperiments += cnt;
     suiteCompleted += cnt;
     if (!resumedShard) {
-      suiteShortCircuited += plan.partial[s].prune.shortCircuited();
+      suiteShortCircuited += plan.partial[s].prune.goldenHits;
     }
     if (plan.completedExperiments == plan.cell->experiments) ++completedCells;
     if (shardProgress_ != nullptr) {
@@ -268,7 +249,7 @@ std::vector<CampaignResult> CampaignSuite::run() const {
     for (std::size_t i = first; i < last; ++i) {
       const FaultPlan fp =
           FaultPlan::forExperiment(cell.model, plan.candidates, cell.seed, i);
-      acc.add(runExperiment(*cell.workload, fp, plan.cache.get()));
+      acc.add(runExperiment(*cell.workload, fp));
     }
     if (config_.record != nullptr &&
         !config_.record->appendShard(plan.meta, s, first, last - first,
@@ -309,7 +290,6 @@ std::vector<CampaignResult> CampaignSuite::run() const {
     result.config.threads = config_.threads;
     result.config.shardSize = config_.shardSize;
     result.config.maxShards = config_.maxShards;
-    result.config.pruning = config_.pruning;
     result.resumedExperiments = plan.resumedExperiments;
     for (const std::size_t s : plan.pending) plan.executed[s] = 1;
     for (std::size_t s = 0; s < plan.shards; ++s) {

@@ -66,7 +66,8 @@ struct SuiteProgress {
   std::size_t suiteTotalExperiments;
   bool resumed;  ///< this shard was merged from the results store
   /// Experiments short-circuited by outcome-equivalence pruning so far
-  /// (across the whole suite, fresh shards only; 0 with pruning off).
+  /// (across the whole suite, fresh shards only; 0 without a pruning
+  /// workload).
   std::size_t suiteShortCircuited;
 };
 
@@ -78,12 +79,6 @@ struct SuiteConfig {
   std::size_t threads = 0;    ///< shared pool size; 0 = hardware concurrency
   std::size_t shardSize = 0;  ///< experiments per shard; 0 = per-cell auto
   std::size_t maxShards = 0;  ///< per-cell cap on freshly executed shards
-  /// Outcome-equivalence pruning (fi/outcome_cache.hpp): one private cache
-  /// per cell whose workload carries a golden boundary-hash table
-  /// (PrunePolicy.enabled). Pure speedup — results are bit-identical with
-  /// it on or off; with a store bound, cache entries persist as "outcome"
-  /// records alongside (never inside) the cell's shard records.
-  bool pruning = false;
   CampaignStore* record = nullptr;        ///< append completed shards here
   const CampaignStore* resume = nullptr;  ///< merge recorded shards from here
 

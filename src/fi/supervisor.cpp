@@ -292,42 +292,20 @@ std::vector<CampaignResult> runSupervisedFleet(
     const std::string& storePath, const FleetSupervisorConfig& options,
     FleetSupervisor::Report* report) {
 #if !defined(_WIN32)
-  {
-    FleetBroker broker(storePath, options.fleet);
-    std::size_t submitted = 0;
-    for (std::size_t c = 0; c < suite.cellCount(); ++c) {
-      const SuiteCell& cell = suite.cell(c);
-      if (cell.workload == nullptr || cell.experiments == 0) continue;
-      const std::optional<CampaignStore::CellRecord> rec =
-          FleetBroker::makeCell(
-              cell.storeName, *cell.workload, cell.model, cell.experiments,
-              cell.seed,
-              resolveShardSize(cell.experiments, config.shardSize));
-      if (rec && broker.submit(*rec)) ++submitted;
-    }
-    if (submitted != 0 && options.workers != 0) {
-      FleetSupervisor supervisor(storePath, options);
-      FleetSupervisor::Report r = supervisor.run();
-      if (report != nullptr) *report = std::move(r);
-    }
-  }  // broker closes its store handle before the final pass reopens it
+  FleetSupervisorConfig supervised = options;
+  if (detail::submitSuite(suite, config, storePath, supervised.fleet) != 0 &&
+      options.workers != 0) {
+    FleetSupervisor supervisor(storePath, std::move(supervised));
+    FleetSupervisor::Report r = supervisor.run();
+    if (report != nullptr) *report = std::move(r);
+  }
 #else
   (void)options;
   if (report != nullptr) *report = {};
 #endif
-  // Final pass: a resume-bound suite completes any remainder — including
-  // quarantined shards, which makes this the built-in --force pass — and
-  // performs the merge, so the results are bit-identical to suite.run().
-  CampaignStore store(storePath, CampaignStore::WriteMode::Atomic);
-  store.load();
-  SuiteConfig finalConfig = config;
-  finalConfig.record = &store;
-  finalConfig.resume = &store;
-  CampaignSuite remainder(finalConfig);
-  for (std::size_t c = 0; c < suite.cellCount(); ++c) {
-    remainder.addCell(suite.cell(c));
-  }
-  return remainder.run();
+  // The remainder pass finishes quarantined shards too, which makes it the
+  // built-in --force pass.
+  return detail::finishInProcess(suite, std::move(config), storePath);
 }
 
 }  // namespace onebit::fi

@@ -116,12 +116,12 @@ struct ExecLimits {
   std::size_t maxHeapBytes = 32 << 20;
   std::size_t maxOutputBytes = 4 << 20;
   /// Maintain the incremental 64-bit state hash (vm/state_hash.hpp) while
-  /// running, exposing Machine::stateHash() / Snapshot::stateHash and
-  /// enabling Machine::runToBoundary(). Off by default: hashing never
-  /// changes execution semantics, but the per-write folds are not free, so
-  /// only the outcome-equivalence pruning layer (fi::OutcomeCache) turns it
-  /// on. Deliberately NOT part of any workload fingerprint — like snapshot
-  /// cadence, it must never affect results.
+  /// running, exposing Machine::stateHash() and enabling
+  /// Machine::runToBoundary(). Off by default: hashing never changes
+  /// execution semantics, but the per-write folds are not free, so only
+  /// outcome-equivalence pruning (fi::PrunePolicy) turns it on. Deliberately
+  /// NOT part of any workload fingerprint — like snapshot cadence, it must
+  /// never affect results.
   bool trackStateHash = false;
   /// Backend for the hook-free fast path. Like trackStateHash, a pure
   /// performance choice that never affects results and is NOT part of any
@@ -129,11 +129,10 @@ struct ExecLimits {
   /// opt into Threaded via the ONEBIT_DISPATCH bench knob.
   DispatchBackend dispatch = DispatchBackend::Switch;
   /// Optional precompiled stream for the module being executed. When null,
-  /// a Threaded run consults the per-process registry (ThreadedCode::get),
-  /// which re-validates the module's structural fingerprint on every run —
-  /// correct but O(module size). Callers that execute one module thousands
-  /// of times (fi::Workload) precompile once and pass the handle here.
-  /// Contract: must be ThreadedCode::get() of the exact module passed to
+  /// a Threaded run decodes the module itself (ThreadedCode::decode, O(module
+  /// size)). Callers that execute one module thousands of times
+  /// (fi::Workload) decode once and pass the handle here.
+  /// Contract: must be ThreadedCode::decode() of the exact module passed to
   /// execute()/Machine; a stream decoded from a different module is
   /// undefined behavior.
   std::shared_ptr<const ThreadedCode> threadedCode;

@@ -96,10 +96,7 @@ Machine::Machine(const ir::Module& mod, const Snapshot& snap,
   result_.output = snap.output;
   result_.outputTruncated = snap.outputTruncated;
 
-  // Rebuild the incremental hash components from the restored state. The
-  // snapshot's own stateHash field is deliberately ignored: recomputing
-  // keeps capture/resume hash invariance a checkable property instead of a
-  // stored promise.
+  // Rebuild the incremental hash components from the restored state.
   hashing_ = limits.trackStateHash;
   if (hashing_) {
     mem_.trackContentHash(true);
@@ -143,7 +140,6 @@ Snapshot Machine::capture() const {
   s.storeCandidates = storeCandidates_;
   s.outputTruncated = result_.outputTruncated;
   s.output = result_.output;
-  if (hashing_) s.stateHash = stateHash();
   return s;
 }
 
@@ -432,19 +428,14 @@ ExecResult Machine::run() {
 }
 
 void Machine::runThreaded() {
-  if (threaded_ == nullptr) {
-    // Prefer a caller-precompiled stream (fi::Workload passes one so the
-    // thousands of short runs a campaign makes skip the per-run registry
-    // fingerprint validation); fall back to the validating registry.
-    threaded_ = limits_.threadedCode != nullptr ? limits_.threadedCode
-                                                : ThreadedCode::get(mod_);
+  // Callers that run one module many times (fi::Workload) pass a stream
+  // decoded once; any other run decodes its module here.
+  if (limits_.threadedCode == nullptr) {
+    limits_.threadedCode = ThreadedCode::decode(mod_);
   }
-  if (threaded_ != nullptr) {
-    detail::runThreadedLoop(this, threaded_.get(), nullptr);
-  }
-  // The reference loop finishes what the threaded loop leaves running: a
-  // segment that fuel does not cover (so the run stops on the exact
-  // instruction), or the whole run when the decoder rejected the module.
+  detail::runThreadedLoop(this, limits_.threadedCode.get(), nullptr);
+  // The reference loop finishes the segment that fuel does not cover, so
+  // the run stops on the exact instruction.
   if (result_.status == ExecStatus::Ok && !halted_) dispatchLoop<false>(false);
 }
 

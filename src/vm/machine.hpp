@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -77,8 +76,7 @@ class Machine {
   /// that never exhausts simply runs to completion (returns false).
   bool runToBoundary(std::uint64_t grid);
 
-  /// Snapshot the current between-instructions state (stateHash stamped
-  /// when hashing is on).
+  /// Snapshot the current between-instructions state.
   [[nodiscard]] Snapshot capture() const;
 
   /// The incrementally maintained 64-bit state hash (requires
@@ -94,9 +92,9 @@ class Machine {
   [[nodiscard]] std::uint64_t computeStateHash() const;
 
   /// Stop maintaining the state hash for the rest of the run. Execution is
-  /// unchanged (the hash is passive), but stateHash() is stale afterwards
-  /// and snapshots are no longer stamped. Callers that made their pruning
-  /// decision at a boundary use this so the remainder runs at full speed.
+  /// unchanged (the hash is passive), but stateHash() is stale afterwards.
+  /// Callers that made their pruning decision at a boundary use this so the
+  /// remainder runs at full speed.
   void stopStateHashTracking() noexcept;
 
   /// Dynamic instructions executed so far.
@@ -142,10 +140,10 @@ class Machine {
   template <bool Hooked>
   void dispatchLoop(bool capturing);
 
-  /// Run the hook-free remainder on the direct-threaded backend (decoded
-  /// stream from ThreadedCode::get, executed by detail::runThreadedLoop).
-  /// The reference loop runs the segment in which fuel runs out, and the
-  /// whole remainder for modules the decoder rejects.
+  /// Run the hook-free remainder on the direct-threaded backend
+  /// (limits_.threadedCode, or ThreadedCode::decode when that is null,
+  /// executed by detail::runThreadedLoop). The reference loop runs the
+  /// segment in which fuel runs out.
   /// Preconditions: between instructions, hook-free/exhausted, not
   /// capturing, not hashing.
   void runThreaded();
@@ -182,9 +180,6 @@ class Machine {
   std::uint64_t framesHash_ = 0;  ///< XOR of parked (non-top) frame terms
   std::uint64_t outputHash_ = statehash::kFnvBasis;  ///< rolling FNV-1a
   std::uint64_t pauseAt_ = ~0ULL;  ///< runToBoundary pause point
-  /// Decoded stream for the threaded backend (fetched lazily on the first
-  /// hook-free segment when limits_.dispatch == DispatchBackend::Threaded).
-  std::shared_ptr<const ThreadedCode> threaded_;
 };
 
 }  // namespace onebit::vm

@@ -58,11 +58,6 @@ struct Snapshot {
   std::uint64_t storeCandidates = 0;  ///< store-event stream position
   bool outputTruncated = false;
   std::string output;  ///< program output produced so far
-  /// Machine::stateHash() at the capture point when the capturing run had
-  /// ExecLimits::trackStateHash set; 0 otherwise. Not part of the resumed
-  /// state — a resumed hashing run recomputes it from the images — but
-  /// callers use it to cross-check capture/resume hash invariance.
-  std::uint64_t stateHash = 0;
 
   /// Approximate heap footprint (for snapshot-cache byte budgets).
   [[nodiscard]] std::size_t byteSize() const noexcept;

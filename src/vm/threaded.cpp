@@ -1,33 +1,10 @@
 #include "vm/threaded.hpp"
 
-#include <mutex>
-#include <unordered_map>
-
-#include "util/rng.hpp"
+#include <stdexcept>
 
 namespace onebit::vm {
 
 namespace {
-
-std::uint64_t hashInstr(std::uint64_t h, const ir::Instr& in) noexcept {
-  using util::hashCombine;
-  h = hashCombine(h, static_cast<std::uint64_t>(in.op) |
-                         (static_cast<std::uint64_t>(in.type) << 8) |
-                         (static_cast<std::uint64_t>(in.intrinsic) << 16) |
-                         (static_cast<std::uint64_t>(in.printKind) << 24));
-  h = hashCombine(h, (static_cast<std::uint64_t>(in.dest) << 32) | in.width);
-  h = hashCombine(h, (static_cast<std::uint64_t>(in.target0) << 32) |
-                         in.target1);
-  h = hashCombine(h, in.callee);
-  h = hashCombine(h, static_cast<std::uint64_t>(in.offset));
-  h = hashCombine(h, in.imm);
-  h = hashCombine(h, in.operands.size());
-  for (const ir::Operand& o : in.operands) {
-    h = hashCombine(h, o.isReg() ? (1ULL << 32) | o.reg : 0ULL);
-    h = hashCombine(h, o.isReg() ? 0ULL : o.imm);
-  }
-  return h;
-}
 
 /// True for the Ops after which control may leave straight-line order.
 bool endsSegment(ir::Opcode op) noexcept {
@@ -45,19 +22,19 @@ std::uint32_t countsWrite(const ir::Instr& in) noexcept {
              : 0;
 }
 
-/// Decode `mod` into a fresh stream, or nullptr for unsupported shapes.
-std::shared_ptr<const ThreadedCode> build(const ir::Module& mod,
-                                          std::uint64_t fingerprint) {
+}  // namespace
+
+std::shared_ptr<const ThreadedCode> ThreadedCode::decode(
+    const ir::Module& mod) {
   // The label table is owned by the loop translation unit; null labels mean
   // the portable loop (switch over Op::handler) runs the stream instead.
   const void* const* labels = nullptr;
   detail::runThreadedLoop(nullptr, nullptr, &labels);
 
   auto code = std::make_shared<ThreadedCode>();
-  code->fingerprint = fingerprint;
   code->fns.reserve(mod.functions.size());
   for (const ir::Function& fn : mod.functions) {
-    ThreadedCode::FnCode fc;
+    FnCode fc;
     fc.opBase = static_cast<std::uint32_t>(code->ops.size());
     fc.numRegs = fn.numRegs;
     fc.frameSize = (static_cast<std::uint64_t>(fn.frameBytes) + 7U) & ~7ULL;
@@ -72,14 +49,18 @@ std::shared_ptr<const ThreadedCode> build(const ir::Module& mod,
       const std::size_t blockBase = code->ops.size();
       for (std::size_t ii = 0; ii < bb.instrs.size(); ++ii) {
         const ir::Instr& in = bb.instrs[ii];
-        if (in.operands.size() > ThreadedCode::kMaxOperands) return nullptr;
-        ThreadedCode::Op op;
+        if (in.operands.size() > kMaxOperands) {
+          throw std::invalid_argument(
+              "ThreadedCode::decode: instruction wider than ir::kMaxOperands "
+              "(module did not pass ir::verify)");
+        }
+        Op op;
         op.handler = static_cast<std::uint8_t>(in.op);
-        if (ThreadedCode::fusesMove(in.op) && ii + 1 < bb.instrs.size()) {
+        if (fusesMove(in.op) && ii + 1 < bb.instrs.size()) {
           const ir::Instr& next = bb.instrs[ii + 1];
           if (next.op == ir::Opcode::Move && next.operands.size() == 1 &&
               next.operands[0].isReg() && next.operands[0].reg == in.dest) {
-            op.handler += ThreadedCode::kNumOpcodes;
+            op.handler += kNumOpcodes;
           }
         }
         if (labels != nullptr) op.label = labels[op.handler];
@@ -90,7 +71,7 @@ std::shared_ptr<const ThreadedCode> build(const ir::Module& mod,
         op.argBase = static_cast<std::uint32_t>(code->args.size());
         bool anyReg = false;
         for (const ir::Operand& o : in.operands) {
-          ThreadedCode::Arg a;
+          Arg a;
           if (o.isReg()) {
             a.reg = o.reg;
             anyReg = true;
@@ -138,7 +119,7 @@ std::shared_ptr<const ThreadedCode> build(const ir::Module& mod,
       std::uint32_t writes = 0;
       for (std::size_t ii = bb.instrs.size(); ii-- > 0;) {
         const ir::Instr& in = bb.instrs[ii];
-        ThreadedCode::Op& op = code->ops[blockBase + ii];
+        Op& op = code->ops[blockBase + ii];
         if (endsSegment(in.op)) instrs = reads = writes = 0;
         op.segInstrs = ++instrs;
         op.segReads = reads += op.countsRead;
@@ -148,63 +129,6 @@ std::shared_ptr<const ThreadedCode> build(const ir::Module& mod,
     code->fns.push_back(std::move(fc));
   }
   return code;
-}
-
-}  // namespace
-
-std::uint64_t ThreadedCode::structuralFingerprint(
-    const ir::Module& mod) noexcept {
-  using util::hashCombine;
-  std::uint64_t h = hashCombine(0x7468726561646564ULL, mod.entry);
-  h = hashCombine(h, mod.functions.size());
-  for (const ir::Function& fn : mod.functions) {
-    h = hashCombine(h, (static_cast<std::uint64_t>(fn.numParams) << 32) |
-                           fn.numRegs);
-    h = hashCombine(h, static_cast<std::uint64_t>(fn.frameBytes));
-    h = hashCombine(h, fn.blocks.size());
-    for (const ir::BasicBlock& bb : fn.blocks) {
-      h = hashCombine(h, bb.instrs.size());
-      for (const ir::Instr& in : bb.instrs) h = hashInstr(h, in);
-    }
-  }
-  return h;
-}
-
-std::shared_ptr<const ThreadedCode> ThreadedCode::get(const ir::Module& mod) {
-  // Address-keyed registry, fingerprint-validated: a module destroyed and
-  // another constructed at the same address gets a fresh decode (equal
-  // fingerprints would mean the decode is bit-identical anyway). Unsupported
-  // modules are cached as null so repeat callers skip the rebuild attempt.
-  static std::mutex mu;
-  static std::unordered_map<const ir::Module*,
-                            std::pair<std::uint64_t,
-                                      std::shared_ptr<const ThreadedCode>>>
-      registry;
-  constexpr std::size_t kMaxEntries = 256;
-
-  const std::uint64_t fp = structuralFingerprint(mod);
-  {
-    const std::lock_guard<std::mutex> lock(mu);
-    auto it = registry.find(&mod);
-    if (it != registry.end() && it->second.first == fp) {
-      return it->second.second;
-    }
-  }
-  std::shared_ptr<const ThreadedCode> built = build(mod, fp);
-  const std::lock_guard<std::mutex> lock(mu);
-  auto& slot = registry[&mod];
-  if (slot.first != fp || (slot.second == nullptr) != (built == nullptr)) {
-    slot = {fp, built};
-  }
-  if (registry.size() > kMaxEntries) {
-    // Generation flush: drop everything but the entry just used. Decoding is
-    // cheap relative to the campaigns that reach this size, and a bound on
-    // the registry beats an LRU's bookkeeping here.
-    auto keep = *registry.find(&mod);
-    registry.clear();
-    registry.insert(keep);
-  }
-  return slot.second;
 }
 
 }  // namespace onebit::vm

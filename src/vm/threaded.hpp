@@ -29,10 +29,9 @@
 // and skips the Move. The Move keeps its own Op (and plain handler), so the
 // layout invariant holds and entering the stream at the Move still works.
 //
-// Decoded streams are immutable and shared: ThreadedCode::get() keeps a
-// small registry keyed by module address, validated by a full structural
-// fingerprint of every field the decode reads — an address reused by a new
-// module re-decodes instead of replaying stale code.
+// Decoded streams are immutable and shared: ThreadedCode::decode() builds
+// one per module, and callers that run a module many times (fi::Workload)
+// decode once and pass the stream to every run via ExecLimits::threadedCode.
 #pragma once
 
 #include <cstdint>
@@ -52,8 +51,7 @@ class ThreadedCode {
   /// (used only for opcodes where fusesMove() holds).
   static constexpr std::size_t kNumHandlers = 2 * kNumOpcodes;
   /// Operand slots per instruction (ir::kMaxOperands, which ir::verify
-  /// enforces). The decoder keeps the bound as a guard: an unverified module
-  /// beyond it decodes to nullptr.
+  /// enforces).
   static constexpr std::size_t kMaxOperands = ir::kMaxOperands;
 
   /// Opcodes whose Op takes the fused handler when the next instruction of
@@ -108,20 +106,12 @@ class ThreadedCode {
   std::vector<Op> ops;
   std::vector<Arg> args;
   std::vector<FnCode> fns;
-  std::uint64_t fingerprint = 0;  ///< structuralFingerprint at build time
 
-  /// The decoded stream for `mod`, from the registry when the cached entry's
-  /// fingerprint still matches, freshly built otherwise. Returns nullptr for
-  /// an unverified module with an instruction wider than kMaxOperands.
-  /// Thread-safe; the returned stream is immutable and outlives the module
-  /// reference (callers keep the shared_ptr).
-  static std::shared_ptr<const ThreadedCode> get(const ir::Module& mod);
-
-  /// Hash of every module field the decode reads (functions, blocks,
-  /// instruction attributes, operands). Equal fingerprints produce
-  /// bit-identical decoded streams, which makes the address-keyed registry
-  /// safe against module destruction + address reuse.
-  static std::uint64_t structuralFingerprint(const ir::Module& mod) noexcept;
+  /// Decode `mod`, which must have passed ir::verify. Throws
+  /// std::invalid_argument for an instruction wider than kMaxOperands (only
+  /// an unverified module has one). The returned stream is immutable and
+  /// independent of the module object.
+  static std::shared_ptr<const ThreadedCode> decode(const ir::Module& mod);
 };
 
 class Machine;

@@ -168,6 +168,33 @@ TEST_F(AnalyticsFixture, TornTailAndGarbageDoNotChangeAggregates) {
   EXPECT_EQ(torn.campaigns().at(kKey).recordedExperiments(), kExperiments);
 }
 
+TEST_F(AnalyticsFixture, LegacyOutcomeLinesCountAsUnknownInTheSummary) {
+  {
+    CampaignStore store(path_);
+    store.load();
+    writeShards(store, 3);
+  }
+  Dataset clean;
+  clean.addStore(path_);
+  {
+    // An "outcome" record of the outcome cache older pruning builds kept.
+    std::ofstream out(path_, std::ios::app);
+    out << R"({"v":1,"kind":"outcome","key":"0x0000000000000001","boundary":64,"hash":"0x0000000000000002","outcome":0,"trap":0,"instructions":10})"
+        << "\n";
+  }
+  Dataset legacy;
+  legacy.addStore(path_);
+  EXPECT_EQ(legacy.campaigns().at(kKey).totals().raw(),
+            clean.campaigns().at(kKey).totals().raw());
+  const util::Json summary = summaryJson(legacy, 0);
+  const util::Json& source = summary.find("sources")->items().at(0);
+  EXPECT_EQ(source.find("unknown")->asUint(), 1u);
+  EXPECT_EQ(source.find("malformed")->asUint(), 0u);
+  EXPECT_EQ(source.find("outcome_records"), nullptr);
+  EXPECT_NE(renderSummaryText(legacy, 0).find("0 malformed, 1 unknown"),
+            std::string::npos);
+}
+
 TEST_F(AnalyticsFixture, CompactedStoreAggregatesIdentically) {
   const std::string dup = path_ + ".dup";
   {

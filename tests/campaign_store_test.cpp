@@ -1035,6 +1035,52 @@ TEST_F(CampaignStoreFsckFixture, GarbageBetweenValidRecordsIsQuarantined) {
   expectRepairedResume(kExperiments / kShardSize);
 }
 
+TEST_F(CampaignStoreFsckFixture, LegacyOutcomeLinesLoadAsUnknownKinds) {
+  // Stores written by older pruning builds carry "outcome" records of a
+  // since-deleted outcome cache (including ones that build rejected as
+  // malformed). They are an unknown kind now: never damage, never results.
+  const std::vector<std::string> legacy = {
+      R"({"v":1,"kind":"outcome","key":"0x0000000000000001","boundary":64,"hash":"0x0000000000000002","outcome":0,"trap":0,"instructions":10})",
+      R"({"v":1,"kind":"outcome","key":"0x0000000000000001","boundary":64,"hash":"0x0000000000000003","outcome":99,"trap":0,"instructions":10})",
+      R"({"v":1,"kind":"outcome","key":"0x0000000000000001","boundary":64,"hash":"0x0000000000000004","outcome":0,"trap":77,"instructions":10})",
+      R"({"v":1,"kind":"outcome","key":"0x0000000000000001","boundary":64,"outcome":0,"trap":0,"instructions":10})",
+      R"({"v":1,"kind":"outcome","key":"0x0000000000000001","boundary":0,"hash":"0x0000000000000005","outcome":0,"trap":0,"instructions":10})",
+  };
+  recordAndMutate([&](std::vector<std::string>& lines) {
+    for (std::size_t i = 0; i < legacy.size(); ++i) {
+      lines.insert(lines.begin() + static_cast<std::ptrdiff_t>(2 * i + 1),
+                   legacy[i]);
+    }
+  });
+  {
+    CampaignStore store(path_);
+    const CampaignStore::LoadStats loaded = store.load();
+    EXPECT_EQ(loaded.shardRecords, kExperiments / kShardSize);
+    EXPECT_EQ(loaded.unknownKinds, legacy.size());
+    EXPECT_EQ(loaded.malformed, legacy.size());  // unknown kinds, nothing else
+    CampaignEngine engine(baseConfig());
+    engine.resumeFrom(store);
+    const CampaignResult r = engine.run(*workload_);
+    const CampaignResult ref = uninterrupted();
+    EXPECT_EQ(r.resumedExperiments, kExperiments);
+    EXPECT_EQ(r.counts, ref.counts);
+    EXPECT_EQ(r.activationHist, ref.activationHist);
+  }
+  const auto check = CampaignStore::fsck(path_, /*repair=*/true);
+  ASSERT_TRUE(check.has_value());
+  EXPECT_TRUE(check->clean());  // preserved as a possibly-future kind
+  EXPECT_EQ(check->unknownKinds, legacy.size());
+  EXPECT_FALSE(check->rewritten);
+
+  const auto compacted = CampaignStore::compact(path_);
+  ASSERT_TRUE(compacted.has_value());
+  EXPECT_EQ(compacted->droppedMalformed, legacy.size());
+  EXPECT_EQ(compacted->shardRecords, kExperiments / kShardSize);
+  EXPECT_TRUE(compacted->rewritten);
+  // Loads with nothing malformed left: compact() dropped every legacy line.
+  expectRepairedResume(kExperiments / kShardSize);
+}
+
 TEST_F(CampaignStoreFsckFixture, TornTailAndConflictAreToldApart) {
   recordAndMutate([](std::vector<std::string>& lines) {
     // A conflicting rewrite of some record: same identity, different bytes.

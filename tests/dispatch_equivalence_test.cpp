@@ -144,7 +144,6 @@ TEST(DispatchEquivalence, CellsBitIdenticalAcrossBackendThreadsSnapshotsPrune) {
           const WorkloadSet set = buildWorkloads(backend, snapshots, prune);
           SuiteConfig cfg;
           cfg.threads = threads;
-          cfg.pruning = prune;
           CampaignSuite suite(cfg);
           addCells(suite, set);
           const std::vector<CampaignResult> got = suite.run();

@@ -3,7 +3,8 @@
 // (on a fake clock, so expiry is deterministic), the same-host dead-pid
 // fast path, SIGKILL-a-worker fault tolerance through runFleet, shard-record
 // byte identity between fleet and solo stores, stalled-worker semantics for
-// unresolvable cells, and compaction of a finished fleet store.
+// unresolvable cells, compaction of a finished fleet store, and forked
+// workers running the suite's own workloads when no resolver is given.
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -11,6 +12,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -19,6 +21,7 @@
 #include "fi/campaign_store.hpp"
 #include "fi/fleet.hpp"
 #include "fi/suite.hpp"
+#include "fi/supervisor.hpp"
 #include "lang/compile.hpp"
 #include "util/file_lock.hpp"
 
@@ -465,6 +468,60 @@ TEST_F(FleetFixture, CompactDropsEveryLeaseOfAFinishedFleetRun) {
   for (std::size_t i = 0; i < cells.size(); ++i) {
     EXPECT_EQ(resumed[i].resumedExperiments, cells[i].experiments);
     EXPECT_EQ(resumed[i].counts, solo(cells[i]).counts);
+  }
+}
+
+TEST_F(FleetFixture, ForkedWorkersRunTheSuiteWorkloadsWithoutAResolver) {
+  // No resolver: the fixture's MiniC workloads are not in the progs
+  // registry, so only the suite cells' own workloads can run them. A
+  // completion lease (cost_ms stamped, a worker id named) as the newest
+  // lease of every shard proves the forked workers recorded the shards, not
+  // the in-process remainder pass.
+  const std::vector<CellSpec> cells = mixedCells();
+  SuiteConfig config;
+  config.shardSize = 16;
+  const CampaignSuite suite = makeSuite(cells, config);
+  FleetConfig fleet;
+  fleet.pollMs = 2;
+  for (const bool supervised : {false, true}) {
+    cleanup();
+    const char* const mode = supervised ? "runSupervisedFleet" : "runFleet";
+    std::vector<CampaignResult> results;
+    if (supervised) {
+      FleetSupervisorConfig options;
+      options.workers = 2;
+      options.fleet = fleet;
+      results = runSupervisedFleet(suite, config, path_, options);
+    } else {
+      LocalFleetOptions options;
+      options.workers = 2;
+      options.config = fleet;
+      results = runFleet(suite, config, path_, options);
+    }
+    ASSERT_EQ(results.size(), cells.size()) << mode;
+    for (std::size_t i = 0; i < cells.size(); ++i) {
+      const CampaignResult ref = solo(cells[i]);
+      EXPECT_EQ(results[i].counts, ref.counts) << mode << " cell " << i;
+      EXPECT_EQ(results[i].activationHist, ref.activationHist)
+          << mode << " cell " << i;
+      EXPECT_TRUE(results[i].complete()) << mode << " cell " << i;
+    }
+    CampaignStore store(path_, CampaignStore::WriteMode::Atomic);
+    store.load();
+    ASSERT_EQ(store.cells().size(), cells.size()) << mode;
+    for (const CampaignStore::CellRecord& cell : store.cells()) {
+      for (std::size_t s = 0; s < cell.shardCount(); ++s) {
+        const std::optional<CampaignStore::LeaseRecord> lease =
+            store.latestLease(cell.key, cell.shardFirst(s),
+                              cell.shardExperiments(s));
+        ASSERT_TRUE(lease.has_value())
+            << mode << " " << cell.workload << " shard " << s;
+        EXPECT_NE(lease->costMs, 0u)
+            << mode << " " << cell.workload << " shard " << s;
+        EXPECT_NE(lease->worker.find(':'), std::string::npos)
+            << mode << " worker id '" << lease->worker << "'";
+      }
+    }
   }
 }
 

@@ -1,11 +1,14 @@
-// Unit tests for src/ir: types, builder, verifier, printer.
+// Unit tests for src/ir: types, builder, verifier, printer — and the
+// threaded decoder's refusal of what the verifier rejects.
 #include <cstring>
+#include <stdexcept>
 
 #include <gtest/gtest.h>
 
 #include "ir/builder.hpp"
 #include "ir/printer.hpp"
 #include "ir/verifier.hpp"
+#include "vm/threaded.hpp"
 
 namespace onebit::ir {
 namespace {
@@ -260,23 +263,29 @@ TEST(Verifier, CallArgCountMismatchFails) {
   EXPECT_FALSE(verify(mod).empty());
 }
 
+/// `main` calling a `params`-argument void function.
+Module callWithParams(std::uint32_t params) {
+  Module mod;
+  IRBuilder b(mod);
+  const auto f = b.createFunction("f", Type::Void, params);
+  auto bb = b.createBlock("entry");
+  b.setInsertBlock(bb);
+  b.emitRetVoid();
+  b.createFunction("main", Type::I64, 0);
+  bb = b.createBlock("entry");
+  b.setInsertBlock(bb);
+  b.emitCall(f, std::vector<Operand>(params, Operand::makeImm(1)),
+             Type::Void);
+  b.emitRet(Operand::makeImm(0));
+  mod.entry = 1;
+  return mod;
+}
+
 TEST(Verifier, CallWiderThanOperandSlotsFails) {
   // A well-matched call is still rejected past ir::kMaxOperands operands:
   // both interpreter loops gather operands into that many slots.
   for (const std::uint32_t params : {8U, 10U}) {
-    Module mod;
-    IRBuilder b(mod);
-    const auto f = b.createFunction("f", Type::Void, params);
-    auto bb = b.createBlock("entry");
-    b.setInsertBlock(bb);
-    b.emitRetVoid();
-    b.createFunction("main", Type::I64, 0);
-    bb = b.createBlock("entry");
-    b.setInsertBlock(bb);
-    b.emitCall(f, std::vector<Operand>(params, Operand::makeImm(1)),
-               Type::Void);
-    b.emitRet(Operand::makeImm(0));
-    mod.entry = 1;
+    const Module mod = callWithParams(params);
     const auto errors = verify(mod);
     if (params <= kMaxOperands) {
       EXPECT_TRUE(errors.empty()) << params;
@@ -287,6 +296,14 @@ TEST(Verifier, CallWiderThanOperandSlotsFails) {
           << errors[0].message;
     }
   }
+}
+
+TEST(ThreadedDecode, ThrowsOnACallWiderThanOperandSlots) {
+  // The decoder is total over verified modules; the one shape the verifier
+  // rejects for operand width is a typed error, never a null stream.
+  EXPECT_NE(vm::ThreadedCode::decode(callWithParams(kMaxOperands)), nullptr);
+  EXPECT_THROW((void)vm::ThreadedCode::decode(callWithParams(kMaxOperands + 1)),
+               std::invalid_argument);
 }
 
 TEST(Verifier, BadLoadWidthFails) {

@@ -1,18 +1,16 @@
 // Differential equivalence harness for outcome-equivalence pruning: the
-// "pure speedup" contract of fi::OutcomeCache and CampaignConfig::pruning.
+// "pure speedup" contract of a Workload built with PrunePolicy::on().
 //
 //  * a bench-style cell mix (two workloads × all four fault domains ×
 //    single-bit / multi-bit / burst patterns) produces bit-identical
-//    OutcomeCounts and activation histograms with pruning on and off, for
-//    thread counts {1, 8} and several shard sizes — while actually
-//    short-circuiting a nonzero share of experiments;
-//  * store shard records written under pruning are byte-identical to the
-//    unpruned ones; "outcome" records appear alongside, never instead;
-//  * capped checkpoint runs (maxShards) resumed across fresh store loads —
-//    with the outcome cache warmed from disk each cycle — converge to the
-//    exact uninterrupted unpruned result;
-//  * OutcomeCache persists through CampaignStore and warms back verbatim;
-//    compact() keeps outcome records and dedups them.
+//    OutcomeCounts and activation histograms on pruning and plain
+//    workloads, for thread counts {1, 8} and several shard sizes — while
+//    actually short-circuiting a nonzero share of experiments — and the
+//    per-cell PruneStats do not depend on threads or shard size;
+//  * a store written under pruning is byte-identical (as a sorted set of
+//    lines) to the unpruned one;
+//  * capped checkpoint runs (maxShards) resumed across fresh store loads
+//    converge to the exact uninterrupted unpruned result.
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -24,7 +22,6 @@
 
 #include "fi/campaign.hpp"
 #include "fi/campaign_store.hpp"
-#include "fi/outcome_cache.hpp"
 #include "fi/suite.hpp"
 #include "lang/compile.hpp"
 
@@ -131,7 +128,7 @@ void expectSameResults(const std::vector<CampaignResult>& got,
 
 std::size_t totalShortCircuited(const std::vector<CampaignResult>& results) {
   std::size_t total = 0;
-  for (const CampaignResult& r : results) total += r.prune.shortCircuited();
+  for (const CampaignResult& r : results) total += r.prune.goldenHits;
   return total;
 }
 
@@ -145,12 +142,12 @@ TEST(PruneEquivalence, SuiteBitIdenticalAcrossThreadsAndShardSizes) {
   const std::vector<CampaignResult> baseline = off.run();
   ASSERT_EQ(totalShortCircuited(baseline), 0u);
 
+  std::vector<PruneStats> firstStats;
   for (const std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
     for (const std::size_t shardSize : {std::size_t{0}, std::size_t{17}}) {
       SuiteConfig onCfg;
       onCfg.threads = threads;
       onCfg.shardSize = shardSize;
-      onCfg.pruning = true;
       CampaignSuite on(onCfg);
       addCells(on, bench.hashed);
       std::size_t lastShortCircuited = 0;
@@ -166,18 +163,24 @@ TEST(PruneEquivalence, SuiteBitIdenticalAcrossThreadsAndShardSizes) {
       // vacuous.
       EXPECT_GT(totalShortCircuited(pruned), 0u) << context;
       EXPECT_EQ(lastShortCircuited, totalShortCircuited(pruned)) << context;
+      // Each experiment's prune event depends on its plan alone, so the
+      // per-cell counters are scheduling-independent.
+      if (firstStats.empty()) {
+        for (const CampaignResult& r : pruned) firstStats.push_back(r.prune);
+      }
+      ASSERT_EQ(pruned.size(), firstStats.size()) << context;
+      for (std::size_t c = 0; c < pruned.size(); ++c) {
+        EXPECT_EQ(pruned[c].prune, firstStats[c]) << context << " cell " << c;
+      }
     }
   }
 }
 
-std::vector<std::string> linesOfKind(const std::string& path,
-                                     const std::string& kind) {
+std::vector<std::string> sortedLines(const std::string& path) {
   std::ifstream in(path);
   std::vector<std::string> out;
-  const std::string needle = "\"kind\":\"" + kind + "\"";
-  for (std::string line; std::getline(in, line);) {
-    if (line.find(needle) != std::string::npos) out.push_back(line);
-  }
+  for (std::string line; std::getline(in, line);) out.push_back(line);
+  std::sort(out.begin(), out.end());
   return out;
 }
 
@@ -191,7 +194,7 @@ std::string tempStorePath(const char* tag) {
   return path;
 }
 
-TEST(PruneEquivalence, StoreShardRecordsByteIdenticalOutcomesAlongside) {
+TEST(PruneEquivalence, StoreByteIdenticalToTheUnprunedStore) {
   const Bench bench = buildBench();
   const std::string offPath = tempStorePath("off");
   const std::string onPath = tempStorePath("on");
@@ -208,7 +211,6 @@ TEST(PruneEquivalence, StoreShardRecordsByteIdenticalOutcomesAlongside) {
     CampaignStore store(onPath);
     SuiteConfig cfg;
     cfg.threads = 4;
-    cfg.pruning = true;
     cfg.record = &store;
     CampaignSuite suite(cfg);
     addCells(suite, bench.hashed);
@@ -216,30 +218,26 @@ TEST(PruneEquivalence, StoreShardRecordsByteIdenticalOutcomesAlongside) {
     ASSERT_GT(totalShortCircuited(pruned), 0u);
   }
 
-  // Shard records must be byte-identical (shard completion order is thread
-  // timing, so compare as sorted sets of lines)...
-  std::vector<std::string> offShards = linesOfKind(offPath, "shard");
-  std::vector<std::string> onShards = linesOfKind(onPath, "shard");
-  std::sort(offShards.begin(), offShards.end());
-  std::sort(onShards.begin(), onShards.end());
-  ASSERT_FALSE(offShards.empty());
-  EXPECT_EQ(onShards, offShards);
-
-  // ...with the pruned store carrying its cache as a separate record kind.
-  EXPECT_TRUE(linesOfKind(offPath, "outcome").empty());
-  EXPECT_FALSE(linesOfKind(onPath, "outcome").empty());
+  // The whole files must match (shard completion order is thread timing,
+  // so compare as sorted sets of lines) — pruning writes nothing of its own.
+  const std::vector<std::string> offLines = sortedLines(offPath);
+  const std::vector<std::string> onLines = sortedLines(onPath);
+  ASSERT_FALSE(offLines.empty());
+  EXPECT_EQ(onLines, offLines);
+  for (const std::string& line : onLines) {
+    EXPECT_EQ(line.find("\"kind\":\"outcome\""), std::string::npos) << line;
+  }
 
   CampaignStore reload(onPath);
   const CampaignStore::LoadStats stats = reload.load();
   EXPECT_EQ(stats.malformed, 0u);
-  EXPECT_GT(stats.outcomeRecords, 0u);
-  EXPECT_EQ(stats.outcomeRecords, linesOfKind(onPath, "outcome").size());
+  EXPECT_EQ(stats.shardRecords, onLines.size());
 
   std::remove(offPath.c_str());
   std::remove(onPath.c_str());
 }
 
-TEST(PruneEquivalence, CappedResumeCyclesWithWarmCacheConverge) {
+TEST(PruneEquivalence, CappedResumeCyclesConverge) {
   const Bench bench = buildBench();
 
   SuiteConfig offCfg;
@@ -250,21 +248,16 @@ TEST(PruneEquivalence, CappedResumeCyclesWithWarmCacheConverge) {
 
   const std::string path = tempStorePath("cycle");
   std::vector<CampaignResult> merged;
-  bool sawWarmOutcomes = false;
-  // Each cycle reopens the store cold — shards resume from disk and the
-  // outcome cache warms from the recorded "outcome" lines — and executes at
-  // most one fresh shard per cell, like a repeatedly killed campaign.
+  // Each cycle reopens the store cold — shards resume from disk — and
+  // executes at most one fresh shard per cell, like a repeatedly killed
+  // campaign.
   for (int cycle = 0; cycle < 64; ++cycle) {
     CampaignStore store(path);
     const CampaignStore::LoadStats loaded = store.load();
     EXPECT_EQ(loaded.malformed, 0u) << "cycle " << cycle;
-    if (cycle > 0) {
-      sawWarmOutcomes = sawWarmOutcomes || loaded.outcomeRecords > 0;
-    }
     SuiteConfig cfg;
     cfg.threads = 2;
     cfg.maxShards = 1;
-    cfg.pruning = true;
     cfg.record = &store;
     cfg.resume = &store;
     CampaignSuite suite(cfg);
@@ -275,108 +268,7 @@ TEST(PruneEquivalence, CappedResumeCyclesWithWarmCacheConverge) {
     if (complete) break;
   }
   for (const CampaignResult& r : merged) ASSERT_TRUE(r.complete());
-  EXPECT_TRUE(sawWarmOutcomes);
   expectSameResults(merged, baseline, "capped resume cycles");
-  std::remove(path.c_str());
-}
-
-TEST(OutcomeCachePersistence, RoundTripsThroughTheStore) {
-  const std::string path = tempStorePath("cache");
-  const std::uint64_t key = CampaignStore::outcomeCacheKey(0xfeedface);
-  ASSERT_NE(key, 0xfeedfaceULL);  // derived, never equal to the campaign key
-  {
-    CampaignStore store(path);
-    OutcomeCache cache;
-    cache.bindStore(&store, key);
-    cache.insert(128, 0xaaaa, {stats::Outcome::SDC, vm::TrapKind::None, 900});
-    cache.insert(256, 0xbbbb,
-                 {stats::Outcome::Detected, vm::TrapKind::SegFault, 450});
-    cache.insert(128, 0xaaaa, {stats::Outcome::Hang, vm::TrapKind::None, 1});
-    EXPECT_EQ(cache.size(), 2u);  // duplicate insert is a no-op
-  }
-  CampaignStore reloaded(path);
-  const CampaignStore::LoadStats stats = reloaded.load();
-  EXPECT_EQ(stats.outcomeRecords, 2u);
-  EXPECT_EQ(stats.malformed, 0u);
-
-  OutcomeCache warm;
-  EXPECT_EQ(warm.warmFrom(reloaded, key), 2u);
-  const auto hit = warm.find(128, 0xaaaa);
-  ASSERT_TRUE(hit.has_value());
-  EXPECT_EQ(hit->outcome, stats::Outcome::SDC);  // first insert won
-  EXPECT_EQ(hit->instructions, 900u);
-  const auto trapHit = warm.find(256, 0xbbbb);
-  ASSERT_TRUE(trapHit.has_value());
-  EXPECT_EQ(trapHit->trap, vm::TrapKind::SegFault);
-  EXPECT_FALSE(warm.find(128, 0xcccc).has_value());
-
-  // A different campaign's cache key sees nothing.
-  OutcomeCache other;
-  EXPECT_EQ(other.warmFrom(reloaded, key ^ 1), 0u);
-  std::remove(path.c_str());
-}
-
-TEST(OutcomeCachePersistence, CompactKeepsAndDedupsOutcomeRecords) {
-  const std::string path = tempStorePath("compact");
-  const std::uint64_t key = CampaignStore::outcomeCacheKey(0x1234);
-  {
-    CampaignStore store(path);
-    CampaignStore::OutcomeRecord rec;
-    rec.boundary = 64;
-    rec.hash = 0xdead;
-    rec.outcome = stats::Outcome::Benign;
-    rec.instructions = 321;
-    ASSERT_TRUE(store.appendOutcome(key, rec));
-  }
-  {
-    // A second writer instance re-appends the same record (its in-memory
-    // index is empty at open — the concurrent-writers scenario compaction
-    // exists for).
-    CampaignStore store(path);
-    CampaignStore::OutcomeRecord rec;
-    rec.boundary = 64;
-    rec.hash = 0xdead;
-    rec.outcome = stats::Outcome::Benign;
-    rec.instructions = 321;
-    ASSERT_TRUE(store.appendOutcome(key, rec));
-  }
-  ASSERT_EQ(linesOfKind(path, "outcome").size(), 2u);
-
-  const auto stats = CampaignStore::compact(path);
-  ASSERT_TRUE(stats.has_value());
-  EXPECT_EQ(stats->outcomeRecords, 1u);
-  EXPECT_EQ(stats->droppedDuplicates, 1u);
-  EXPECT_TRUE(stats->rewritten);
-  EXPECT_EQ(linesOfKind(path, "outcome").size(), 1u);
-
-  CampaignStore reloaded(path);
-  EXPECT_EQ(reloaded.load().outcomeRecords, 1u);
-  OutcomeCache warm;
-  EXPECT_EQ(warm.warmFrom(reloaded, key), 1u);
-  std::remove(path.c_str());
-}
-
-TEST(OutcomeCachePersistence, MalformedOutcomeRecordsAreRejected) {
-  const std::string path = tempStorePath("malformed");
-  {
-    std::ofstream out(path);
-    // Valid record, then: bad outcome enum, bad trap enum, missing hash,
-    // boundary zero.
-    out << R"({"v":1,"kind":"outcome","key":"0x0000000000000001","boundary":64,"hash":"0x0000000000000002","outcome":0,"trap":0,"instructions":10})"
-        << "\n";
-    out << R"({"v":1,"kind":"outcome","key":"0x0000000000000001","boundary":64,"hash":"0x0000000000000003","outcome":99,"trap":0,"instructions":10})"
-        << "\n";
-    out << R"({"v":1,"kind":"outcome","key":"0x0000000000000001","boundary":64,"hash":"0x0000000000000004","outcome":0,"trap":77,"instructions":10})"
-        << "\n";
-    out << R"({"v":1,"kind":"outcome","key":"0x0000000000000001","boundary":64,"outcome":0,"trap":0,"instructions":10})"
-        << "\n";
-    out << R"({"v":1,"kind":"outcome","key":"0x0000000000000001","boundary":0,"hash":"0x0000000000000005","outcome":0,"trap":0,"instructions":10})"
-        << "\n";
-  }
-  CampaignStore store(path);
-  const CampaignStore::LoadStats stats = store.load();
-  EXPECT_EQ(stats.outcomeRecords, 1u);
-  EXPECT_EQ(stats.malformed, 4u);
   std::remove(path.c_str());
 }
 

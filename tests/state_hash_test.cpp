@@ -12,9 +12,9 @@
 //  * hashing never changes execution: ExecResult is bit-identical with
 //    trackStateHash on and off;
 //  * the hash is a pure function of machine state, not of the path that
-//    reached it: a resumed snapshot hashes to the capturing run's
-//    Snapshot::stateHash immediately, and to the same boundary hashes as
-//    the from-scratch run afterwards;
+//    reached it: a resumed snapshot hashes to the capturing run's hash at
+//    the capture point immediately, and to the same boundary hashes as the
+//    from-scratch run afterwards;
 //  * Workload::goldenHashAt agrees with a hand-driven hashing run and is
 //    invariant under the snapshot policy.
 #include <optional>
@@ -277,11 +277,13 @@ TEST(StateHash, ResumedSnapshotHashesLikeTheCapturingRun) {
   ExecLimits limits;
   limits.trackStateHash = true;
 
-  // Capture snapshots from a hashing run...
+  // Capture snapshots from a hashing run, with its hash at each capture...
   Machine capturing(mod, limits, nullptr);
   std::vector<Snapshot> snaps;
+  std::vector<std::uint64_t> captureHashes;
   capturing.captureEvery(64, [&](Snapshot&& s) {
     snaps.push_back(std::move(s));
+    captureHashes.push_back(capturing.stateHash());
     return std::uint64_t{64};
   });
   (void)capturing.run();
@@ -292,12 +294,13 @@ TEST(StateHash, ResumedSnapshotHashesLikeTheCapturingRun) {
   const std::vector<std::uint64_t> reference =
       hashesAtBoundaries(mod, {}, 128);
 
-  for (const Snapshot& snap : snaps) {
-    ASSERT_NE(snap.stateHash, 0u);
+  for (std::size_t i = 0; i < snaps.size(); ++i) {
+    const Snapshot& snap = snaps[i];
+    ASSERT_NE(captureHashes[i], 0u);
     Machine resumed(mod, snap, limits, nullptr);
     // The hash is a function of state, not of how the state was reached:
-    // a freshly reconstructed machine hashes to the capture-time stamp.
-    EXPECT_EQ(resumed.stateHash(), snap.stateHash);
+    // a freshly reconstructed machine hashes to the capture-time hash.
+    EXPECT_EQ(resumed.stateHash(), captureHashes[i]);
     EXPECT_EQ(resumed.stateHash(), resumed.computeStateHash());
     // And its future boundary hashes are the from-scratch run's.
     while (resumed.runToBoundary(128)) {
@@ -335,13 +338,12 @@ int main() {
 )MC";
 
 TEST(WorkloadGoldenHashes, MatchAHandDrivenRunAndIgnoreSnapshotPolicy) {
-  PrunePolicy prune = PrunePolicy::on();
-  prune.grid = 256;
-  const Workload w(lang::compileMiniC(kBusy), 50, {}, prune);
+  const Workload w(lang::compileMiniC(kBusy), 50, {}, PrunePolicy::on());
   const Workload bare(lang::compileMiniC(kBusy), 50,
-                      SnapshotPolicy::disabled(), prune);
+                      SnapshotPolicy::disabled(), PrunePolicy::on());
   ASSERT_TRUE(w.pruningEnabled());
-  ASSERT_EQ(w.hashGrid(), 256u);
+  const std::uint64_t grid = w.hashGrid();
+  ASSERT_EQ(bare.hashGrid(), grid);
   // Pruning must not leak into the fingerprint (it cannot affect results).
   EXPECT_EQ(w.fingerprint(),
             Workload(lang::compileMiniC(kBusy), 50, {}).fingerprint());
@@ -350,7 +352,7 @@ TEST(WorkloadGoldenHashes, MatchAHandDrivenRunAndIgnoreSnapshotPolicy) {
   limits.trackStateHash = true;
   vm::Machine m(w.module(), limits, nullptr);
   std::uint64_t boundaries = 0;
-  while (m.runToBoundary(256)) {
+  while (m.runToBoundary(grid)) {
     const std::optional<std::uint64_t> golden =
         w.goldenHashAt(m.instructions());
     ASSERT_TRUE(golden.has_value()) << "boundary " << m.instructions();
@@ -363,9 +365,9 @@ TEST(WorkloadGoldenHashes, MatchAHandDrivenRunAndIgnoreSnapshotPolicy) {
 
   // Off-grid, zero, and past-the-end lookups miss.
   EXPECT_FALSE(w.goldenHashAt(0).has_value());
-  EXPECT_FALSE(w.goldenHashAt(257).has_value());
+  EXPECT_FALSE(w.goldenHashAt(grid + 1).has_value());
   EXPECT_FALSE(
-      w.goldenHashAt((w.golden().instructions / 256 + 2) * 256).has_value());
+      w.goldenHashAt((w.golden().instructions / grid + 2) * grid).has_value());
 }
 
 TEST(WorkloadGoldenHashes, AutoGridIsClampedAndPopulated) {
