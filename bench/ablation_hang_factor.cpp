@@ -40,7 +40,7 @@ int main() {
     }
     for (const std::uint64_t factor : factors) {
       workloads.push_back(std::make_unique<fi::Workload>(
-          progs::compileProgram(info), factor, bench::snapshotPolicyFromEnv()));
+          bench::makeWorkload(progs::compileProgram(info), factor)));
       rows.push_back({info.name, factor,
                       sweep.add(info.name, *workloads.back(), spec, n, salt)});
     }

@@ -39,12 +39,10 @@ int main() {
   for (const auto& info : progs::allPrograms()) {
     if (!bench::programSelected(info.name)) continue;
     workloads.push_back(std::make_unique<fi::Workload>(
-        progs::compileProgram(info, false), fi::Workload::kDefaultHangFactor,
-        bench::snapshotPolicyFromEnv()));
+        bench::makeWorkload(progs::compileProgram(info, false))));
     const fi::Workload& raw = *workloads.back();
     workloads.push_back(std::make_unique<fi::Workload>(
-        progs::compileProgram(info, true), fi::Workload::kDefaultHangFactor,
-        bench::snapshotPolicyFromEnv()));
+        bench::makeWorkload(progs::compileProgram(info, true))));
     const fi::Workload& optd = *workloads.back();
     rows.push_back({info.name, sweep.add(info.name, raw, spec, n, salt),
                     sweep.add(info.name, optd, spec, n, salt),

@@ -16,21 +16,20 @@
 //                       (default: all cores)
 //   ONEBIT_SHARD_SIZE   experiments per shard (default: auto)
 //   ONEBIT_PROGRESS     1 = per-campaign suite progress lines on stderr,
-//                       2 = per-shard lines as well
+//                       plus one [prune] line with the golden-snapshot
+//                       matches; 2 = per-shard lines as well
 //
-// Golden-prefix fast-forward knobs (see docs/ARCHITECTURE.md):
+// Golden-prefix fast-forward knobs (see docs/ARCHITECTURE.md). The golden
+// snapshots also drive outcome-equivalence pruning, which every driver
+// runs: a faulty run whose state matches a snapshot ends there with the
+// golden outcome. Both are pure speedups: outputs are bit-identical
+// whatever these knobs say.
 //   ONEBIT_SNAPSHOT_INTERVAL  combined candidate indices between golden-run
-//                       snapshot captures; 0 = disable the snapshot cache
-//                       (every experiment interprets from scratch),
-//                       unset/negative = auto
+//                       snapshot captures; 0 = no snapshots and no pruning
+//                       (every experiment interprets from scratch to its
+//                       end), unset/negative = auto
 //   ONEBIT_SNAPSHOT_BUDGET    per-workload byte budget for kept snapshots
-//                       (default 16 MiB); 0 = disable the cache
-//
-// Outcome-equivalence pruning knob (see docs/ARCHITECTURE.md):
-//   ONEBIT_PRUNE        1 = short-circuit experiments whose post-injection
-//                       state hash matches the golden run (default 0).
-//                       Pure speedup: all outputs are bit-identical with it
-//                       on or off.
+//                       (default 16 MiB); 0 = same as interval 0
 //
 // Dispatch-backend knob (see docs/ARCHITECTURE.md):
 //   ONEBIT_DISPATCH     "threaded" (default) runs hook-free segments on the
@@ -144,43 +143,42 @@ inline fi::SnapshotPolicy snapshotPolicyFromEnv() {
   return policy;
 }
 
-/// The outcome-equivalence pruning policy selected by ONEBIT_PRUNE (default
-/// off).
-inline fi::PrunePolicy prunePolicyFromEnv() {
-  fi::PrunePolicy policy;
-  policy.enabled = util::envInt("ONEBIT_PRUNE", 0) != 0;
-  return policy;
-}
-
 /// The execution backend selected by ONEBIT_DISPATCH ("threaded" | "switch").
 /// Drivers default to the direct-threaded fast path — it is held
 /// bit-identical to the reference interpreter by the differential backend
 /// fuzzer, the equivalence sweep suite, and the CI smoke diff — and
 /// ONEBIT_DISPATCH=switch selects the reference loop everywhere (the
-/// comparison baseline scripts/bench_dispatch.sh measures against).
+/// comparison baseline scripts/bench_dispatch.sh measures against). An
+/// unknown value is reported once.
 inline vm::DispatchBackend dispatchFromEnv() {
-  const std::string v = util::envStr("ONEBIT_DISPATCH", "threaded");
-  if (v == "switch") return vm::DispatchBackend::Switch;
-  if (v != "threaded") {
-    std::fprintf(stderr,
-                 "[dispatch] unknown ONEBIT_DISPATCH=%s; using threaded\n",
-                 v.c_str());
-  }
-  return vm::DispatchBackend::Threaded;
+  static const vm::DispatchBackend backend = [] {
+    const std::string v = util::envStr("ONEBIT_DISPATCH", "threaded");
+    if (v == "switch") return vm::DispatchBackend::Switch;
+    if (v != "threaded") {
+      std::fprintf(stderr,
+                   "[dispatch] unknown ONEBIT_DISPATCH=%s; using threaded\n",
+                   v.c_str());
+    }
+    return vm::DispatchBackend::Threaded;
+  }();
+  return backend;
+}
+
+/// Profile `mod` as every driver's campaigns run it: the snapshot and
+/// dispatch knobs from the environment, and pruning on.
+inline fi::Workload makeWorkload(
+    ir::Module mod,
+    std::uint64_t hangFactor = fi::Workload::kDefaultHangFactor) {
+  return fi::Workload(std::move(mod), hangFactor, snapshotPolicyFromEnv(),
+                      fi::PrunePolicy::on(), dispatchFromEnv());
 }
 
 /// Compile and profile all (selected) Table II workloads.
 inline std::vector<NamedWorkload> loadWorkloads() {
-  const fi::SnapshotPolicy snapshots = snapshotPolicyFromEnv();
-  const fi::PrunePolicy prune = prunePolicyFromEnv();
-  const vm::DispatchBackend dispatch = dispatchFromEnv();
   std::vector<NamedWorkload> out;
   for (const auto& info : progs::allPrograms()) {
     if (!programSelected(info.name)) continue;
-    out.push_back({info.name,
-                   fi::Workload(progs::compileProgram(info),
-                                fi::Workload::kDefaultHangFactor, snapshots,
-                                prune, dispatch)});
+    out.push_back({info.name, makeWorkload(progs::compileProgram(info))});
   }
   return out;
 }
@@ -401,16 +399,13 @@ class SweepBuilder {
                          : "nothing was recorded; set ONEBIT_STORE to make "
                            "partial runs resumable");
       }
-      // Machine-greppable pruning summary (scripts/bench_prune.sh parses
-      // this line). Stderr, not stdout: bench stdout must stay
-      // byte-identical under ONEBIT_PRUNE.
-      if (prunePolicyFromEnv().enabled) {
+      // Pruning summary. Stderr, not stdout: bench stdout must not depend
+      // on whether a run prunes.
+      if (util::envInt("ONEBIT_PROGRESS", 0) >= 1) {
         fi::PruneStats total;
         for (const fi::CampaignResult& r : results_) total += r.prune;
-        std::fprintf(stderr,
-                     "[prune] golden_hits=%zu misses=%zu "
-                     "short_circuited=%zu\n",
-                     total.goldenHits, total.misses, total.goldenHits);
+        std::fprintf(stderr, "[prune] golden_hits=%zu misses=%zu\n",
+                     total.goldenHits, total.misses);
       }
     }
     return results_;

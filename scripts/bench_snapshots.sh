@@ -2,6 +2,8 @@
 # Golden-prefix fast-forward benchmark: times the fig1 and fig4 drivers with
 # the snapshot cache off (ONEBIT_SNAPSHOT_INTERVAL=0) and on (auto), checks
 # the outputs are byte-identical, and writes a BENCH_4.json perf record.
+# The drivers prune against the golden snapshots, so "off" turns pruning off
+# too: the pair times snapshots plus pruning.
 #
 # Usage: scripts/bench_snapshots.sh [build-dir] [output-json]
 # Knobs (env):
@@ -74,7 +76,7 @@ bench_one fig4_fig5_table3 "$BUILD_DIR/bench_fig4_fig5_table3" "$FIG4_N"
 {
   printf '{\n'
   printf '  "bench": "PR4 golden-prefix fast-forward",\n'
-  printf '  "metric": "wall-clock ms, snapshots off (ONEBIT_SNAPSHOT_INTERVAL=0) vs on (auto)",\n'
+  printf '  "metric": "wall-clock ms, snapshots and pruning off (ONEBIT_SNAPSHOT_INTERVAL=0) vs on (auto)",\n'
   printf '  "threads": %s,\n' "$THREADS"
   printf '  "experiments": {"fig1_single_bit": %s, "fig4_fig5_table3": %s},\n' \
          "$FIG1_N" "$FIG4_N"

@@ -78,8 +78,8 @@ void mergeHistogram(ActivationHistogram& into,
 /// do not depend on threads or shard size. They never enter store records:
 /// a shard record must not depend on whether its workload prunes.
 struct PruneStats {
-  std::size_t goldenHits = 0;  ///< short-circuited via golden-hash match
-  std::size_t misses = 0;      ///< compared at a boundary, ran to completion
+  std::size_t goldenHits = 0;  ///< short-circuited by a golden-snapshot match
+  std::size_t misses = 0;      ///< compared with no match, ran to completion
   PruneStats& operator+=(const PruneStats& o) noexcept {
     goldenHits += o.goldenHits;
     misses += o.misses;

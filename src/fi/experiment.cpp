@@ -1,6 +1,7 @@
 #include "fi/experiment.hpp"
 
 #include <algorithm>
+#include <optional>
 #include <stdexcept>
 
 #include "util/rng.hpp"
@@ -15,66 +16,28 @@ Workload::Workload(ir::Module mod, std::uint64_t hangFactor,
     : mod_(std::move(mod)), hangFactor_(hangFactor) {
   vm::ExecLimits goldenLimits;
   // The backend rides on the limits into every run this workload owns: the
-  // plain golden pass below executes threaded when selected (the hashing
-  // pass and snapshot-capturing runs stay on the reference loop by the
-  // eligibility rule in Machine::run — which makes the prune-mode
-  // differential self-check below a free cross-backend comparison), and
-  // faultyLimits_ carries it into runExperiment's post-exhaustion suffixes.
+  // golden pass below executes threaded when selected and not capturing
+  // (capturing runs stay on the reference loop by the eligibility rule in
+  // Machine::run), and faultyLimits_ carries it into runExperiment's
+  // post-exhaustion suffixes.
   goldenLimits.dispatch = dispatch;
   if (dispatch == vm::DispatchBackend::Threaded) {
     // Decode once: every faulty run would otherwise decode the module again
     // (O(module size) — comparable to a short experiment suffix).
     goldenLimits.threadedCode = vm::ThreadedCode::decode(mod_);
   }
-  vm::SnapshotCapturePolicy capture;  // default interval = the auto spacing
-  if (snapshots.interval != SnapshotPolicy::kAutoInterval) {
-    capture.interval = snapshots.interval;
-  }
-  capture.maxSnapshots = snapshots.maxSnapshots;
-  capture.budgetBytes = snapshots.budgetBytes;
-  if (!prune.enabled) {
-    if (snapshots.enabled()) {
-      golden_ =
-          vm::executeWithSnapshots(mod_, goldenLimits, capture, snapshots_);
-    } else {
-      golden_ = vm::execute(mod_, goldenLimits, nullptr);
+  if (snapshots.enabled()) {
+    vm::SnapshotCapturePolicy capture;  // default interval = the auto spacing
+    if (snapshots.interval != SnapshotPolicy::kAutoInterval) {
+      capture.interval = snapshots.interval;
     }
+    capture.maxSnapshots = snapshots.maxSnapshots;
+    capture.budgetBytes = snapshots.budgetBytes;
+    golden_ = vm::executeWithSnapshots(mod_, goldenLimits, capture, snapshots_);
   } else {
-    // Pass 1: the plain golden profile. The auto grid heuristic needs the
-    // dynamic instruction count before the hashing pass can place its
-    // boundaries, and the plain result doubles as the reference for the
-    // differential self-check below.
     golden_ = vm::execute(mod_, goldenLimits, nullptr);
-    if (golden_.status == vm::ExecStatus::Ok) {
-      hashGrid_ = std::clamp<std::uint64_t>(golden_.instructions / 128, 64,
-                                            16384);
-      // Pass 2: the hashing golden run records the boundary-hash table and
-      // (when snapshots are on) captures the snapshot cache under the same
-      // retention policy.
-      vm::ExecLimits hashedLimits = goldenLimits;
-      hashedLimits.trackStateHash = true;
-      vm::Machine machine(mod_, hashedLimits, nullptr);
-      if (snapshots.enabled()) {
-        machine.captureEvery(capture.interval == 0 ? 1 : capture.interval,
-                             vm::makeRetentionSink(capture, snapshots_));
-      }
-      while (machine.runToBoundary(hashGrid_)) {
-        goldenHashes_.push_back(machine.stateHash());
-      }
-      const vm::ExecResult hashed = machine.run();
-      // Differential self-check: state hashing must never change execution.
-      if (hashed.status != golden_.status ||
-          hashed.instructions != golden_.instructions ||
-          hashed.output != golden_.output ||
-          hashed.readCandidates != golden_.readCandidates ||
-          hashed.writeCandidates != golden_.writeCandidates ||
-          hashed.storeCandidates != golden_.storeCandidates) {
-        throw std::logic_error(
-            "fi::Workload: hashing golden run diverged from the plain golden "
-            "run");
-      }
-    }
   }
+  prune_ = prune.enabled && !snapshots_.empty();
   if (golden_.status != vm::ExecStatus::Ok) {
     throw std::runtime_error(
         "workload golden run did not terminate normally (trap: " +
@@ -141,14 +104,12 @@ std::size_t Workload::snapshotBytes() const noexcept {
   return bytes;
 }
 
-std::optional<std::uint64_t> Workload::goldenHashAt(
-    std::uint64_t boundary) const noexcept {
-  if (hashGrid_ == 0 || boundary == 0 || boundary % hashGrid_ != 0) {
-    return std::nullopt;
-  }
-  const std::uint64_t idx = boundary / hashGrid_ - 1;
-  if (idx >= goldenHashes_.size()) return std::nullopt;  // past golden's end
-  return goldenHashes_[idx];
+std::span<const vm::Snapshot> Workload::snapshotsAfter(
+    const vm::Snapshot* restored) const noexcept {
+  const std::span<const vm::Snapshot> all(snapshots_);
+  return restored == nullptr
+             ? all
+             : all.subspan(static_cast<std::size_t>(restored - all.data()) + 1);
 }
 
 stats::Outcome classify(const vm::ExecResult& faulty,
@@ -178,51 +139,47 @@ ExperimentResult runExperiment(const Workload& workload,
   // is bit-identical to the golden run (the hook neither mutates state nor
   // consumes randomness before its first index), so resume from the densest
   // snapshot at-or-before that index instead of re-interpreting the prefix.
+  const vm::ExecLimits& limits = workload.faultyLimits();
   const vm::Snapshot* snap = workload.snapshotAtOrBefore(
-      plan.domain, plan.firstIndex, workload.faultyLimits().maxInstructions);
-  ExperimentResult result;
-  vm::ExecResult faulty;
-  if (!workload.pruningEnabled()) {
-    faulty = snap != nullptr ? vm::resume(workload.module(), *snap,
-                                          workload.faultyLimits(), &hook)
-                             : vm::execute(workload.module(),
-                                           workload.faultyLimits(), &hook);
+      plan.domain, plan.firstIndex, limits.maxInstructions);
+  std::optional<vm::Machine> machine;
+  if (snap != nullptr) {
+    machine.emplace(workload.module(), *snap, limits, &hook);
   } else {
-    vm::ExecLimits limits = workload.faultyLimits();
-    limits.trackStateHash = true;
-    std::optional<vm::Machine> machine;
-    if (snap != nullptr) {
-      machine.emplace(workload.module(), *snap, limits, &hook);
-    } else {
-      machine.emplace(workload.module(), limits, &hook);
-    }
-    // runToBoundary pauses between instructions with the hook exhausted, so
-    // the hash comparison is sound there: no pending injections, and a
-    // deterministic hook-free suffix. It returns false when the run ends
-    // (halt / trap / fuel) before a boundary, or when the hook never
-    // exhausts (unbounded RandomValue windows).
-    if (machine->runToBoundary(workload.hashGrid())) {
-      if (workload.goldenHashAt(machine->instructions()) ==
-              machine->stateHash() &&
-          workload.golden().instructions <= limits.maxInstructions) {
-        // Masked fault: the state collapsed to the golden state at the same
-        // dynamic point, so the hook-free continuation IS the golden
-        // continuation — same output, normal termination, golden
-        // instruction count. (The budget guard covers degenerate
-        // hangFactor < 1 setups where the faulty fuel could not replay the
-        // golden suffix.)
+    machine.emplace(workload.module(), limits, &hook);
+  }
+  ExperimentResult result;
+  // Pruning. runUntil pauses only once the hook is exhausted, so from a
+  // pause on the run is deterministic and hook-free: if its state equals the
+  // golden state at the same instruction count, its continuation IS the
+  // golden continuation — same output, same end, golden instruction count.
+  // (The budget guard covers degenerate hangFactor < 1 setups where the
+  // faulty fuel could not replay the golden suffix.) A control or output
+  // mismatch stops comparing: such runs almost never converge later (on
+  // fig1 and fig4, comparing on finds under 0.5% more matches for two to
+  // four times the compares). Register and memory mismatches often heal, so
+  // those go on to the next snapshot.
+  if (workload.pruningEnabled() &&
+      workload.golden().instructions <= limits.maxInstructions) {
+    for (const vm::Snapshot& golden : workload.snapshotsAfter(snap)) {
+      const vm::Machine::Stop stop = machine->runUntil(golden.instructions);
+      if (stop == vm::Machine::Stop::Ended) break;
+      if (stop == vm::Machine::Stop::Overshot) continue;
+      result.prune = PruneEvent::Miss;
+      const vm::StateDiff diff = machine->compare(golden);
+      if (diff == vm::StateDiff::Equal) {
+        result.outcome = classify(workload.golden(), workload.golden());
         result.activations = hook.activations();
         result.instructions = workload.golden().instructions;
-        result.prune = PruneEvent::GoldenHash;
+        result.prune = PruneEvent::GoldenMatch;
         return result;
       }
-      result.prune = PruneEvent::Miss;
+      if (diff == vm::StateDiff::Control || diff == vm::StateDiff::Output) {
+        break;
+      }
     }
-    // The decision is made; the hash is dead weight from here on, so run
-    // the remainder on the hash-free fast path.
-    machine->stopStateHashTracking();
-    faulty = machine->run();
   }
+  const vm::ExecResult faulty = machine->run();
   result.outcome = classify(faulty, workload.golden());
   result.trap = faulty.trap;
   result.activations = hook.activations();

@@ -2,7 +2,7 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -49,15 +49,14 @@ struct SnapshotPolicy {
   }
 };
 
-/// Outcome-equivalence pruning (AFL exec_cksum-style). When enabled, the
-/// Workload's golden run additionally records the incremental VM state hash
-/// (vm/state_hash.hpp) at every multiple of a dynamic-instruction grid
-/// (~128 boundaries over the golden run, clamped to [64, 16384]
-/// instructions), and runExperiment pauses each faulty run at the first
-/// boundary past hook exhaustion: a golden-hash match short-circuits to the
-/// golden (masked) outcome, anything else runs to completion. Like
-/// SnapshotPolicy, pruning is a pure speedup — it must never change results
-/// — and is therefore NOT part of the workload fingerprint.
+/// Outcome-equivalence pruning. When enabled on a workload that keeps
+/// golden-run snapshots, runExperiment runs each faulty run, once its
+/// injector hook is exhausted, to every later snapshot's exact instruction
+/// count and compares the machine with it (vm::Machine::compare): an exact
+/// match means the fault was masked, and the run ends there with the golden
+/// outcome. Like SnapshotPolicy, pruning is a pure speedup — it must never
+/// change results — and is therefore NOT part of the workload fingerprint.
+/// The library default is off; the bench drivers turn it on.
 struct PrunePolicy {
   bool enabled = false;
 
@@ -83,14 +82,12 @@ class Workload {
   /// golden run. `snapshots` controls the golden-prefix snapshot cache
   /// captured during that same golden run (on by default; pass
   /// SnapshotPolicy::disabled() to interpret every experiment from scratch).
-  /// `prune` additionally records the golden boundary-hash table for
-  /// outcome-equivalence pruning (off by default; the golden run is then
-  /// executed twice — once plain, once hashing — and the two are
-  /// cross-checked to be identical).
+  /// `prune` makes runExperiment compare faulty runs with those snapshots
+  /// (off by default; a workload without snapshots never prunes).
   /// `dispatch` selects the execution backend for every hook-free,
-  /// non-capturing, non-hashing segment this workload runs — the plain
-  /// golden pass and the post-exhaustion suffix of every experiment.
-  /// Like the snapshot and prune policies it is a pure speedup
+  /// non-capturing segment this workload runs — the golden pass when it
+  /// captures no snapshots, and the post-exhaustion suffix of every
+  /// experiment. Like the snapshot and prune policies it is a pure speedup
   /// (bit-identical results, pinned by tests/dispatch_differential_test and
   /// tests/dispatch_equivalence_test) and is NOT part of the fingerprint.
   explicit Workload(ir::Module mod,
@@ -164,16 +161,14 @@ class Workload {
   /// Total byteSize() of the kept snapshots (<= the policy's budget).
   [[nodiscard]] std::size_t snapshotBytes() const noexcept;
 
-  /// True when this workload was built with PrunePolicy.enabled (the golden
-  /// boundary-hash table exists and runExperiment prunes against it).
-  [[nodiscard]] bool pruningEnabled() const noexcept { return hashGrid_ != 0; }
-  /// The resolved boundary grid in dynamic instructions (0 = pruning off).
-  [[nodiscard]] std::uint64_t hashGrid() const noexcept { return hashGrid_; }
-  /// The golden run's state hash at dynamic instruction count `boundary`,
-  /// or nullopt when `boundary` is not a recorded grid multiple (off-grid,
-  /// or past the golden run's end).
-  [[nodiscard]] std::optional<std::uint64_t> goldenHashAt(
-      std::uint64_t boundary) const noexcept;
+  /// The kept snapshots captured after `restored` (all of them when it is
+  /// null), in capture order: the points a pruned run is compared at.
+  [[nodiscard]] std::span<const vm::Snapshot> snapshotsAfter(
+      const vm::Snapshot* restored) const noexcept;
+
+  /// True when runExperiment prunes: the workload was built with
+  /// PrunePolicy.enabled and keeps at least one snapshot.
+  [[nodiscard]] bool pruningEnabled() const noexcept { return prune_; }
 
  private:
   ir::Module mod_;
@@ -183,15 +178,14 @@ class Workload {
   std::uint64_t fingerprint_ = 0;
   std::uint64_t extendedFingerprint_ = 0;
   std::vector<vm::Snapshot> snapshots_;
-  std::uint64_t hashGrid_ = 0;  ///< 0 = pruning off
-  std::vector<std::uint64_t> goldenHashes_;  ///< [i] = hash at (i+1)*grid
+  bool prune_ = false;
 };
 
 /// How outcome-equivalence pruning resolved one experiment.
 enum class PruneEvent : unsigned char {
-  None,        ///< pruning off, or the run ended before a comparable boundary
-  GoldenHash,  ///< short-circuited: state collapsed to the golden state
-  Miss,  ///< compared at a boundary with no match; ran to completion
+  None,         ///< pruning off, or the run ended before any comparison
+  GoldenMatch,  ///< short-circuited: the state matched a golden snapshot
+  Miss,         ///< compared with no match; ran to completion
 };
 
 /// Result of one fault-injection experiment.
@@ -209,12 +203,12 @@ stats::Outcome classify(const vm::ExecResult& faulty,
 
 /// Execute one experiment described by `plan` on `workload`, fast-forwarding
 /// over the golden prefix via the workload's snapshot cache when possible.
-/// On a workload built with PrunePolicy.enabled, the run pauses at the first
-/// boundary of the workload's hash grid after the injector hook is exhausted;
-/// a golden-hash match returns the golden (masked) outcome without running
-/// the rest. Outcome, trap, activations and instruction count are
-/// bit-identical to a from-scratch run for every plan and policy; only
-/// `prune` and wall-clock differ.
+/// On a pruning workload, once the injector hook is exhausted the run is
+/// compared with each later golden snapshot at that snapshot's instruction
+/// count: an exact match returns the golden outcome without running the
+/// rest; a control or output mismatch stops comparing. Outcome, trap,
+/// activations and instruction count are bit-identical to a from-scratch
+/// run for every plan and policy; only `prune` and wall-clock differ.
 ExperimentResult runExperiment(const Workload& workload,
                                const FaultPlan& plan);
 

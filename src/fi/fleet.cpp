@@ -75,7 +75,7 @@ std::shared_ptr<const Workload> defaultResolve(
       cell.hangFactor != 0 ? cell.hangFactor : Workload::kDefaultHangFactor;
   return std::make_shared<const Workload>(
       progs::compileProgram(*info), hangFactor, SnapshotPolicy{},
-      PrunePolicy{}, vm::DispatchBackend::Threaded);
+      PrunePolicy::on(), vm::DispatchBackend::Threaded);
 }
 
 }  // namespace

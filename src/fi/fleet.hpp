@@ -105,7 +105,7 @@ struct FleetConfig {
   std::function<void(std::size_t)> onClaim;
   /// Maps a cell record to the workload to run. Null uses the default
   /// resolver: compile the progs registry program named by the record with
-  /// the record's hang factor, default snapshots, no pruning, and the
+  /// the record's hang factor, default snapshots, pruning on, and the
   /// threaded backend (runFleet and runSupervisedFleet instead hand their
   /// forked workers the suite cells' own workloads). A resolver returning
   /// null marks the cell unrunnable for this worker.

@@ -24,7 +24,7 @@ struct ShardAccumulator {
     ++hist[static_cast<std::size_t>(r.outcome)][bucket];
     switch (r.prune) {
       case PruneEvent::None: break;
-      case PruneEvent::GoldenHash: ++prune.goldenHits; break;
+      case PruneEvent::GoldenMatch: ++prune.goldenHits; break;
       case PruneEvent::Miss: ++prune.misses; break;
     }
   }

@@ -94,16 +94,16 @@ enum class ExecStatus : unsigned char {
   FuelExhausted,  ///< instruction budget exceeded (classified as Hang)
 };
 
-/// Which execution loop runs the hook-free, non-capturing, non-hashing part
-/// of a run (golden executions and the post-exhaustion suffix of faulty
-/// runs). `Switch` is the templated reference interpreter in vm/machine.cpp;
+/// Which execution loop runs the hook-free, non-capturing part of a run
+/// (golden executions and the post-exhaustion suffix of faulty runs).
+/// `Switch` is the templated reference interpreter in vm/machine.cpp;
 /// `Threaded` pre-decodes the module into a dense direct-threaded stream
 /// (computed-goto label pointers where the compiler supports them, a decoded
 /// switch otherwise — see vm/threaded.hpp) and runs that. The two are
 /// bit-identical for every program — pinned by the differential backend
 /// fuzzer (tests/dispatch_differential_test.cpp) — so the choice is a pure
-/// speedup. Hooked, capturing, and hashing segments always run on the
-/// reference loop regardless of this setting.
+/// speedup. Hooked and capturing segments always run on the reference loop
+/// regardless of this setting.
 enum class DispatchBackend : unsigned char {
   Switch,    ///< templated switch interpreter (the reference semantics)
   Threaded,  ///< pre-decoded direct-threaded stream (fast path)
@@ -115,18 +115,10 @@ struct ExecLimits {
   std::size_t stackBytes = 1 << 20;
   std::size_t maxHeapBytes = 32 << 20;
   std::size_t maxOutputBytes = 4 << 20;
-  /// Maintain the incremental 64-bit state hash (vm/state_hash.hpp) while
-  /// running, exposing Machine::stateHash() and enabling
-  /// Machine::runToBoundary(). Off by default: hashing never changes
-  /// execution semantics, but the per-write folds are not free, so only
-  /// outcome-equivalence pruning (fi::PrunePolicy) turns it on. Deliberately
-  /// NOT part of any workload fingerprint — like snapshot cadence, it must
-  /// never affect results.
-  bool trackStateHash = false;
-  /// Backend for the hook-free fast path. Like trackStateHash, a pure
-  /// performance choice that never affects results and is NOT part of any
-  /// workload fingerprint. Default is the reference loop; campaign drivers
-  /// opt into Threaded via the ONEBIT_DISPATCH bench knob.
+  /// Backend for the hook-free fast path. A pure performance choice that
+  /// never affects results and is NOT part of any workload fingerprint.
+  /// Default is the reference loop; campaign drivers opt into Threaded via
+  /// the ONEBIT_DISPATCH bench knob.
   DispatchBackend dispatch = DispatchBackend::Switch;
   /// Optional precompiled stream for the module being executed. When null,
   /// a Threaded run decodes the module itself (ThreadedCode::decode, O(module

@@ -18,9 +18,8 @@ Machine::Machine(const ir::Module& mod, const ExecLimits& limits,
     : mod_(mod),
       limits_(limits),
       hook_(hook),
-      mem_(mod.globalData, limits.stackBytes, limits.maxHeapBytes) {
-  hashing_ = limits.trackStateHash;
-  if (hashing_) mem_.trackContentHash(true);  // global image may be non-zero
+      mem_(mod.globalData, limits.stackBytes, limits.maxHeapBytes),
+      limit_(limits.maxInstructions) {
   pushFrame(mod_.entry, {}, nullptr);
 }
 
@@ -37,7 +36,8 @@ Machine::Machine(const ir::Module& mod, const Snapshot& snap,
     : mod_(mod),
       limits_(limits),
       hook_(hook),
-      mem_(mod.globalData, limits.stackBytes, limits.maxHeapBytes) {
+      mem_(mod.globalData, limits.stackBytes, limits.maxHeapBytes),
+      limit_(limits.maxInstructions) {
   if (snap.frames.empty()) badSnapshot("has no call frames");
   if (snap.stackHighWater > limits.stackBytes ||
       snap.sp > limits.stackBytes ||
@@ -95,22 +95,6 @@ Machine::Machine(const ir::Module& mod, const Snapshot& snap,
   storeCandidates_ = snap.storeCandidates;
   result_.output = snap.output;
   result_.outputTruncated = snap.outputTruncated;
-
-  // Rebuild the incremental hash components from the restored state.
-  hashing_ = limits.trackStateHash;
-  if (hashing_) {
-    mem_.trackContentHash(true);
-    for (std::size_t i = 0; i < regsTop_; ++i) {
-      if (regs_[i] != 0) regsHash_ ^= statehash::regTerm(i, regs_[i]);
-    }
-    for (std::size_t i = 0; i + 1 < frames_.size(); ++i) {
-      framesHash_ ^= frameTerm(i, frames_[i]);
-    }
-    for (const char c : result_.output) {
-      outputHash_ =
-          statehash::fnvByte(outputHash_, static_cast<unsigned char>(c));
-    }
-  }
 }
 
 void Machine::captureEvery(std::uint64_t interval, SnapshotSink sink) {
@@ -143,77 +127,36 @@ Snapshot Machine::capture() const {
   return s;
 }
 
-std::uint64_t Machine::frameTerm(std::uint64_t depth,
-                                 const CallFrame& f) const noexcept {
-  using statehash::mix64;
-  // pendingCall is not folded: it is derivable from the caller's ip, which
-  // the caller's own term covers.
-  std::uint64_t h = mix64(statehash::kFrameSalt ^ (depth + 1));
-  h = mix64(h ^ static_cast<std::uint64_t>(f.fn - mod_.functions.data()));
-  h = mix64(h ^ ((static_cast<std::uint64_t>(f.block) << 32) | f.ip));
-  h = mix64(h ^ static_cast<std::uint64_t>(f.regBase));
-  h = mix64(h ^ f.frameBase);
-  return h;
-}
-
-std::uint64_t Machine::stateHash() const {
-  using statehash::mix64;
-  // The top frame mutates every instruction, so it is hashed on demand here
-  // rather than maintained incrementally; parked frames are immutable while
-  // parked and live in framesHash_ (updated on call/ret, i.e. on every
-  // control transfer between frames).
-  std::uint64_t frames = framesHash_;
-  if (!frames_.empty()) {
-    frames ^= frameTerm(frames_.size() - 1, frames_.back());
+StateDiff Machine::compare(const Snapshot& snap) const {
+  if (instructions_ != snap.instructions ||
+      readCandidates_ != snap.readCandidates ||
+      writeCandidates_ != snap.writeCandidates ||
+      storeCandidates_ != snap.storeCandidates || sp_ != snap.sp ||
+      frames_.size() != snap.frames.size()) {
+    return StateDiff::Control;
   }
-  std::uint64_t h = statehash::kStateSalt;
-  h = mix64(h ^ regsHash_);
-  h = mix64(h ^ mem_.contentHash());
-  h = mix64(h ^ frames);
-  h = mix64(h ^ outputHash_);
-  h = mix64(h ^ static_cast<std::uint64_t>(result_.outputTruncated));
-  h = mix64(h ^ sp_);
-  // The counters pin the hash to one exact point of one exact execution:
-  // equal hashes then mean equal full machine state at the same dynamic
-  // time, so the (deterministic, hook-free) continuations are equal too.
-  h = mix64(h ^ instructions_);
-  h = mix64(h ^ readCandidates_);
-  h = mix64(h ^ writeCandidates_);
-  h = mix64(h ^ storeCandidates_);
-  return h;
-}
-
-std::uint64_t Machine::computeStateHash() const {
-  using statehash::mix64;
-  std::uint64_t regs = 0;
-  for (std::size_t i = 0; i < regsTop_; ++i) {
-    if (regs_[i] != 0) regs ^= statehash::regTerm(i, regs_[i]);
-  }
-  std::uint64_t frames = 0;
   for (std::size_t i = 0; i < frames_.size(); ++i) {
-    frames ^= frameTerm(i, frames_[i]);
+    // pendingCall is not compared: it is derived from the caller's ip.
+    const CallFrame& f = frames_[i];
+    const Snapshot::Frame& g = snap.frames[i];
+    if (static_cast<std::uint64_t>(f.fn - mod_.functions.data()) != g.fn ||
+        f.block != g.block || f.ip != g.ip || f.regBase != g.regBase ||
+        f.frameBase != g.frameBase) {
+      return StateDiff::Control;
+    }
   }
-  std::uint64_t output = statehash::kFnvBasis;
-  for (const char c : result_.output) {
-    output = statehash::fnvByte(output, static_cast<unsigned char>(c));
+  if (result_.outputTruncated != snap.outputTruncated ||
+      result_.output != snap.output) {
+    return StateDiff::Output;
   }
-  std::uint64_t h = statehash::kStateSalt;
-  h = mix64(h ^ regs);
-  h = mix64(h ^ mem_.computeContentHash());
-  h = mix64(h ^ frames);
-  h = mix64(h ^ output);
-  h = mix64(h ^ static_cast<std::uint64_t>(result_.outputTruncated));
-  h = mix64(h ^ sp_);
-  h = mix64(h ^ instructions_);
-  h = mix64(h ^ readCandidates_);
-  h = mix64(h ^ writeCandidates_);
-  h = mix64(h ^ storeCandidates_);
-  return h;
-}
-
-void Machine::stopStateHashTracking() noexcept {
-  hashing_ = false;
-  mem_.trackContentHash(false);
+  if (regsTop_ != snap.regs.size() ||
+      !std::equal(snap.regs.begin(), snap.regs.end(), regs_.begin())) {
+    return StateDiff::Registers;
+  }
+  if (!mem_.holds(snap.globals, snap.stack, snap.heap)) {
+    return StateDiff::Memory;
+  }
+  return StateDiff::Equal;
 }
 
 void Machine::maybeCapture() {
@@ -230,9 +173,9 @@ ExecResult Machine::finish() {
   result_.storeCandidates = storeCandidates_;
   ExecResult out = std::move(result_);
   // Leave the machine's residual state deterministic (the moved-from output
-  // is defined-empty, the flags are restored) so a post-run
-  // computeStateHash() is well-defined — the differential backend fuzzer
-  // compares it across dispatch backends.
+  // is defined-empty, the flags are restored) so a post-run compare() is
+  // well-defined — the differential backend fuzzer compares the finished
+  // machines of both dispatch backends.
   result_ = ExecResult{};
   result_.status = out.status;
   result_.trap = out.trap;
@@ -274,20 +217,6 @@ void Machine::pushFrame(std::uint32_t fnId, std::span<const std::uint64_t> args,
     regs_[frame.regBase + i] = args[i];
   }
   frames_.push_back(frame);
-  if (hashing_) {
-    // The caller just became a parked frame (its fields are frozen until
-    // this call returns); the callee's fresh registers are zero except the
-    // copied arguments.
-    if (frames_.size() > 1) {
-      framesHash_ ^=
-          frameTerm(frames_.size() - 2, frames_[frames_.size() - 2]);
-    }
-    for (std::size_t i = 0; i < args.size() && i < fn.numParams; ++i) {
-      if (args[i] != 0) {
-        regsHash_ ^= statehash::regTerm(frame.regBase + i, args[i]);
-      }
-    }
-  }
 }
 
 void Machine::popFrame() {
@@ -295,18 +224,6 @@ void Machine::popFrame() {
   const std::uint64_t alignedFrame =
       (static_cast<std::uint64_t>(frame.fn->frameBytes) + 7U) & ~7ULL;
   sp_ -= alignedFrame;
-  if (hashing_) {
-    // The popped frame's registers vanish; the caller un-parks (its term
-    // still matches the one folded at call time — parked frames are
-    // immutable).
-    for (std::size_t i = frame.regBase; i < regsTop_; ++i) {
-      if (regs_[i] != 0) regsHash_ ^= statehash::regTerm(i, regs_[i]);
-    }
-    if (frames_.size() > 1) {
-      framesHash_ ^=
-          frameTerm(frames_.size() - 2, frames_[frames_.size() - 2]);
-    }
-  }
   regsTop_ = frame.regBase;
   frames_.pop_back();
 }
@@ -317,12 +234,6 @@ void Machine::appendOutput(const char* data, std::size_t n) {
     return;
   }
   result_.output.append(data, n);
-  if (hashing_) {
-    for (std::size_t i = 0; i < n; ++i) {
-      outputHash_ =
-          statehash::fnvByte(outputHash_, static_cast<unsigned char>(data[i]));
-    }
-  }
 }
 
 void Machine::printValue(ir::PrintKind kind, std::uint64_t v) {
@@ -394,37 +305,45 @@ std::uint64_t Machine::applyIntrinsic(ir::IntrinsicKind kind,
 }
 
 template <bool Hooked>
-void Machine::dispatchLoop(bool capturing) {
-  if (hashing_) {
-    if (capturing) loop<Hooked, true, true>();
-    else loop<Hooked, false, true>();
+void Machine::dispatchLoop() {
+  if (captureInterval_ != 0) {
+    loop<Hooked, true>();
   } else {
-    if (capturing) loop<Hooked, true, false>();
-    else loop<Hooked, false, false>();
+    loop<Hooked, false>();
+  }
+}
+
+void Machine::runHookFree() {
+  // Hook-free fast path: golden runs, and the tail of a faulty run once
+  // the hook can no longer mutate anything (no virtual dispatch at all).
+  // Only this part is eligible for the threaded backend: hooked and
+  // capturing parts need the per-instruction callbacks / capture checks
+  // only the reference loop carries.
+  if (limits_.dispatch == DispatchBackend::Threaded && captureInterval_ == 0) {
+    runThreaded();
+  } else {
+    dispatchLoop<false>();
   }
 }
 
 ExecResult Machine::run() {
-  if (result_.status == ExecStatus::Ok && !halted_) {
-    const bool capturing = captureInterval_ != 0;
-    if (hook_ != nullptr && !hook_->exhausted()) {
-      dispatchLoop<true>(capturing);
-    }
-    // Hook-free fast path: golden runs, and the tail of a faulty run once
-    // the hook can no longer mutate anything (no virtual dispatch at all).
-    // Only this segment is eligible for the threaded backend: hooked,
-    // capturing, and hashing segments need the per-instruction callbacks /
-    // boundary checks only the reference loop carries.
-    if (result_.status == ExecStatus::Ok && !halted_) {
-      if (limits_.dispatch == DispatchBackend::Threaded && !capturing &&
-          !hashing_) {
-        runThreaded();
-      } else {
-        dispatchLoop<false>(capturing);
-      }
-    }
+  if (running() && hook_ != nullptr && !hook_->exhausted()) {
+    dispatchLoop<true>();
   }
+  if (running()) runHookFree();
   return finish();
+}
+
+Machine::Stop Machine::runUntil(std::uint64_t n) {
+  if (running() && hook_ != nullptr && !hook_->exhausted()) {
+    dispatchLoop<true>();
+  }
+  if (!running()) return Stop::Ended;
+  if (instructions_ > n) return Stop::Overshot;
+  limit_ = std::min(limits_.maxInstructions, n);
+  runHookFree();
+  limit_ = limits_.maxInstructions;
+  return running() ? Stop::Paused : Stop::Ended;
 }
 
 void Machine::runThreaded() {
@@ -434,41 +353,16 @@ void Machine::runThreaded() {
     limits_.threadedCode = ThreadedCode::decode(mod_);
   }
   detail::runThreadedLoop(this, limits_.threadedCode.get(), nullptr);
-  // The reference loop finishes the segment that fuel does not cover, so
-  // the run stops on the exact instruction.
-  if (result_.status == ExecStatus::Ok && !halted_) dispatchLoop<false>(false);
+  // The reference loop finishes the segment that crosses limit_, so the
+  // run stops on the exact instruction.
+  if (running()) loop<false, false>();
 }
 
-bool Machine::runToBoundary(std::uint64_t grid) {
-  if (!hashing_ || grid == 0) return false;
-  if (result_.status != ExecStatus::Ok || halted_) return false;
-  const bool capturing = captureInterval_ != 0;
-  if (hook_ != nullptr && !hook_->exhausted()) {
-    // No pausing while injections are pending: the hook's internal state is
-    // part of the dynamic system but not of the hash, so hash comparisons
-    // are only sound once it is exhausted. (pauseAt_ is still ~0 here.)
-    dispatchLoop<true>(capturing);
-    if (result_.status != ExecStatus::Ok || halted_) return false;
-    if (!hook_->exhausted()) return false;  // never-exhausting hook: done
-  }
-  // Strictly-next multiple: a machine paused exactly on a multiple advances
-  // to the following one instead of pausing forever.
-  pauseAt_ = (instructions_ / grid + 1) * grid;
-  dispatchLoop<false>(capturing);
-  const bool paused =
-      result_.status == ExecStatus::Ok && !halted_ && instructions_ >= pauseAt_;
-  pauseAt_ = ~0ULL;
-  return paused;
-}
-
-template <bool Hooked, bool Capturing, bool Hashing>
+template <bool Hooked, bool Capturing>
 void Machine::loop() {
   while (result_.status == ExecStatus::Ok) {
     if constexpr (Hooked) {
       if (hook_->exhausted()) return;  // caller re-enters the unhooked loop
-    }
-    if constexpr (Hashing) {
-      if (instructions_ >= pauseAt_) return;  // runToBoundary pause point
     }
     if constexpr (Capturing) {
       if (readCandidates_ + writeCandidates_ >= nextCaptureAt_) maybeCapture();
@@ -477,8 +371,14 @@ void Machine::loop() {
     const ir::BasicBlock& bb = frame.fn->blocks[frame.block];
     const Instr& in = bb.instrs[frame.ip++];
 
-    if (++instructions_ > limits_.maxInstructions) {
-      result_.status = ExecStatus::FuelExhausted;
+    if (++instructions_ > limit_) {
+      if (instructions_ > limits_.maxInstructions) {
+        result_.status = ExecStatus::FuelExhausted;
+      } else {
+        // A runUntil() stop: un-fetch, pausing between instructions.
+        --instructions_;
+        --frame.ip;
+      }
       return;
     }
 
@@ -693,15 +593,7 @@ void Machine::loop() {
           if constexpr (Hooked) {
             hook_->onWrite(writeIdx, instructions_, *call, v);
           }
-          const std::size_t idx = frames_.back().regBase + call->dest;
-          if constexpr (Hashing) {
-            const std::uint64_t old = regs_[idx];
-            if (old != v) {
-              if (old != 0) regsHash_ ^= statehash::regTerm(idx, old);
-              if (v != 0) regsHash_ ^= statehash::regTerm(idx, v);
-            }
-          }
-          regs_[idx] = v;
+          regs_[frames_.back().regBase + call->dest] = v;
         }
         continue;
       }
@@ -744,15 +636,7 @@ void Machine::loop() {
           hook_->onWrite(writeIdx, instructions_, in, destValue);
         }
       }
-      const std::size_t idx = frame.regBase + in.dest;
-      if constexpr (Hashing) {
-        const std::uint64_t old = regs_[idx];
-        if (old != destValue) {
-          if (old != 0) regsHash_ ^= statehash::regTerm(idx, old);
-          if (destValue != 0) regsHash_ ^= statehash::regTerm(idx, destValue);
-        }
-      }
-      regs_[idx] = destValue;
+      regs_[frame.regBase + in.dest] = destValue;
     }
   }
 }

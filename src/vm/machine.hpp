@@ -3,9 +3,11 @@
 // A Machine owns the full mid-execution state of one run (frames, register
 // stack, memory segments, counters, partial output) and can
 //   * start fresh from a module's entry function,
-//   * be reconstructed from a vm::Snapshot and continue bit-identically, and
+//   * be reconstructed from a vm::Snapshot and continue bit-identically,
 //   * capture snapshots of itself at candidate-count boundaries while running
-//     (the instrumented golden run of a fi::Workload).
+//     (the instrumented golden run of a fi::Workload), and
+//   * pause at an exact instruction count and compare itself with a
+//     snapshot taken there (outcome-equivalence pruning, fi/experiment.hpp).
 //
 // The execution loop is templated on whether a hook is attached: once an
 // attached hook reports exhausted() — it can no longer mutate any future
@@ -23,7 +25,6 @@
 #include "vm/interpreter.hpp"
 #include "vm/memory.hpp"
 #include "vm/snapshot.hpp"
-#include "vm/state_hash.hpp"
 #include "vm/threaded.hpp"
 
 namespace onebit::vm {
@@ -35,6 +36,16 @@ namespace detail {
 std::int64_t saturatingFpToSi(double d) noexcept;
 
 }  // namespace detail
+
+/// The first part of the machine state that differs from a snapshot, in the
+/// order Machine::compare checks them (cheapest first).
+enum class StateDiff : unsigned char {
+  Equal,      ///< the whole state matches
+  Control,    ///< instruction/candidate counters, sp, or the call frames
+  Output,     ///< the output bytes or the truncation flag
+  Registers,  ///< the live register stack
+  Memory,     ///< globals, stack, or heap (the heap's size included)
+};
 
 class Machine {
  public:
@@ -61,41 +72,35 @@ class Machine {
   void captureEvery(std::uint64_t interval, SnapshotSink sink);
 
   /// Run to completion (or trap / fuel exhaustion). Call once, after any
-  /// runToBoundary() pauses.
+  /// runUntil() pauses.
   ExecResult run();
 
-  /// Run until the dynamic instruction counter reaches the next multiple of
-  /// `grid` (> the current count), then pause between instructions and
-  /// return true. Returns false when the run ends (halt / trap / fuel)
-  /// before that boundary — the caller then calls run() to collect the
-  /// result — or when state hashing is off / `grid` is 0.
-  ///
-  /// While an attached hook is not yet exhausted the run does NOT pause:
-  /// pending injections are part of the dynamic state but not of the hash,
-  /// so hash comparisons are only sound once the hook is exhausted. A hook
-  /// that never exhausts simply runs to completion (returns false).
-  bool runToBoundary(std::uint64_t grid);
+  /// How a runUntil() call stopped.
+  enum class Stop : unsigned char {
+    Paused,    ///< between instructions, exactly at the requested count
+    Overshot,  ///< the hook exhausted past the requested count
+    Ended,     ///< halted, trapped or out of fuel; run() returns the result
+  };
+
+  /// Run until `n` dynamic instructions have executed, then pause between
+  /// instructions. While an attached hook is not yet exhausted the run does
+  /// NOT pause: the hooked part always runs to exhaustion first (pending
+  /// injections are dynamic state a comparison cannot see), so a hook that
+  /// never exhausts runs to the end. The stop shares the fuel check: both
+  /// loops run against min(fuel, n), so stopping costs nothing per
+  /// instruction.
+  Stop runUntil(std::uint64_t n);
 
   /// Snapshot the current between-instructions state.
   [[nodiscard]] Snapshot capture() const;
 
-  /// The incrementally maintained 64-bit state hash (requires
-  /// ExecLimits::trackStateHash). Two runs of the same module with equal
-  /// stateHash() at the same point have bit-identical machine state, so
-  /// their hook-free continuations are bit-identical too: the hash covers
-  /// frames, registers, memory, sp, output (and its truncation flag), and
-  /// the instruction/candidate counters.
-  [[nodiscard]] std::uint64_t stateHash() const;
-
-  /// From-scratch recomputation of stateHash() — the differential
-  /// cross-check for the incremental maintenance (tests/state_hash_test).
-  [[nodiscard]] std::uint64_t computeStateHash() const;
-
-  /// Stop maintaining the state hash for the rest of the run. Execution is
-  /// unchanged (the hash is passive), but stateHash() is stale afterwards.
-  /// Callers that made their pruning decision at a boundary use this so the
-  /// remainder runs at full speed.
-  void stopStateHashTracking() noexcept;
+  /// Compare the current state with `snap`, part by part, cheapest first:
+  /// control, output, registers, memory. The stack is compared up to the
+  /// higher of the two store high-water marks with zeros beyond each (the
+  /// marks themselves are not state: every byte past them is zero). Equal
+  /// state at a between-instructions point means equal hook-free
+  /// continuations.
+  [[nodiscard]] StateDiff compare(const Snapshot& snap) const;
 
   /// Dynamic instructions executed so far.
   [[nodiscard]] std::uint64_t instructions() const noexcept {
@@ -112,6 +117,9 @@ class Machine {
     const ir::Instr* pendingCall = nullptr;  ///< call awaiting a return value
   };
 
+  [[nodiscard]] bool running() const noexcept {
+    return result_.status == ExecStatus::Ok && !halted_;
+  }
   ExecResult finish();
   void trap(TrapKind k);
   void pushFrame(std::uint32_t fnId, std::span<const std::uint64_t> args,
@@ -123,29 +131,28 @@ class Machine {
                                std::span<const std::uint64_t> v);
   void maybeCapture();
 
-  /// Mixed term of a parked (non-top) call frame at `depth` in frames_.
-  [[nodiscard]] std::uint64_t frameTerm(std::uint64_t depth,
-                                        const CallFrame& f) const noexcept;
-
   /// The interpreter loop. `Hooked` instantiations dispatch to hook_ and
   /// return early once it is exhausted; `Capturing` instantiations check the
-  /// snapshot cadence at each instruction boundary; `Hashing` instantiations
-  /// fold register writes into the incremental state hash and honor
-  /// runToBoundary() pauses. When Hashing is false the generated code is
-  /// identical to before state hashing existed.
-  template <bool Hooked, bool Capturing, bool Hashing>
+  /// snapshot cadence at each instruction boundary. Every instantiation
+  /// stops before the instruction that would pass limit_: past the fuel
+  /// budget it ends the run FuelExhausted, at a runUntil() stop it pauses.
+  template <bool Hooked, bool Capturing>
   void loop();
 
-  /// Select the loop instantiation for the runtime hashing flag.
+  /// Select the loop instantiation for the capture state.
   template <bool Hooked>
-  void dispatchLoop(bool capturing);
+  void dispatchLoop();
+
+  /// Run the hook-free part: on the direct-threaded backend when selected
+  /// and not capturing, else on the reference loop.
+  void runHookFree();
 
   /// Run the hook-free remainder on the direct-threaded backend
   /// (limits_.threadedCode, or ThreadedCode::decode when that is null,
   /// executed by detail::runThreadedLoop). The reference loop runs the
-  /// segment in which fuel runs out.
+  /// segment that crosses limit_.
   /// Preconditions: between instructions, hook-free/exhausted, not
-  /// capturing, not hashing.
+  /// capturing.
   void runThreaded();
 
   /// The threaded loop lives in its own translation unit (computed goto)
@@ -170,16 +177,13 @@ class Machine {
   std::uint64_t writeCandidates_ = 0;
   std::uint64_t storeCandidates_ = 0;
   bool halted_ = false;  ///< main returned
+  /// The instruction count no loop runs past: the fuel budget, or a lower
+  /// runUntil() stop while one is pending.
+  std::uint64_t limit_ = 0;
   std::uint64_t captureInterval_ = 0;  ///< 0 = not capturing
   std::uint64_t nextCaptureAt_ = 0;
   SnapshotSink snapshotSink_;
   ExecResult result_;
-  // --- incremental state hash (ExecLimits::trackStateHash) ---
-  bool hashing_ = false;
-  std::uint64_t regsHash_ = 0;    ///< XOR of non-zero register terms
-  std::uint64_t framesHash_ = 0;  ///< XOR of parked (non-top) frame terms
-  std::uint64_t outputHash_ = statehash::kFnvBasis;  ///< rolling FNV-1a
-  std::uint64_t pauseAt_ = ~0ULL;  ///< runToBoundary pause point
 };
 
 }  // namespace onebit::vm

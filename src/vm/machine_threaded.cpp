@@ -4,11 +4,11 @@
 // the same decoded stream through a switch (still much cheaper than the
 // reference loop's per-execution ir::Instr decode).
 //
-// Semantics are a field-for-field replica of the hook-free, non-capturing,
-// non-hashing instantiation of Machine::loop() in vm/machine.cpp — the
-// differential backend fuzzer (tests/dispatch_differential_test.cpp) holds
-// the two bit-identical over outputs, traps, counters, and the full post-run
-// machine state hash. Invariants the replica must keep:
+// Semantics are a field-for-field replica of the hook-free, non-capturing
+// instantiation of Machine::loop() in vm/machine.cpp — the differential
+// backend fuzzer (tests/dispatch_differential_test.cpp) holds the two
+// bit-identical over outputs, traps, counters, and the full post-run
+// machine state (Machine::compare). Invariants the replica must keep:
 //   * counters are charged per segment (vm/threaded.hpp): entering one adds
 //     the instruction, read- and write-candidate totals from the entry Op to
 //     the segment's end, so between segments they equal the reference
@@ -17,14 +17,15 @@
 //   * a trap mid-segment takes back the counts of the Ops after the
 //     trapping one, and the trapping Op's own write: like the reference
 //     loop, it leaves that Op fetched and read but not written;
-//   * fuel is checked once per segment, before charging it. When the
-//     segment would cross the limit the loop returns, parked between
-//     instructions at the segment's start, and Machine::runThreaded lets
-//     the reference loop run that segment, so a run ending FuelExhausted
+//   * the instruction limit (fuel, or a lower Machine::runUntil stop) is
+//     checked once per segment, before charging it. When the segment would
+//     cross it the loop returns, parked between instructions at the
+//     segment's start, and Machine::runThreaded lets the reference loop run
+//     that segment, so a run ending FuelExhausted or paused by runUntil
 //     stops on exactly the reference loop's instruction;
 //   * every exit resynchronizes the top frame's (block, ip) from the
-//     current Op's provenance, so capture()/computeStateHash()/resume see
-//     exactly the coordinates the reference loop would leave;
+//     current Op's provenance, so capture()/compare()/resume see exactly
+//     the coordinates the reference loop would leave;
 //   * the caller's coordinates are synchronized BEFORE a call pushes its
 //     frame, keeping the "caller.ip - 1 is the Call" invariant snapshots
 //     rely on;
@@ -74,11 +75,11 @@ namespace onebit::vm::detail {
     OB_DISPATCH(); \
   } while (0)
 
-// Enter the segment that starts at `op`: fuel must cover all of it, then
-// its counts are charged up front.
+// Enter the segment that starts at `op`: the limit must cover all of it,
+// then its counts are charged up front.
 #define OB_ENTER()                                        \
   do {                                                    \
-    if (op->segInstrs > fuel - instrs) goto fuel_tail;    \
+    if (op->segInstrs > limit - instrs) goto limit_tail;  \
     instrs += op->segInstrs;                              \
     reads += op->segReads;                                \
     writes += op->segWrites;                              \
@@ -176,7 +177,7 @@ void runThreadedLoop(Machine* mp, const ThreadedCode* codep,
   Machine& m = *mp;
   const ThreadedCode& code = *codep;
   const ThreadedCode::Arg* const argPool = code.args.data();
-  const std::uint64_t fuel = m.limits_.maxInstructions;
+  const std::uint64_t limit = m.limit_;
   const std::uint64_t stackBytes = m.mem_.stackBytes();
 
   // Per-frame execution state, cached in locals and refreshed on every
@@ -308,7 +309,7 @@ dispatch:
       if (m.frames_.size() < m.limits_.maxCallDepth &&
           callee->frameSize <= stackBytes - m.sp_ &&
           callee->numRegs <= m.regs_.size() - base) {
-        // Machine::pushFrame's non-trapping, non-growing, non-hashing path.
+        // Machine::pushFrame's non-trapping, non-growing path.
         std::uint64_t* const calleeRegs = m.regs_.data() + base;
         for (unsigned i = 0; i < n; ++i) calleeRegs[i] = OB_VAL(a[i]);
         std::fill(calleeRegs + n, calleeRegs + callee->numRegs, 0);
@@ -335,7 +336,7 @@ dispatch:
         op->nops > 0 ? OB_VAL(argPool[op->argBase]) : 0;
     const ir::Instr* call = nullptr;
     {
-      // Machine::popFrame's non-hashing path.
+      // Machine::popFrame, inline.
       const auto& done = m.frames_.back();
       call = done.pendingCall;
       m.sp_ -= fn->frameSize;
@@ -400,8 +401,8 @@ dispatch:
   }
 #endif
 
-fuel_tail : {
-  // Fuel runs out inside the segment starting at `op`, which is not
+limit_tail : {
+  // The limit falls inside the segment starting at `op`, which is not
   // charged yet: park between instructions at `op` for the reference loop.
   auto& frame = m.frames_.back();
   frame.block = op->block;

@@ -8,8 +8,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "vm/state_hash.hpp"
-
 #if defined(__SANITIZE_ADDRESS__)
 #include <sanitizer/asan_interface.h>
 #else
@@ -162,16 +160,11 @@ void Memory::storeSlow(std::uint64_t addr, unsigned width,
     storeHighWater_ =
         std::max(storeHighWater_, static_cast<std::size_t>(stackOff) + width);
   }
-  // Segment bases are 8-aligned, so the containing word never crosses a
-  // segment boundary; a width-1 store only ever changes its one word.
-  const std::uint64_t wordAddr = addr & ~7ULL;
-  const std::uint64_t oldWord = hashing_ ? wordValueAt(wordAddr) : 0;
   if (width == 8) {
     std::memcpy(p, &value, 8);
   } else {
     *p = static_cast<std::uint8_t>(value);
   }
-  if (hashing_) foldWordDelta(wordAddr, oldWord, wordValueAt(wordAddr));
 }
 
 void Memory::poke(std::uint64_t addr, unsigned width, std::uint64_t mask,
@@ -183,8 +176,6 @@ void Memory::poke(std::uint64_t addr, unsigned width, std::uint64_t mask,
     storeHighWater_ =
         std::max(storeHighWater_, static_cast<std::size_t>(stackOff) + width);
   }
-  const std::uint64_t wordAddr = addr & ~7ULL;
-  const std::uint64_t oldWord = hashing_ ? wordValueAt(wordAddr) : 0;
   if (width == 8) {
     std::uint64_t v;
     std::memcpy(&v, p, 8);
@@ -193,7 +184,6 @@ void Memory::poke(std::uint64_t addr, unsigned width, std::uint64_t mask,
   } else {
     *p ^= static_cast<std::uint8_t>(mask);
   }
-  if (hashing_) foldWordDelta(wordAddr, oldWord, wordValueAt(wordAddr));
 }
 
 void Memory::captureSegments(std::size_t stackUsed,
@@ -226,65 +216,22 @@ void Memory::restoreSegments(const std::vector<std::uint8_t>& globals,
   }
   storeHighWater_ = stackPrefix.size();
   heap_ = heap;
-  if (hashing_) hash_ = computeContentHash();
 }
 
-void Memory::trackContentHash(bool on) {
-  hashing_ = on;
-  hash_ = on ? computeContentHash() : 0;
-}
-
-std::uint64_t Memory::wordValueAt(std::uint64_t wordAddr) const noexcept {
-  const std::uint8_t* seg = nullptr;
-  std::size_t segSize = 0;
-  std::uint64_t base = 0;
-  if (wordAddr >= kStackBase && wordAddr - kStackBase < stackSize_) {
-    seg = stack_;
-    segSize = stackSize_;
-    base = kStackBase;
-  } else if (wordAddr >= kGlobalBase &&
-             wordAddr - kGlobalBase < globals_.size()) {
-    seg = globals_.data();
-    segSize = globals_.size();
-    base = kGlobalBase;
-  } else if (wordAddr >= kHeapBase && wordAddr - kHeapBase < heap_.size()) {
-    seg = heap_.data();
-    segSize = heap_.size();
-    base = kHeapBase;
-  } else {
-    return 0;
-  }
-  const std::size_t off = static_cast<std::size_t>(wordAddr - base);
-  const std::size_t n = std::min<std::size_t>(8, segSize - off);
-  std::uint64_t w = 0;
-  std::memcpy(&w, seg + off, n);
-  return w;
-}
-
-void Memory::foldWordDelta(std::uint64_t wordAddr, std::uint64_t oldWord,
-                           std::uint64_t newWord) noexcept {
-  if (oldWord == newWord) return;
-  if (oldWord != 0) hash_ ^= statehash::memTerm(wordAddr, oldWord);
-  if (newWord != 0) hash_ ^= statehash::memTerm(wordAddr, newWord);
-}
-
-std::uint64_t Memory::computeContentHash() const noexcept {
-  std::uint64_t h = 0;
-  const auto fold = [&](const std::uint8_t* seg, std::size_t segSize,
-                        std::uint64_t base, std::size_t limit) {
-    for (std::size_t off = 0; off < limit; off += 8) {
-      const std::size_t n = std::min<std::size_t>(8, segSize - off);
-      std::uint64_t w = 0;
-      std::memcpy(&w, seg + off, n);
-      if (w != 0) h ^= statehash::memTerm(base + off, w);
-    }
-  };
-  fold(globals_.data(), globals_.size(), kGlobalBase, globals_.size());
-  // Bytes at or beyond the store high-water mark are untouched zeros, so
-  // words there contribute nothing — skip them.
-  fold(stack_, stackSize_, kStackBase, storeHighWater_);
-  fold(heap_.data(), heap_.size(), kHeapBase, heap_.size());
-  return h;
+bool Memory::holds(const std::vector<std::uint8_t>& globals,
+                   const std::vector<std::uint8_t>& stackPrefix,
+                   const std::vector<std::uint8_t>& heap) const {
+  // Every stack byte at or beyond either high-water mark is zero, so the
+  // prefix compares against the stack as is, and any written bytes of ours
+  // past the prefix must be zero.
+  const std::size_t n = stackPrefix.size();
+  return heap.size() == heap_.size() && n <= stackSize_ &&
+         globals == globals_ &&
+         std::equal(stackPrefix.begin(), stackPrefix.end(), stack_) &&
+         std::all_of(stack_ + std::min(n, storeHighWater_),
+                     stack_ + storeHighWater_,
+                     [](std::uint8_t b) { return b == 0; }) &&
+         heap == heap_;
 }
 
 std::uint64_t Memory::alloc(std::int64_t bytes, TrapKind& trap) {

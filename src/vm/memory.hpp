@@ -44,10 +44,10 @@ class Memory {
   }
 
   /// Store the low `width` bytes of value. On failure sets `trap`. Inline
-  /// for the same accesses as load() while content hashing is off.
+  /// for the same accesses as load().
   void store(std::uint64_t addr, unsigned width, std::uint64_t value,
              TrapKind& trap) noexcept {
-    if (std::uint8_t* p = hashing_ ? nullptr : fastPtr(addr, width)) {
+    if (std::uint8_t* p = fastPtr(addr, width)) {
       if (width == 8) {
         std::memcpy(p, &value, 8);
       } else {
@@ -101,26 +101,18 @@ class Memory {
   /// the stack becomes `stackPrefix` followed by zeros, the heap becomes
   /// `heap`. Throws std::invalid_argument when an image does not fit this
   /// Memory's geometry (globals size mismatch, stack prefix longer than the
-  /// stack, heap beyond the heap budget). When content hashing is on, the
-  /// hash is recomputed from the restored images.
+  /// stack, heap beyond the heap budget).
   void restoreSegments(const std::vector<std::uint8_t>& globals,
                        const std::vector<std::uint8_t>& stackPrefix,
                        const std::vector<std::uint8_t>& heap);
 
-  /// Enable/disable incremental content hashing (see vm/state_hash.hpp).
-  /// Turning it on (re)computes the hash from the current segment contents;
-  /// from then on store() and poke() maintain it in O(1) per write.
-  void trackContentHash(bool on);
-
-  /// Incrementally maintained XOR hash over all non-zero aligned 8-byte
-  /// words of the three segments (0 while tracking is off). Words that
-  /// straddle a segment end are read zero-extended, so growing the heap
-  /// with zero bytes never changes the hash.
-  [[nodiscard]] std::uint64_t contentHash() const noexcept { return hash_; }
-
-  /// From-scratch recomputation of contentHash() — the cross-check the
-  /// incremental maintenance is tested against.
-  [[nodiscard]] std::uint64_t computeContentHash() const noexcept;
+  /// True when the segments hold exactly what restoreSegments would put
+  /// there: the same globals, the stack equal to `stackPrefix` followed by
+  /// zeros, and the same heap, its size included (the next alloc() places
+  /// its block at the end of the heap).
+  [[nodiscard]] bool holds(const std::vector<std::uint8_t>& globals,
+                           const std::vector<std::uint8_t>& stackPrefix,
+                           const std::vector<std::uint8_t>& heap) const;
 
  private:
   /// Host pointer for an access that lies wholly inside the stack or the
@@ -151,15 +143,6 @@ class Memory {
   std::uint8_t* resolve(std::uint64_t addr, unsigned width,
                         TrapKind& trap) noexcept;
 
-  /// The aligned 8-byte word at `wordAddr`, zero-extended past a segment
-  /// end; 0 when the address is unmapped.
-  [[nodiscard]] std::uint64_t wordValueAt(std::uint64_t wordAddr) const noexcept;
-
-  /// XOR the hash delta of the word containing `addr` around a write: call
-  /// with the word value before and after.
-  void foldWordDelta(std::uint64_t wordAddr, std::uint64_t oldWord,
-                     std::uint64_t newWord) noexcept;
-
   std::vector<std::uint8_t> globals_;
   /// The stack segment is a zeroed buffer from a per-thread pool keyed by
   /// size (memory.cpp), not a fresh allocation: campaigns construct a Memory
@@ -174,8 +157,6 @@ class Memory {
   std::vector<std::uint8_t> heap_;
   std::size_t maxHeapBytes_;
   std::size_t storeHighWater_ = 0;
-  bool hashing_ = false;
-  std::uint64_t hash_ = 0;
 };
 
 }  // namespace onebit::vm

@@ -12,8 +12,12 @@ std::size_t Snapshot::byteSize() const noexcept {
          heap.size() + output.size();
 }
 
-std::function<std::uint64_t(Snapshot&&)> makeRetentionSink(
-    const SnapshotCapturePolicy& policy, std::vector<Snapshot>& out) {
+namespace {
+
+/// The snapshot sink executeWithSnapshots drives: snapshots are collected
+/// into `out` (cleared first) under `policy`'s retention bounds.
+Machine::SnapshotSink retentionSink(const SnapshotCapturePolicy& policy,
+                                    std::vector<Snapshot>& out) {
   out.clear();
   return [&out, policy, interval = policy.interval == 0 ? 1 : policy.interval,
           bytes = std::size_t{0}](Snapshot&& snap) mutable -> std::uint64_t {
@@ -40,12 +44,14 @@ std::function<std::uint64_t(Snapshot&&)> makeRetentionSink(
   };
 }
 
+}  // namespace
+
 ExecResult executeWithSnapshots(const ir::Module& mod, const ExecLimits& limits,
                                 const SnapshotCapturePolicy& policy,
                                 std::vector<Snapshot>& out) {
   Machine m(mod, limits, nullptr);
   m.captureEvery(policy.interval == 0 ? 1 : policy.interval,
-                 makeRetentionSink(policy, out));
+                 retentionSink(policy, out));
   return m.run();
 }
 

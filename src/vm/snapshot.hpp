@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -81,16 +80,6 @@ struct SnapshotCapturePolicy {
 ExecResult executeWithSnapshots(const ir::Module& mod, const ExecLimits& limits,
                                 const SnapshotCapturePolicy& policy,
                                 std::vector<Snapshot>& out);
-
-/// Build the snapshot sink executeWithSnapshots drives: snapshots are
-/// collected into `out` (cleared first) under `policy`'s retention bounds,
-/// dropping every other kept snapshot and doubling the cadence whenever a
-/// bound is exceeded. Exposed so callers that drive a Machine themselves
-/// (e.g. the pruning golden run, which interleaves capture with
-/// runToBoundary) collect snapshots with the exact same retention behavior.
-/// The returned type is Machine::SnapshotSink. `out` must outlive the sink.
-std::function<std::uint64_t(Snapshot&&)> makeRetentionSink(
-    const SnapshotCapturePolicy& policy, std::vector<Snapshot>& out);
 
 /// Continue a snapshotted execution of `mod` to completion. The continuation
 /// is bit-identical to a from-scratch execute(mod, limits, hook) run from the

@@ -22,7 +22,8 @@
 // on loop entry, anywhere inside it; it leaves only at its end or by a trap.
 // Each Op carries the instruction, read-candidate and write-candidate counts
 // from itself to the end of its segment, so the loop charges them, and
-// checks fuel, once per segment instead of once per instruction.
+// checks the instruction limit, once per segment instead of once per
+// instruction.
 //
 // Fused pairs: when a `move y <- x` directly follows the binary op or load
 // that wrote x, the first Op gets the fused handler, which also writes y
@@ -119,11 +120,12 @@ class Machine;
 namespace detail {
 
 /// The direct-threaded execution loop (defined in vm/machine_threaded.cpp).
-/// Normal mode: runs `m` (which must be between instructions, hook-free,
-/// non-capturing, non-hashing) on `code` until it halts or traps, or until
-/// fuel would run out inside the next segment; it then returns with `m`
-/// between instructions at that segment's start and status still Ok, and
-/// the caller finishes the run on the reference loop. Label-collection
+/// Normal mode: runs `m` (which must be between instructions, hook-free and
+/// non-capturing) on `code` until it halts or traps, or until its
+/// instruction limit (fuel, or a runUntil stop) falls inside the next
+/// segment; it then returns with `m` between instructions at that segment's
+/// start and status still Ok, and the caller runs that segment on the
+/// reference loop. Label-collection
 /// mode: when `labelsOut` is non-null, stores the loop's computed-goto label
 /// table (kNumHandlers entries indexed by Op::handler, null for unused
 /// fused slots; the table itself is null when the build lacks computed

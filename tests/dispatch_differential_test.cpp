@@ -6,7 +6,8 @@
 //    array indexing, integer division (including by computed zero), double
 //    math through the intrinsics, interleaved prints — and every program
 //    runs once per backend; outputs, traps, all candidate counters, the
-//    return value, and the full post-run machine state hash must match;
+//    return value, and the full post-run machine state (Machine::compare)
+//    must match;
 //  * fault-injection rounds: plans from every FaultDomain drive an
 //    InjectorHook through both backends (the hooked prefix is shared, the
 //    post-exhaustion suffix is where the backends diverge in code path);
@@ -15,8 +16,12 @@
 //    round at every candidate boundary of the run;
 //  * a fuel sweep stops the run on every instruction of its first few
 //    thousand, so fuel runs out on every Op of a segment, on Call and Ret,
-//    and on both Ops of a fused op+move pair.
+//    and on both Ops of a fused op+move pair;
+//  * a stop sweep pauses the run with Machine::runUntil on every
+//    instruction of its first few thousand: both backends must pause in
+//    the same state and then finish identically.
 #include <cstdint>
+#include <memory>
 #include <random>
 #include <string>
 #include <vector>
@@ -35,19 +40,24 @@ namespace {
 
 struct RunOutcome {
   vm::ExecResult result;
-  std::uint64_t postHash = 0;  ///< full machine state hash after the run
+  std::unique_ptr<vm::Machine> machine;  ///< the finished machine
 };
+
+/// A machine for `mod` on `backend` that has not run yet.
+RunOutcome start(const ir::Module& mod, vm::DispatchBackend backend,
+                 vm::ExecHook* hook = nullptr,
+                 std::uint64_t fuel = 2'000'000) {
+  vm::ExecLimits limits;
+  limits.dispatch = backend;
+  limits.maxInstructions = fuel;
+  return {{}, std::make_unique<vm::Machine>(mod, limits, hook)};
+}
 
 RunOutcome runOnce(const ir::Module& mod, vm::DispatchBackend backend,
                    vm::ExecHook* hook = nullptr,
                    std::uint64_t fuel = 2'000'000) {
-  vm::ExecLimits limits;
-  limits.dispatch = backend;
-  limits.maxInstructions = fuel;
-  vm::Machine m(mod, limits, hook);
-  RunOutcome out;
-  out.result = m.run();
-  out.postHash = m.computeStateHash();
+  RunOutcome out = start(mod, backend, hook, fuel);
+  out.result = out.machine->run();
   return out;
 }
 
@@ -62,7 +72,8 @@ void expectSameRun(const RunOutcome& sw, const RunOutcome& th,
   EXPECT_EQ(sw.result.returnValue, th.result.returnValue) << context;
   EXPECT_EQ(sw.result.outputTruncated, th.result.outputTruncated) << context;
   EXPECT_EQ(sw.result.output, th.result.output) << context;
-  EXPECT_EQ(sw.postHash, th.postHash) << context;
+  EXPECT_EQ(th.machine->compare(sw.machine->capture()), vm::StateDiff::Equal)
+      << context;
 }
 
 /// True when instruction `i` of `bb` is the Move of a fused op+move pair:
@@ -219,11 +230,8 @@ TEST(DispatchDifferential, TinyFuelAgreesOnFuelExhaustion) {
     ProgramGen gen(seed);
     ir::Module mod = lang::compileMiniC(gen.generate());
     for (std::uint64_t fuel = 1; fuel <= kMaxFuel; ++fuel) {
-      vm::ExecLimits limits;
-      limits.maxInstructions = fuel;
-      limits.dispatch = vm::DispatchBackend::Switch;
-      vm::Machine ref(mod, limits, nullptr);
-      const RunOutcome sw{ref.run(), ref.computeStateHash()};
+      const RunOutcome sw =
+          runOnce(mod, vm::DispatchBackend::Switch, nullptr, fuel);
       const RunOutcome th =
           runOnce(mod, vm::DispatchBackend::Threaded, nullptr, fuel);
       const std::string context = "seed " + std::to_string(seed) + " fuel " +
@@ -231,13 +239,58 @@ TEST(DispatchDifferential, TinyFuelAgreesOnFuelExhaustion) {
       expectSameRun(sw, th, context);
       if (::testing::Test::HasFailure()) return;
       if (sw.result.status != vm::ExecStatus::FuelExhausted) break;
-      const vm::Snapshot::Frame top = ref.capture().frames.back();
+      const vm::Snapshot::Frame top = sw.machine->capture().frames.back();
       const ir::BasicBlock& bb = mod.functions[top.fn].blocks[top.block];
       const std::size_t fetched = top.ip - 1;
       stoppedAtCall += bb.instrs[fetched].op == ir::Opcode::Call ? 1 : 0;
       stoppedAtRet += bb.instrs[fetched].op == ir::Opcode::Ret ? 1 : 0;
       stoppedAtFusedOp += isFusedMove(bb, fetched + 1) ? 1 : 0;
       stoppedAtFusedMove += isFusedMove(bb, fetched) ? 1 : 0;
+    }
+  }
+  EXPECT_GT(stoppedAtCall, 0);
+  EXPECT_GT(stoppedAtRet, 0);
+  EXPECT_GT(stoppedAtFusedOp, 0);
+  EXPECT_GT(stoppedAtFusedMove, 0);
+}
+
+TEST(DispatchDifferential, TinyStopsPauseBothBackendsAlike) {
+  // runUntil(n) shares the fuel check: the threaded loop parks at the start
+  // of the segment that would cross n and the reference loop steps to it.
+  // Every n from 1 up pauses the run before each of its first kMaxStop
+  // instructions in turn (read off the reference machine's top frame: ip is
+  // the next instruction), so the stop meets every offset into every
+  // segment. Both backends must pause in the same state and then finish
+  // identically.
+  constexpr std::uint64_t kMaxStop = 2500;
+  int stoppedAtCall = 0;
+  int stoppedAtRet = 0;
+  int stoppedAtFusedOp = 0;
+  int stoppedAtFusedMove = 0;
+  for (const std::uint64_t seed : {0xF0E1ULL, 0xF0E2ULL, 0xF0E3ULL}) {
+    ProgramGen gen(seed);
+    ir::Module mod = lang::compileMiniC(gen.generate());
+    for (std::uint64_t n = 1; n <= kMaxStop; ++n) {
+      RunOutcome sw = start(mod, vm::DispatchBackend::Switch);
+      RunOutcome th = start(mod, vm::DispatchBackend::Threaded);
+      const vm::Machine::Stop stop = sw.machine->runUntil(n);
+      const std::string context =
+          "seed " + std::to_string(seed) + " stop " + std::to_string(n);
+      ASSERT_EQ(th.machine->runUntil(n), stop) << context;
+      if (stop != vm::Machine::Stop::Paused) break;  // ended before n
+      ASSERT_EQ(sw.machine->instructions(), n) << context;
+      const vm::Snapshot paused = sw.machine->capture();
+      ASSERT_EQ(th.machine->compare(paused), vm::StateDiff::Equal) << context;
+      const vm::Snapshot::Frame& top = paused.frames.back();
+      const ir::BasicBlock& bb = mod.functions[top.fn].blocks[top.block];
+      stoppedAtCall += bb.instrs[top.ip].op == ir::Opcode::Call ? 1 : 0;
+      stoppedAtRet += bb.instrs[top.ip].op == ir::Opcode::Ret ? 1 : 0;
+      stoppedAtFusedOp += isFusedMove(bb, top.ip + 1) ? 1 : 0;
+      stoppedAtFusedMove += isFusedMove(bb, top.ip) ? 1 : 0;
+      sw.result = sw.machine->run();
+      th.result = th.machine->run();
+      expectSameRun(sw, th, context);
+      if (::testing::Test::HasFailure()) return;
     }
   }
   EXPECT_GT(stoppedAtCall, 0);

@@ -10,7 +10,11 @@
 //  * a store written under pruning is byte-identical (as a sorted set of
 //    lines) to the unpruned one;
 //  * capped checkpoint runs (maxShards) resumed across fresh store loads
-//    converge to the exact uninterrupted unpruned result.
+//    converge to the exact uninterrupted unpruned result;
+//  * a fault that grows the heap with zeros is not pruned as masked: single
+//    experiments pinned to each of the first 40 read and write candidates
+//    of a program whose later allocation fits only beside the golden heap
+//    return the same ExperimentResult pruned and unpruned.
 #include <algorithm>
 #include <cstdio>
 #include <fstream>
@@ -22,6 +26,7 @@
 
 #include "fi/campaign.hpp"
 #include "fi/campaign_store.hpp"
+#include "fi/experiment.hpp"
 #include "fi/suite.hpp"
 #include "lang/compile.hpp"
 
@@ -83,8 +88,8 @@ std::vector<FaultModel> modelMix() {
 }
 
 struct Bench {
-  std::unique_ptr<Workload> plain[2];   ///< no hash table (pruning off path)
-  std::unique_ptr<Workload> hashed[2];  ///< PrunePolicy::on
+  std::unique_ptr<Workload> plain[2];   ///< PrunePolicy{} (pruning off)
+  std::unique_ptr<Workload> pruned[2];  ///< PrunePolicy::on
 };
 
 Bench buildBench() {
@@ -92,7 +97,7 @@ Bench buildBench() {
   const char* const srcs[2] = {kMixer, kBranchy};
   for (int i = 0; i < 2; ++i) {
     b.plain[i] = std::make_unique<Workload>(lang::compileMiniC(srcs[i]));
-    b.hashed[i] = std::make_unique<Workload>(lang::compileMiniC(srcs[i]), 50,
+    b.pruned[i] = std::make_unique<Workload>(lang::compileMiniC(srcs[i]), 50,
                                              SnapshotPolicy{},
                                              PrunePolicy::on());
   }
@@ -149,7 +154,7 @@ TEST(PruneEquivalence, SuiteBitIdenticalAcrossThreadsAndShardSizes) {
       onCfg.threads = threads;
       onCfg.shardSize = shardSize;
       CampaignSuite on(onCfg);
-      addCells(on, bench.hashed);
+      addCells(on, bench.pruned);
       std::size_t lastShortCircuited = 0;
       on.onProgress([&](const SuiteProgress& p) {
         lastShortCircuited = p.suiteShortCircuited;
@@ -213,7 +218,7 @@ TEST(PruneEquivalence, StoreByteIdenticalToTheUnprunedStore) {
     cfg.threads = 4;
     cfg.record = &store;
     CampaignSuite suite(cfg);
-    addCells(suite, bench.hashed);
+    addCells(suite, bench.pruned);
     const std::vector<CampaignResult> pruned = suite.run();
     ASSERT_GT(totalShortCircuited(pruned), 0u);
   }
@@ -261,7 +266,7 @@ TEST(PruneEquivalence, CappedResumeCyclesConverge) {
     cfg.record = &store;
     cfg.resume = &store;
     CampaignSuite suite(cfg);
-    addCells(suite, bench.hashed);
+    addCells(suite, bench.pruned);
     merged = suite.run();
     bool complete = true;
     for (const CampaignResult& r : merged) complete = complete && r.complete();
@@ -270,6 +275,64 @@ TEST(PruneEquivalence, CappedResumeCyclesConverge) {
   for (const CampaignResult& r : merged) ASSERT_TRUE(r.complete());
   expectSameResults(merged, baseline, "capped resume cycles");
   std::remove(path.c_str());
+}
+
+/// The first allocation's size is live in a register until the loop, and
+/// the second allocation fits the 32 MiB heap budget only next to the
+/// golden 16-byte heap: a flip that grows the first block leaves the loop's
+/// state golden except for zero heap bytes, and traps later.
+const char* const kHeapGrowth = R"MC(
+int main() {
+  int n = 2;
+  int* p = alloc_int(n);
+  p[0] = 3; p[1] = 4;
+  int s = 0;
+  for (int i = 0; i < 400; i++) { s = s + p[i % 2]; }
+  char* big = alloc_char(33554400);
+  big[0] = 1;
+  print_i(s); print_c(10);
+  return 0;
+}
+)MC";
+
+TEST(PruneEquivalence, GrownHeapIsNotPrunedAsGolden) {
+  const Workload plain(lang::compileMiniC(kHeapGrowth));
+  const Workload pruned(lang::compileMiniC(kHeapGrowth), 50, {},
+                        PrunePolicy::on());
+  ASSERT_TRUE(pruned.pruningEnabled());
+  // Every run that gets past the second allocation zero-fills 32 MiB of
+  // fresh heap (milliseconds of page faults), so each location takes 8 plan
+  // seeds. At 32-bit flips, 6 of the 8 at read candidate 1 grow the first
+  // block within the budget: their state differs from the golden one only
+  // in the heap's size, and they trap at the second allocation.
+  constexpr std::uint64_t kSeeds = 8;
+  std::size_t matches = 0;
+  std::size_t detected = 0;
+  for (const FaultDomain d :
+       {FaultDomain::RegisterRead, FaultDomain::RegisterWrite}) {
+    FaultModel model = FaultModel::singleBit(d);
+    model.flipWidth = 32;
+    for (std::uint64_t first = 0; first < 40; ++first) {
+      for (std::uint64_t seed = 0; seed < kSeeds; ++seed) {
+        const FaultPlan plan = FaultPlan::atLocation(model, first, 7, seed);
+        const ExperimentResult want = runExperiment(plain, plan);
+        const ExperimentResult got = runExperiment(pruned, plan);
+        const std::string context = "domain " +
+                                    std::to_string(static_cast<int>(d)) +
+                                    " first " + std::to_string(first) +
+                                    " seed " + std::to_string(seed);
+        EXPECT_EQ(got.outcome, want.outcome) << context;
+        EXPECT_EQ(got.trap, want.trap) << context;
+        EXPECT_EQ(got.activations, want.activations) << context;
+        EXPECT_EQ(got.instructions, want.instructions) << context;
+        matches += got.prune == PruneEvent::GoldenMatch ? 1 : 0;
+        detected += want.outcome == stats::Outcome::Detected ? 1 : 0;
+      }
+    }
+  }
+  // Both must occur, or the check proves less than it claims.
+  EXPECT_GT(matches, 0u);
+  EXPECT_GT(detected, 0u);
 }
 
 }  // namespace

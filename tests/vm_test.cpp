@@ -344,9 +344,9 @@ TEST(Memory, NegativeAllocTraps) {
 TEST(Memory, SegmentEdges) {
   // Direct load()/store() at the edges of the inline fast path. A 60-byte
   // stack and a 20-byte global segment put an aligned 8-byte word across
-  // each end. Every row runs with content hashing off (the inline path for
-  // stack and global hits) and on (always the out-of-line path); both must
-  // agree on value, trap kind and stack store high-water mark.
+  // each end, so every row either hits the inline path or must fall through
+  // to the out-of-line one; each must get value, trap kind and stack store
+  // high-water mark right.
   constexpr std::size_t kStack = 60;
   constexpr std::size_t kGlobals = 20;
   std::vector<std::uint8_t> image(kGlobals);
@@ -389,39 +389,30 @@ TEST(Memory, SegmentEdges) {
       {"misaligned word at null", 3, 8, TrapKind::Misaligned, 0},
   };
   constexpr std::uint64_t kValue = 0xa1b2'c3d4'e5f6'0718ULL;
-  for (const bool hashing : {false, true}) {
-    for (const Row& row : rows) {
-      const std::string ctx =
-          std::string(row.what) + (hashing ? " (hashing)" : "");
-      Memory mem(image, kStack, 4096);
-      mem.trackContentHash(hashing);
-      // Before any store: globals read the image, the stack reads zero.
-      std::uint64_t before = 0;
-      if (row.trap == TrapKind::None && row.addr >= kGlobalBase &&
-          row.addr < kGlobalBase + kGlobals) {
-        std::memcpy(&before, image.data() + (row.addr - kGlobalBase),
-                    row.width);
-      }
-      TrapKind trap = TrapKind::None;
-      EXPECT_EQ(mem.load(row.addr, row.width, trap), before) << ctx;
-      EXPECT_EQ(trap, row.trap) << ctx;
-
-      trap = TrapKind::None;
-      mem.store(row.addr, row.width, kValue, trap);
-      EXPECT_EQ(trap, row.trap) << ctx;
-      EXPECT_EQ(mem.stackStoreHighWater(), row.highWater) << ctx;
-
-      trap = TrapKind::None;
-      const std::uint64_t stored =
-          row.width == 8 ? kValue : (kValue & 0xffU);
-      EXPECT_EQ(mem.load(row.addr, row.width, trap),
-                row.trap == TrapKind::None ? stored : 0U)
-          << ctx;
-      EXPECT_EQ(trap, row.trap) << ctx;
-      if (hashing) {
-        EXPECT_EQ(mem.contentHash(), mem.computeContentHash()) << ctx;
-      }
+  for (const Row& row : rows) {
+    const std::string ctx = row.what;
+    Memory mem(image, kStack, 4096);
+    // Before any store: globals read the image, the stack reads zero.
+    std::uint64_t before = 0;
+    if (row.trap == TrapKind::None && row.addr >= kGlobalBase &&
+        row.addr < kGlobalBase + kGlobals) {
+      std::memcpy(&before, image.data() + (row.addr - kGlobalBase), row.width);
     }
+    TrapKind trap = TrapKind::None;
+    EXPECT_EQ(mem.load(row.addr, row.width, trap), before) << ctx;
+    EXPECT_EQ(trap, row.trap) << ctx;
+
+    trap = TrapKind::None;
+    mem.store(row.addr, row.width, kValue, trap);
+    EXPECT_EQ(trap, row.trap) << ctx;
+    EXPECT_EQ(mem.stackStoreHighWater(), row.highWater) << ctx;
+
+    trap = TrapKind::None;
+    const std::uint64_t stored = row.width == 8 ? kValue : (kValue & 0xffU);
+    EXPECT_EQ(mem.load(row.addr, row.width, trap),
+              row.trap == TrapKind::None ? stored : 0U)
+        << ctx;
+    EXPECT_EQ(trap, row.trap) << ctx;
   }
 }
 
@@ -447,22 +438,17 @@ void dirtyStack(Memory& mem) {
 }
 
 /// A just-built `mem` must load 0 at every dirtied word, and its whole stack
-/// must hash like a fresh Memory's.
+/// must be zero.
 void expectCleanStack(Memory& mem) {
   TrapKind trap = TrapKind::None;
   for (const std::uint64_t off : dirtyOffsets(mem.stackBytes())) {
     EXPECT_EQ(mem.load(kStackBase + off, 8, trap), 0u) << "offset " << off;
   }
-  // `fresh` is built while `mem` holds this thread's pooled buffer of this
-  // size, so its stack is newly allocated. A zero store at the last byte
-  // raises both store high-water marks to the stack end, so the hashes fold
-  // every stack word.
-  Memory fresh({}, mem.stackBytes(), 4096);
-  const std::uint64_t last = kStackBase + mem.stackBytes() - 1;
-  mem.store(last, 1, 0, trap);
-  fresh.store(last, 1, 0, trap);
+  // A zero store at the last byte raises the store high-water mark to the
+  // stack end, so holds() checks every stack byte against zero.
+  mem.store(kStackBase + mem.stackBytes() - 1, 1, 0, trap);
   ASSERT_EQ(trap, TrapKind::None);
-  EXPECT_EQ(mem.computeContentHash(), fresh.computeContentHash());
+  EXPECT_TRUE(mem.holds({}, {}, {}));
 }
 
 TEST(MemoryPool, ReusedStackIsZero) {
