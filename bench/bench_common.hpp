@@ -24,18 +24,19 @@
 // runs: a faulty run whose state matches a snapshot ends there with the
 // golden outcome. Both are pure speedups: outputs are bit-identical
 // whatever these knobs say.
-//   ONEBIT_SNAPSHOT_INTERVAL  combined candidate indices between golden-run
-//                       snapshot captures; 0 = no snapshots and no pruning
-//                       (every experiment interprets from scratch to its
-//                       end), unset/negative = auto
+//   ONEBIT_SNAPSHOT_INTERVAL  dynamic instructions between golden-run
+//                       snapshot captures (coarsened on the fly by the
+//                       budget); 0 = no snapshots and no pruning (every
+//                       experiment interprets from scratch to its end),
+//                       unset/negative = the default of 1024
 //   ONEBIT_SNAPSHOT_BUDGET    per-workload byte budget for kept snapshots
 //                       (default 16 MiB); 0 = same as interval 0
 //
-// Dispatch-backend knob (see docs/ARCHITECTURE.md):
-//   ONEBIT_DISPATCH     "threaded" (default) runs hook-free segments on the
-//                       pre-decoded direct-threaded loop; "switch" selects
-//                       the reference interpreter everywhere. Pure speedup:
-//                       all outputs are bit-identical either way.
+// Every driver runs its hook-free segments (golden runs with their
+// snapshot captures, and each experiment's suffix once its faults are
+// spent) on the direct-threaded loop, which the differential fuzzer and
+// the DispatchEquivalence suite hold bit-identical to the reference loop
+// (see "Dispatch backends" in docs/ARCHITECTURE.md).
 //
 // Results-store knobs (checkpoint/resume; see docs/ARCHITECTURE.md):
 //   ONEBIT_STORE        path of a JSONL campaign store; every completed
@@ -131,8 +132,8 @@ using analytics::programSelected;
 using analytics::specSelected;
 
 /// The golden-prefix snapshot policy selected by the environment knobs.
-/// ONEBIT_SNAPSHOT_INTERVAL: 0 disables the cache, a positive value pins the
-/// capture spacing, unset/negative picks the auto spacing.
+/// ONEBIT_SNAPSHOT_INTERVAL: 0 disables the cache, a positive value sets the
+/// initial capture spacing in instructions, unset/negative keeps the default.
 /// ONEBIT_SNAPSHOT_BUDGET: per-workload byte budget (0 disables).
 inline fi::SnapshotPolicy snapshotPolicyFromEnv() {
   fi::SnapshotPolicy policy;
@@ -143,34 +144,14 @@ inline fi::SnapshotPolicy snapshotPolicyFromEnv() {
   return policy;
 }
 
-/// The execution backend selected by ONEBIT_DISPATCH ("threaded" | "switch").
-/// Drivers default to the direct-threaded fast path — it is held
-/// bit-identical to the reference interpreter by the differential backend
-/// fuzzer, the equivalence sweep suite, and the CI smoke diff — and
-/// ONEBIT_DISPATCH=switch selects the reference loop everywhere (the
-/// comparison baseline scripts/bench_dispatch.sh measures against). An
-/// unknown value is reported once.
-inline vm::DispatchBackend dispatchFromEnv() {
-  static const vm::DispatchBackend backend = [] {
-    const std::string v = util::envStr("ONEBIT_DISPATCH", "threaded");
-    if (v == "switch") return vm::DispatchBackend::Switch;
-    if (v != "threaded") {
-      std::fprintf(stderr,
-                   "[dispatch] unknown ONEBIT_DISPATCH=%s; using threaded\n",
-                   v.c_str());
-    }
-    return vm::DispatchBackend::Threaded;
-  }();
-  return backend;
-}
-
-/// Profile `mod` as every driver's campaigns run it: the snapshot and
-/// dispatch knobs from the environment, and pruning on.
+/// Profile `mod` as every driver's campaigns run it: the snapshot knobs from
+/// the environment, pruning on, and the direct-threaded loop for hook-free
+/// segments (as fleet workers rebuild it, fi/fleet.cpp).
 inline fi::Workload makeWorkload(
     ir::Module mod,
     std::uint64_t hangFactor = fi::Workload::kDefaultHangFactor) {
   return fi::Workload(std::move(mod), hangFactor, snapshotPolicyFromEnv(),
-                      fi::PrunePolicy::on(), dispatchFromEnv());
+                      fi::PrunePolicy::on(), vm::DispatchBackend::Threaded);
 }
 
 /// Compile and profile all (selected) Table II workloads.

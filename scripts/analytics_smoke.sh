@@ -9,10 +9,13 @@
 #   2. a partial store (driver capped at one shard per cell) exits 3 and
 #      every affected cell carries an explicit "incomplete(...)" marker —
 #      partial data is marked, never reported as a final value,
-#   3. `report --trend` across the partial and the complete snapshot marks
+#   3. shard records written under different shard sizes are never counted
+#      twice: a store holding (0,16), (16,16) and (0,32) is partial (exit
+#      3), and once a resume finishes it, `report` equals a fresh run,
+#   4. `report --trend` across the partial and the complete snapshot marks
 #      the partial column explicitly,
-#   4. `report --watch --once` renders one dashboard frame over the store,
-#   5. `report --summary --json` emits the machine-readable summary.
+#   5. `report --watch --once` renders one dashboard frame over the store,
+#   6. `report --summary --json` emits the machine-readable summary.
 #
 #   scripts/analytics_smoke.sh [BUILD_DIR]
 #
@@ -78,6 +81,28 @@ if [ "$rc" != 3 ]; then
   exit 1
 fi
 grep -q 'incomplete(' "$tmp/partial.txt"
+
+echo "== mixed shard sizes: overlapping records are counted once"
+(
+  export ONEBIT_PROGRAMS=qsort ONEBIT_CSV=1
+  mixed="$tmp/mixed.jsonl"
+  ONEBIT_STORE="$mixed" ONEBIT_SHARD_SIZE=16 ONEBIT_MAX_SHARDS=2 \
+    "$build/bench_fig1_single_bit" > /dev/null
+  ONEBIT_STORE="$mixed" ONEBIT_RESUME=1 ONEBIT_SHARD_SIZE=32 \
+    ONEBIT_MAX_SHARDS=1 "$build/bench_fig1_single_bit" > /dev/null
+  rc=0
+  "$build/report" --figure fig1 "$mixed" > "$tmp/mixed_partial.csv" || rc=$?
+  if [ "$rc" != 3 ]; then
+    echo "error: report on overlapping partial shards exited $rc, want 3" >&2
+    exit 1
+  fi
+  ONEBIT_STORE="$mixed" ONEBIT_RESUME=1 ONEBIT_SHARD_SIZE=32 \
+    "$build/bench_fig1_single_bit" > "$tmp/mixed_driver.csv"
+  "$build/bench_fig1_single_bit" > "$tmp/mixed_fresh.csv"
+  diff "$tmp/mixed_fresh.csv" "$tmp/mixed_driver.csv"
+  "$build/report" --figure fig1 "$mixed" > "$tmp/mixed_report.csv"
+  diff "$tmp/mixed_fresh.csv" "$tmp/mixed_report.csv"
+)
 
 echo "== trend across the partial and the complete snapshot"
 "$build/report" --trend "$tmp/partial.jsonl" "$tmp/fig1.jsonl" \

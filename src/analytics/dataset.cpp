@@ -1,22 +1,80 @@
 #include "analytics/dataset.hpp"
 
+#include <algorithm>
+
 namespace onebit::analytics {
+
+namespace {
+
+using ShardEntry =
+    std::map<Range, fi::CampaignStore::ShardAggregate>::value_type;
+
+std::size_t endOf(const ShardEntry* e) {
+  return e->first.first + e->first.second;
+}
+
+/// The shard records a campaign's tallies count: records whose ranges do
+/// not overlap, covering as many experiments as any such set can. Records
+/// under one campaign key may overlap — a resume under another shard size
+/// re-runs its own ranges and records them beside the old ones — so summing
+/// them all would count experiments twice. Every range lies inside
+/// [0, experiments), so a set covering all experiments tiles that interval
+/// exactly, and by the shard determinism contract every tiling tallies the
+/// same.
+std::vector<const ShardEntry*> tiling(
+    const std::map<Range, fi::CampaignStore::ShardAggregate>& shards) {
+  // Weighted interval scheduling, the weight being a record's experiments.
+  std::vector<const ShardEntry*> byEnd;
+  for (const ShardEntry& e : shards) byEnd.push_back(&e);
+  std::stable_sort(byEnd.begin(), byEnd.end(),
+                   [](const ShardEntry* a, const ShardEntry* b) {
+                     return endOf(a) < endOf(b);
+                   });
+  // best[i]: most experiments the first i records cover without overlap;
+  // before[i]: how many records end at or before record i-1 begins.
+  std::vector<std::size_t> best(byEnd.size() + 1, 0);
+  std::vector<std::size_t> before(byEnd.size() + 1, 0);
+  for (std::size_t i = 1; i <= byEnd.size(); ++i) {
+    const Range& r = byEnd[i - 1]->first;
+    before[i] = static_cast<std::size_t>(
+        std::upper_bound(byEnd.begin(), byEnd.begin() + (i - 1), r.first,
+                         [](std::size_t first, const ShardEntry* e) {
+                           return first < endOf(e);
+                         }) -
+        byEnd.begin());
+    best[i] = std::max(best[i - 1], best[before[i]] + r.second);
+  }
+  std::vector<const ShardEntry*> out;
+  for (std::size_t i = byEnd.size(); i > 0;) {
+    if (best[i] == best[i - 1]) {
+      --i;
+    } else {
+      out.push_back(byEnd[i - 1]);
+      i = before[i];
+    }
+  }
+  return out;
+}
+
+}  // namespace
 
 std::size_t CampaignTable::recordedExperiments() const {
   std::size_t total = 0;
-  for (const auto& [range, agg] : shards) total += range.second;
+  for (const ShardEntry* e : tiling(shards)) total += e->first.second;
   return total;
 }
 
 stats::OutcomeCounts CampaignTable::totals() const {
   stats::OutcomeCounts counts;
-  for (const auto& [range, agg] : shards) counts.merge(agg.counts);
+  for (const ShardEntry* e : tiling(shards)) counts.merge(e->second.counts);
   return counts;
 }
 
 fi::ActivationHistogram CampaignTable::histogram() const {
   fi::ActivationHistogram hist{};
-  for (const auto& [range, agg] : shards) fi::mergeHistogram(hist, agg.hist);
+  for (const ShardEntry* e : tiling(shards)) {
+    fi::mergeHistogram(hist, e->second.hist);
+  }
   return hist;
 }
 

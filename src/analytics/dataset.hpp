@@ -49,14 +49,17 @@ struct CampaignTable {
   std::map<Range, fi::CampaignStore::LeaseRecord> leases;
   std::map<Range, fi::CampaignStore::QuarantineRecord> quarantines;
 
-  /// Experiments covered by recorded shards.
+  /// Experiments covered by recorded shards. Like totals() and histogram(),
+  /// this counts one set of records whose ranges do not overlap (the set
+  /// covering the most experiments): records written under different shard
+  /// sizes overlap, and no experiment is counted twice.
   [[nodiscard]] std::size_t recordedExperiments() const;
   /// Outcome totals over recorded shards (PARTIAL when !complete()).
   [[nodiscard]] stats::OutcomeCounts totals() const;
   /// Activation histogram merged over recorded shards.
   [[nodiscard]] fi::ActivationHistogram histogram() const;
-  /// True when every experiment of the campaign is recorded. False also
-  /// when the campaign size is unknown (expectedExperiments() == 0): a
+  /// True when recorded shards tile every experiment of the campaign. False
+  /// also when the campaign size is unknown (expectedExperiments() == 0): a
   /// Dataset must never promote a partial tally to a final result.
   [[nodiscard]] bool complete() const;
   /// Campaign size, from shard meta or (failing that) the cell record

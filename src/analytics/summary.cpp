@@ -48,7 +48,7 @@ void appendCampaign(std::string& out, const CampaignTable& table,
           table.meta.key, workload.empty() ? "-" : workload.c_str(),
           spec.empty() ? "-" : spec.c_str(), recorded, expected, pct,
           table.submitted ? " [cell]" : "",
-          recorded >= expected && expected != 0 ? " [complete]" : "");
+          table.complete() ? " [complete]" : "");
   if (progress.activeLeases != 0 || progress.expiredLeases != 0) {
     appendf(out, "  leases: %zu active, %zu expired", progress.activeLeases,
             progress.expiredLeases);

@@ -16,9 +16,8 @@ Workload::Workload(ir::Module mod, std::uint64_t hangFactor,
     : mod_(std::move(mod)), hangFactor_(hangFactor) {
   vm::ExecLimits goldenLimits;
   // The backend rides on the limits into every run this workload owns: the
-  // golden pass below executes threaded when selected and not capturing
-  // (capturing runs stay on the reference loop by the eligibility rule in
-  // Machine::run), and faultyLimits_ carries it into runExperiment's
+  // golden pass below (its captures pause at runUntil() stops, so it keeps
+  // the backend throughout), and, through faultyLimits_, runExperiment's
   // post-exhaustion suffixes.
   goldenLimits.dispatch = dispatch;
   if (dispatch == vm::DispatchBackend::Threaded) {
@@ -27,10 +26,8 @@ Workload::Workload(ir::Module mod, std::uint64_t hangFactor,
     goldenLimits.threadedCode = vm::ThreadedCode::decode(mod_);
   }
   if (snapshots.enabled()) {
-    vm::SnapshotCapturePolicy capture;  // default interval = the auto spacing
-    if (snapshots.interval != SnapshotPolicy::kAutoInterval) {
-      capture.interval = snapshots.interval;
-    }
+    vm::SnapshotCapturePolicy capture;
+    capture.interval = snapshots.interval;
     capture.maxSnapshots = snapshots.maxSnapshots;
     capture.budgetBytes = snapshots.budgetBytes;
     golden_ = vm::executeWithSnapshots(mod_, goldenLimits, capture, snapshots_);

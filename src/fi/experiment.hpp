@@ -24,14 +24,10 @@ namespace onebit::fi {
 /// to from-scratch execution (the vm/snapshot.hpp contract) — they only
 /// change how fast experiments run.
 struct SnapshotPolicy {
-  /// Auto spacing: the vm::SnapshotCapturePolicy default, coarsened on the
-  /// fly by the retention bounds (drop-every-other + interval doubling).
-  static constexpr std::uint64_t kAutoInterval = ~0ULL;
-
-  /// Combined (read + write) candidate indices between captures.
-  /// 0 disables the snapshot cache entirely; kAutoInterval picks a spacing
-  /// from the retention bounds.
-  std::uint64_t interval = kAutoInterval;
+  /// Dynamic instructions between captures, at the start of the golden run;
+  /// the retention bounds below coarsen it on the fly (drop every other
+  /// snapshot, double the spacing). 0 disables the snapshot cache entirely.
+  std::uint64_t interval = vm::SnapshotCapturePolicy{}.interval;
   /// Per-workload byte budget for kept snapshots (0 disables the cache).
   std::size_t budgetBytes = 16 << 20;
   /// Upper bound on kept snapshots (0 = bounded by budgetBytes alone).
@@ -84,12 +80,12 @@ class Workload {
   /// SnapshotPolicy::disabled() to interpret every experiment from scratch).
   /// `prune` makes runExperiment compare faulty runs with those snapshots
   /// (off by default; a workload without snapshots never prunes).
-  /// `dispatch` selects the execution backend for every hook-free,
-  /// non-capturing segment this workload runs — the golden pass when it
-  /// captures no snapshots, and the post-exhaustion suffix of every
-  /// experiment. Like the snapshot and prune policies it is a pure speedup
-  /// (bit-identical results, pinned by tests/dispatch_differential_test and
-  /// tests/dispatch_equivalence_test) and is NOT part of the fingerprint.
+  /// `dispatch` selects the execution backend for every hook-free segment
+  /// this workload runs — the golden pass, snapshot captures included, and
+  /// the post-exhaustion suffix of every experiment. Like the snapshot and
+  /// prune policies it is a pure speedup (bit-identical results, pinned by
+  /// tests/dispatch_differential_test and tests/dispatch_equivalence_test)
+  /// and is NOT part of the fingerprint.
   explicit Workload(ir::Module mod,
                     std::uint64_t hangFactor = kDefaultHangFactor,
                     SnapshotPolicy snapshots = {}, PrunePolicy prune = {},

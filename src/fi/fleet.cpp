@@ -244,6 +244,7 @@ FleetWorker::FleetWorker(const std::string& storePath, std::string workerId,
     : store_(storePath, CampaignStore::WriteMode::Atomic),
       config_(std::move(config)),
       id_(std::move(workerId)) {
+  if (config_.leaseMs == 0) config_.leaseMs = FleetConfig{}.leaseMs;
   if (id_.empty()) {
     char buf[48];
     std::snprintf(buf, sizeof buf, "%llu:%04llx",

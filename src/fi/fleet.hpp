@@ -53,7 +53,8 @@ namespace onebit::fi {
 struct FleetConfig {
   /// Lease duration: a claim or heartbeat extends the lease this far into
   /// the future. A shard whose experiments outlast it is fine as long as
-  /// heartbeats keep landing.
+  /// heartbeats keep landing. 0 resolves to this default when a FleetWorker
+  /// takes the config (a zero lease would expire at its own claim).
   std::uint64_t leaseMs = 30'000;
   /// Heartbeat period; 0 resolves to leaseMs / 3 (three missed beats lose
   /// the lease).

@@ -94,16 +94,16 @@ enum class ExecStatus : unsigned char {
   FuelExhausted,  ///< instruction budget exceeded (classified as Hang)
 };
 
-/// Which execution loop runs the hook-free, non-capturing part of a run
-/// (golden executions and the post-exhaustion suffix of faulty runs).
-/// `Switch` is the templated reference interpreter in vm/machine.cpp;
-/// `Threaded` pre-decodes the module into a dense direct-threaded stream
-/// (computed-goto label pointers where the compiler supports them, a decoded
-/// switch otherwise — see vm/threaded.hpp) and runs that. The two are
-/// bit-identical for every program — pinned by the differential backend
-/// fuzzer (tests/dispatch_differential_test.cpp) — so the choice is a pure
-/// speedup. Hooked and capturing segments always run on the reference loop
-/// regardless of this setting.
+/// Which execution loop runs the hook-free part of a run (golden
+/// executions, snapshot captures included, and the post-exhaustion suffix
+/// of faulty runs). `Switch` is the templated reference interpreter in
+/// vm/machine.cpp; `Threaded` pre-decodes the module into a dense
+/// direct-threaded stream (computed-goto label pointers where the compiler
+/// supports them, a decoded switch otherwise — see vm/threaded.hpp) and
+/// runs that. The two are bit-identical for every program — pinned by the
+/// differential backend fuzzer (tests/dispatch_differential_test.cpp) — so
+/// the choice is a pure speedup. Hooked segments always run on the
+/// reference loop regardless of this setting.
 enum class DispatchBackend : unsigned char {
   Switch,    ///< templated switch interpreter (the reference semantics)
   Threaded,  ///< pre-decoded direct-threaded stream (fast path)
@@ -117,8 +117,11 @@ struct ExecLimits {
   std::size_t maxOutputBytes = 4 << 20;
   /// Backend for the hook-free fast path. A pure performance choice that
   /// never affects results and is NOT part of any workload fingerprint.
-  /// Default is the reference loop; campaign drivers opt into Threaded via
-  /// the ONEBIT_DISPATCH bench knob.
+  /// Every campaign driver, fleet worker and the benchmark pass Threaded.
+  /// The default stays the reference loop because the oracles rely on it:
+  /// a run built with default limits (or a default fi::Workload) is the
+  /// reference semantics, which the differential tests and the benchmark's
+  /// from-scratch check compare the threaded loop against.
   DispatchBackend dispatch = DispatchBackend::Switch;
   /// Optional precompiled stream for the module being executed. When null,
   /// a Threaded run decodes the module itself (ThreadedCode::decode, O(module

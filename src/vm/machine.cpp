@@ -97,13 +97,6 @@ Machine::Machine(const ir::Module& mod, const Snapshot& snap,
   result_.outputTruncated = snap.outputTruncated;
 }
 
-void Machine::captureEvery(std::uint64_t interval, SnapshotSink sink) {
-  captureInterval_ = interval == 0 ? 1 : interval;
-  snapshotSink_ = std::move(sink);
-  const std::uint64_t combined = readCandidates_ + writeCandidates_;
-  nextCaptureAt_ = combined - combined % captureInterval_ + captureInterval_;
-}
-
 Snapshot Machine::capture() const {
   Snapshot s;
   s.frames.reserve(frames_.size());
@@ -157,13 +150,6 @@ StateDiff Machine::compare(const Snapshot& snap) const {
     return StateDiff::Memory;
   }
   return StateDiff::Equal;
-}
-
-void Machine::maybeCapture() {
-  const std::uint64_t newInterval = snapshotSink_(capture());
-  if (newInterval != 0) captureInterval_ = newInterval;
-  const std::uint64_t combined = readCandidates_ + writeCandidates_;
-  nextCaptureAt_ = combined - combined % captureInterval_ + captureInterval_;
 }
 
 ExecResult Machine::finish() {
@@ -304,31 +290,22 @@ std::uint64_t Machine::applyIntrinsic(ir::IntrinsicKind kind,
   return ir::fromF64(r);
 }
 
-template <bool Hooked>
-void Machine::dispatchLoop() {
-  if (captureInterval_ != 0) {
-    loop<Hooked, true>();
-  } else {
-    loop<Hooked, false>();
-  }
-}
-
 void Machine::runHookFree() {
-  // Hook-free fast path: golden runs, and the tail of a faulty run once
-  // the hook can no longer mutate anything (no virtual dispatch at all).
-  // Only this part is eligible for the threaded backend: hooked and
-  // capturing parts need the per-instruction callbacks / capture checks
-  // only the reference loop carries.
-  if (limits_.dispatch == DispatchBackend::Threaded && captureInterval_ == 0) {
+  // Hook-free fast path: golden runs (captures included: they pause at
+  // runUntil() stops), and the tail of a faulty run once the hook can no
+  // longer mutate anything (no virtual dispatch at all). Only this part is
+  // eligible for the threaded backend: hooked parts need the
+  // per-instruction callbacks only the reference loop carries.
+  if (limits_.dispatch == DispatchBackend::Threaded) {
     runThreaded();
   } else {
-    dispatchLoop<false>();
+    loop<false>();
   }
 }
 
 ExecResult Machine::run() {
   if (running() && hook_ != nullptr && !hook_->exhausted()) {
-    dispatchLoop<true>();
+    loop<true>();
   }
   if (running()) runHookFree();
   return finish();
@@ -336,7 +313,7 @@ ExecResult Machine::run() {
 
 Machine::Stop Machine::runUntil(std::uint64_t n) {
   if (running() && hook_ != nullptr && !hook_->exhausted()) {
-    dispatchLoop<true>();
+    loop<true>();
   }
   if (!running()) return Stop::Ended;
   if (instructions_ > n) return Stop::Overshot;
@@ -355,17 +332,14 @@ void Machine::runThreaded() {
   detail::runThreadedLoop(this, limits_.threadedCode.get(), nullptr);
   // The reference loop finishes the segment that crosses limit_, so the
   // run stops on the exact instruction.
-  if (running()) loop<false, false>();
+  if (running()) loop<false>();
 }
 
-template <bool Hooked, bool Capturing>
+template <bool Hooked>
 void Machine::loop() {
   while (result_.status == ExecStatus::Ok) {
     if constexpr (Hooked) {
       if (hook_->exhausted()) return;  // caller re-enters the unhooked loop
-    }
-    if constexpr (Capturing) {
-      if (readCandidates_ + writeCandidates_ >= nextCaptureAt_) maybeCapture();
     }
     CallFrame& frame = frames_.back();
     const ir::BasicBlock& bb = frame.fn->blocks[frame.block];

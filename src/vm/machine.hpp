@@ -4,10 +4,10 @@
 // stack, memory segments, counters, partial output) and can
 //   * start fresh from a module's entry function,
 //   * be reconstructed from a vm::Snapshot and continue bit-identically,
-//   * capture snapshots of itself at candidate-count boundaries while running
-//     (the instrumented golden run of a fi::Workload), and
-//   * pause at an exact instruction count and compare itself with a
-//     snapshot taken there (outcome-equivalence pruning, fi/experiment.hpp).
+//   * pause at an exact instruction count (runUntil), then snapshot itself
+//     there (the golden run's captures, vm::executeWithSnapshots) or compare
+//     itself with a snapshot taken there (outcome-equivalence pruning,
+//     fi/experiment.hpp).
 //
 // The execution loop is templated on whether a hook is attached: once an
 // attached hook reports exhausted() — it can no longer mutate any future
@@ -17,7 +17,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <span>
 #include <vector>
 
@@ -60,16 +59,6 @@ class Machine {
 
   Machine(const Machine&) = delete;
   Machine& operator=(const Machine&) = delete;
-
-  /// Snapshot sink: receives each captured snapshot and returns the capture
-  /// interval to use from here on (in combined candidate indices, >= 1) —
-  /// collectors coarsen the cadence on the fly to honor retention budgets.
-  using SnapshotSink = std::function<std::uint64_t(Snapshot&&)>;
-
-  /// Capture a snapshot each time the combined candidate count
-  /// (readCandidates + writeCandidates) crosses a multiple of `interval`
-  /// (>= 1). Call before run().
-  void captureEvery(std::uint64_t interval, SnapshotSink sink);
 
   /// Run to completion (or trap / fuel exhaustion). Call once, after any
   /// runUntil() pauses.
@@ -129,30 +118,23 @@ class Machine {
   void printValue(ir::PrintKind kind, std::uint64_t v);
   std::uint64_t applyIntrinsic(ir::IntrinsicKind kind,
                                std::span<const std::uint64_t> v);
-  void maybeCapture();
 
   /// The interpreter loop. `Hooked` instantiations dispatch to hook_ and
-  /// return early once it is exhausted; `Capturing` instantiations check the
-  /// snapshot cadence at each instruction boundary. Every instantiation
-  /// stops before the instruction that would pass limit_: past the fuel
-  /// budget it ends the run FuelExhausted, at a runUntil() stop it pauses.
-  template <bool Hooked, bool Capturing>
+  /// return early once it is exhausted. Both instantiations stop before the
+  /// instruction that would pass limit_: past the fuel budget they end the
+  /// run FuelExhausted, at a runUntil() stop they pause.
+  template <bool Hooked>
   void loop();
 
-  /// Select the loop instantiation for the capture state.
-  template <bool Hooked>
-  void dispatchLoop();
-
-  /// Run the hook-free part: on the direct-threaded backend when selected
-  /// and not capturing, else on the reference loop.
+  /// Run the hook-free part: on the direct-threaded backend when selected,
+  /// else on the reference loop.
   void runHookFree();
 
   /// Run the hook-free remainder on the direct-threaded backend
   /// (limits_.threadedCode, or ThreadedCode::decode when that is null,
   /// executed by detail::runThreadedLoop). The reference loop runs the
   /// segment that crosses limit_.
-  /// Preconditions: between instructions, hook-free/exhausted, not
-  /// capturing.
+  /// Preconditions: between instructions, hook-free/exhausted.
   void runThreaded();
 
   /// The threaded loop lives in its own translation unit (computed goto)
@@ -180,9 +162,6 @@ class Machine {
   /// The instruction count no loop runs past: the fuel budget, or a lower
   /// runUntil() stop while one is pending.
   std::uint64_t limit_ = 0;
-  std::uint64_t captureInterval_ = 0;  ///< 0 = not capturing
-  std::uint64_t nextCaptureAt_ = 0;
-  SnapshotSink snapshotSink_;
   ExecResult result_;
 };
 

@@ -4,8 +4,8 @@
 // the same decoded stream through a switch (still much cheaper than the
 // reference loop's per-execution ir::Instr decode).
 //
-// Semantics are a field-for-field replica of the hook-free, non-capturing
-// instantiation of Machine::loop() in vm/machine.cpp — the differential
+// Semantics are a field-for-field replica of the hook-free instantiation
+// of Machine::loop() in vm/machine.cpp — the differential
 // backend fuzzer (tests/dispatch_differential_test.cpp) holds the two
 // bit-identical over outputs, traps, counters, and the full post-run
 // machine state (Machine::compare). Invariants the replica must keep:

@@ -12,17 +12,19 @@ std::size_t Snapshot::byteSize() const noexcept {
          heap.size() + output.size();
 }
 
-namespace {
-
-/// The snapshot sink executeWithSnapshots drives: snapshots are collected
-/// into `out` (cleared first) under `policy`'s retention bounds.
-Machine::SnapshotSink retentionSink(const SnapshotCapturePolicy& policy,
-                                    std::vector<Snapshot>& out) {
+ExecResult executeWithSnapshots(const ir::Module& mod, const ExecLimits& limits,
+                                const SnapshotCapturePolicy& policy,
+                                std::vector<Snapshot>& out) {
   out.clear();
-  return [&out, policy, interval = policy.interval == 0 ? 1 : policy.interval,
-          bytes = std::size_t{0}](Snapshot&& snap) mutable -> std::uint64_t {
-    bytes += snap.byteSize();
-    out.push_back(std::move(snap));
+  Machine m(mod, limits, nullptr);
+  std::uint64_t interval = policy.interval == 0 ? 1 : policy.interval;
+  std::size_t bytes = 0;
+  // Each capture pauses the hook-free run at the next multiple of the
+  // interval (a runUntil() stop: exact, and free per instruction on either
+  // loop), snapshots it there, and goes on.
+  for (std::uint64_t next = interval;
+       m.runUntil(next) == Machine::Stop::Paused;) {
+    bytes += out.emplace_back(m.capture()).byteSize();
     // Retention: when a bound is exceeded, drop every other kept snapshot
     // (the even positions, so the survivors line up with multiples of the
     // doubled interval) and coarsen the cadence to match. Coverage stays
@@ -40,18 +42,8 @@ Machine::SnapshotSink retentionSink(const SnapshotCapturePolicy& policy,
       out = std::move(kept);
       interval *= 2;
     }
-    return interval;
-  };
-}
-
-}  // namespace
-
-ExecResult executeWithSnapshots(const ir::Module& mod, const ExecLimits& limits,
-                                const SnapshotCapturePolicy& policy,
-                                std::vector<Snapshot>& out) {
-  Machine m(mod, limits, nullptr);
-  m.captureEvery(policy.interval == 0 ? 1 : policy.interval,
-                 retentionSink(policy, out));
+    next = next - next % interval + interval;
+  }
   return m.run();
 }
 

@@ -38,6 +38,8 @@ struct Snapshot {
     std::uint32_t ip = 0;     ///< next instruction index within the block
     std::uint64_t regBase = 0;
     std::uint64_t frameBase = 0;
+
+    bool operator==(const Frame&) const = default;
   };
 
   std::vector<Frame> frames;
@@ -60,14 +62,17 @@ struct Snapshot {
 
   /// Approximate heap footprint (for snapshot-cache byte budgets).
   [[nodiscard]] std::size_t byteSize() const noexcept;
+
+  bool operator==(const Snapshot&) const = default;
 };
 
 /// Capture cadence and retention bounds for executeWithSnapshots.
 struct SnapshotCapturePolicy {
-  /// Initial spacing, in combined (read + write) candidate indices, between
-  /// captures. Must be >= 1. When a retention bound below is exceeded the
-  /// collector drops every other kept snapshot and doubles the spacing, so
-  /// coverage stays uniform over the run at whatever density fits.
+  /// Initial spacing, in dynamic instructions, between captures (0 is read
+  /// as 1). Captures land on multiples of the spacing. When a retention
+  /// bound below is exceeded the collector drops every other kept snapshot
+  /// and doubles the spacing, so coverage stays uniform over the run at
+  /// whatever density fits.
   std::uint64_t interval = 1024;
   std::size_t maxSnapshots = 64;       ///< 0 = unbounded
   std::size_t budgetBytes = 16 << 20;  ///< total byteSize() cap; 0 = unbounded
@@ -75,8 +80,10 @@ struct SnapshotCapturePolicy {
 
 /// Run `mod` to completion with no hook — the ExecResult is identical to
 /// execute(mod, limits, nullptr) — capturing snapshots along the way into
-/// `out` (cleared first, ordered by capture time, so both candidate
-/// counters are nondecreasing across the vector).
+/// `out` (cleared first, ordered by capture time, so the instruction and
+/// candidate counters are nondecreasing across the vector). Each capture
+/// pauses the run at an exact instruction count (Machine::runUntil), so
+/// the run keeps its backend (limits.dispatch) throughout.
 ExecResult executeWithSnapshots(const ir::Module& mod, const ExecLimits& limits,
                                 const SnapshotCapturePolicy& policy,
                                 std::vector<Snapshot>& out);

@@ -120,8 +120,8 @@ class Machine;
 namespace detail {
 
 /// The direct-threaded execution loop (defined in vm/machine_threaded.cpp).
-/// Normal mode: runs `m` (which must be between instructions, hook-free and
-/// non-capturing) on `code` until it halts or traps, or until its
+/// Normal mode: runs `m` (which must be between instructions and hook-free)
+/// on `code` until it halts or traps, or until its
 /// instruction limit (fuel, or a runUntil stop) falls inside the next
 /// segment; it then returns with `m` between instructions at that segment's
 /// start and status still Ok, and the caller runs that segment on the

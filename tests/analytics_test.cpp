@@ -145,6 +145,54 @@ TEST_F(AnalyticsFixture, PartialCampaignIsNeverReportedComplete) {
   EXPECT_NE(text.find("(partial)"), std::string::npos);
 }
 
+TEST_F(AnalyticsFixture, ShardsOfDifferentSizesAreNeverCountedTwice) {
+  // A resume under another shard size records its own ranges beside the
+  // old ones: (0,16) and (16,16) from one run, (0,32) from the next. They
+  // cover experiments 0..32 twice over; only a non-overlapping set counts.
+  CampaignStore::CampaignMeta meta = testMeta();
+  meta.experiments = 64;
+  const auto shard = [](std::size_t count) {
+    CampaignStore::ShardAggregate agg;
+    for (std::size_t k = 0; k < count; ++k) agg.counts.add(Outcome::Benign);
+    agg.hist[static_cast<std::size_t>(Outcome::Benign)][0] =
+        static_cast<std::uint32_t>(count);
+    return agg;
+  };
+  {
+    CampaignStore store(path_);
+    store.load();
+    ASSERT_TRUE(store.appendShard(meta, 0, 0, 16, shard(16)));
+    ASSERT_TRUE(store.appendShard(meta, 1, 16, 16, shard(16)));
+    ASSERT_TRUE(store.appendShard(meta, 0, 0, 32, shard(32)));
+  }
+  {
+    Dataset ds;
+    ds.addStore(path_);
+    const CampaignTable& table = ds.campaigns().at(kKey);
+    EXPECT_EQ(table.recordedExperiments(), 32u);
+    EXPECT_EQ(table.totals().total(), 32u);
+    EXPECT_FALSE(table.complete());
+    EXPECT_EQ(renderSummaryText(ds, 0).find("[complete]"), std::string::npos);
+  }
+  {
+    CampaignStore store(path_);
+    store.load();
+    ASSERT_TRUE(store.appendShard(meta, 1, 32, 32, shard(32)));
+  }
+  Dataset ds;
+  ds.addStore(path_);
+  const CampaignTable& table = ds.campaigns().at(kKey);
+  EXPECT_EQ(table.recordedExperiments(), 64u);
+  EXPECT_TRUE(table.complete());
+  EXPECT_EQ(table.totals().total(), 64u);
+  std::size_t histTotal = 0;
+  for (const auto& row : table.histogram()) {
+    for (const std::uint64_t n : row) histTotal += n;
+  }
+  EXPECT_EQ(histTotal, 64u);
+  EXPECT_NE(renderSummaryText(ds, 0).find("64/64"), std::string::npos);
+}
+
 TEST_F(AnalyticsFixture, TornTailAndGarbageDoNotChangeAggregates) {
   {
     CampaignStore store(path_);

@@ -11,9 +11,12 @@
 //  * fault-injection rounds: plans from every FaultDomain drive an
 //    InjectorHook through both backends (the hooked prefix is shared, the
 //    post-exhaustion suffix is where the backends diverge in code path);
+//  * capture rounds run the snapshotting golden run on each backend: both
+//    must stop on the same instructions and keep equal snapshots, field by
+//    field, over the whole corpus;
 //  * snapshot-resume rounds enter the threaded stream mid-block,
-//    mid-call-stack, from snapshots captured by the reference loop — in one
-//    round at every candidate boundary of the run;
+//    mid-call-stack, from those snapshots — in one round at every
+//    instruction of the run;
 //  * a fuel sweep stops the run on every instruction of its first few
 //    thousand, so fuel runs out on every Op of a segment, on Call and Ret,
 //    and on both Ops of a fused op+move pair;
@@ -349,6 +352,56 @@ TEST(DispatchDifferential, InjectionRoundsAcrossAllDomains) {
   }
 }
 
+/// Run executeWithSnapshots on both backends: the results and the kept
+/// snapshots must be equal, field by field. Returns the reference loop's.
+std::vector<vm::Snapshot> captureOnBothBackends(
+    const ir::Module& mod, vm::ExecLimits limits,
+    const vm::SnapshotCapturePolicy& policy, vm::ExecResult& full,
+    const std::string& where) {
+  std::vector<vm::Snapshot> sw;
+  std::vector<vm::Snapshot> th;
+  limits.dispatch = vm::DispatchBackend::Switch;
+  full = vm::executeWithSnapshots(mod, limits, policy, sw);
+  limits.dispatch = vm::DispatchBackend::Threaded;
+  const vm::ExecResult b = vm::executeWithSnapshots(mod, limits, policy, th);
+  EXPECT_EQ(full.status, b.status) << where;
+  EXPECT_EQ(full.instructions, b.instructions) << where;
+  EXPECT_EQ(full.output, b.output) << where;
+  EXPECT_EQ(sw.size(), th.size()) << where;
+  for (std::size_t k = 0; k < sw.size() && k < th.size(); ++k) {
+    EXPECT_TRUE(sw[k] == th[k]) << where << " snapshot " << k << " at "
+                                << sw[k].instructions << " / "
+                                << th[k].instructions;
+  }
+  return sw;
+}
+
+TEST(DispatchDifferential, CaptureKeepsEqualSnapshotsOnBothBackends) {
+  // Every corpus program at interval 1 (the retention cap coarsens the
+  // cadence many times over, so stops land on every offset into early
+  // segments) and at interval 64.
+  constexpr int kPrograms = 500;
+  std::size_t kept = 0;
+  for (int i = 0; i < kPrograms; ++i) {
+    ProgramGen gen(0xD15BA7C4ULL + static_cast<std::uint64_t>(i));
+    const ir::Module mod = lang::compileMiniC(gen.generate());
+    vm::ExecLimits limits;
+    limits.maxInstructions = 2'000'000;
+    for (const std::uint64_t interval : {1, 64}) {
+      vm::SnapshotCapturePolicy policy;
+      policy.interval = interval;
+      vm::ExecResult full;
+      kept += captureOnBothBackends(mod, limits, policy, full,
+                                    "program " + std::to_string(i) +
+                                        " interval " +
+                                        std::to_string(interval))
+                  .size();
+      if (::testing::Test::HasFailure()) return;
+    }
+  }
+  EXPECT_GT(kept, std::size_t{kPrograms} * 32);
+}
+
 /// Resume every snapshot on both backends; both continuations must agree
 /// with each other and with the uninterrupted reference run.
 void expectResumesAgree(const ir::Module& mod, const vm::ExecLimits& limits,
@@ -382,9 +435,9 @@ void expectResumesAgree(const ir::Module& mod, const vm::ExecLimits& limits,
 TEST(DispatchDifferential, SnapshotResumeEntersThreadedMidBlock) {
   // Two capture rounds per program. Interval 64 with a cap keeps a spread
   // of mid-block, mid-call-stack points. Interval 1 with no retention cap
-  // keeps a snapshot at every candidate boundary, so the threaded loop is
-  // entered on the Move of every fused pair and right after every Call
-  // (at the return point) that the run reaches.
+  // keeps a snapshot at every instruction, so the threaded loop is entered
+  // on the Move of every fused pair and right after every Call (at the
+  // return point) that the run reaches.
   constexpr int kPrograms = 10;
   int atFusedMove = 0;
   int afterCall = 0;
@@ -401,12 +454,12 @@ TEST(DispatchDifferential, SnapshotResumeEntersThreadedMidBlock) {
     every.maxSnapshots = 0;
     every.budgetBytes = 0;
     for (const vm::SnapshotCapturePolicy& capture : {sparse, every}) {
-      std::vector<vm::Snapshot> snaps;
-      const vm::ExecResult full =
-          vm::executeWithSnapshots(mod, limits, capture, snaps);
       const std::string where = "program " + std::to_string(p) +
                                 " interval " +
                                 std::to_string(capture.interval);
+      vm::ExecResult full;
+      const std::vector<vm::Snapshot> snaps =
+          captureOnBothBackends(mod, limits, capture, full, where);
       ASSERT_FALSE(snaps.empty()) << where;
       expectResumesAgree(mod, limits, full, snaps, where);
       if (capture.interval != 1) continue;

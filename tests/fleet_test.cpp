@@ -54,10 +54,9 @@ int main() {
 }
 )MC";
 
-/// All the lines of `path` that are shard records, sorted and deduplicated —
-/// duplicate shard records are byte-identical by the determinism contract,
-/// so the deduplicated set IS the comparable content of a store.
-std::vector<std::string> shardLines(const std::string& path) {
+/// The lines of `path` that are records of `kind`, in file order.
+std::vector<std::string> recordLines(const std::string& path,
+                                     const std::string& kind) {
   std::string bytes;
   if (std::FILE* f = std::fopen(path.c_str(), "rb")) {
     char buf[4096];
@@ -71,11 +70,19 @@ std::vector<std::string> shardLines(const std::string& path) {
     std::size_t end = bytes.find('\n', start);
     if (end == std::string::npos) end = bytes.size();
     std::string line = bytes.substr(start, end - start);
-    if (line.find("\"kind\":\"shard\"") != std::string::npos) {
+    if (line.find("\"kind\":\"" + kind + "\"") != std::string::npos) {
       lines.push_back(std::move(line));
     }
     start = end + 1;
   }
+  return lines;
+}
+
+/// All the lines of `path` that are shard records, sorted and deduplicated —
+/// duplicate shard records are byte-identical by the determinism contract,
+/// so the deduplicated set IS the comparable content of a store.
+std::vector<std::string> shardLines(const std::string& path) {
+  std::vector<std::string> lines = recordLines(path, "shard");
   std::sort(lines.begin(), lines.end());
   lines.erase(std::unique(lines.begin(), lines.end()), lines.end());
   return lines;
@@ -312,6 +319,52 @@ TEST_F(FleetFixture, ExpiredLeaseIsReclaimedAtTheNextEpoch) {
   const CampaignResult ref = solo(spec);
   EXPECT_EQ(result->counts, ref.counts);
   EXPECT_EQ(result->activationHist, ref.activationHist);
+}
+
+TEST_F(FleetFixture, ZeroLeaseMsMeansTheDefaultLease) {
+  // leaseMs = 0 resolves to the default lease, as heartbeatMs and parkMs
+  // resolve 0. Read literally it would expire every claim the moment it is
+  // written, and the zero heartbeat period it implies would renew the
+  // lease after every experiment.
+  const auto cell = FleetBroker::makeCell(
+      "beta", *beta_, FaultModel::singleBit(FaultDomain::RegisterWrite), 10,
+      0xbbb2, 10);
+  ASSERT_TRUE(cell.has_value());  // a single shard
+  {
+    FleetBroker broker(path_);
+    ASSERT_TRUE(broker.submit(*cell));
+  }
+  // The fake clock stands still until the claim, then ticks one ms per
+  // reading, so each experiment of the shard ends at a new time.
+  std::uint64_t fakeNow = 1000;
+  bool ticking = false;
+  FleetConfig config = fleetConfig();
+  config.leaseMs = 0;
+  config.clock = [&] { return ticking ? ++fakeNow : fakeNow; };
+  // A second worker steps at the claim's fake time, right after it: the
+  // claimed shard must not be up for grabs.
+  FleetWorker rival(path_, "rival", config);
+  std::optional<FleetWorker::Step> rivalStep;
+  config.onClaim = [&](std::size_t) {
+    rivalStep = rival.step();
+    ticking = true;
+  };
+  FleetWorker worker(path_, "", config);
+  EXPECT_EQ(worker.step(), FleetWorker::Step::Ran);
+  ASSERT_TRUE(rivalStep.has_value());
+  EXPECT_EQ(*rivalStep, FleetWorker::Step::Idle);
+  EXPECT_EQ(rival.shardsRun(), 0u);
+  EXPECT_EQ(worker.step(), FleetWorker::Step::Done);
+
+  // The claim and the completion: ten experiments take 10 ms, far inside
+  // the default heartbeat period.
+  EXPECT_EQ(recordLines(path_, "lease").size(), 2u);
+  CampaignStore store(path_, CampaignStore::WriteMode::Atomic);
+  store.load();
+  const auto lease = store.latestLease(cell->key, 0, 10);
+  ASSERT_TRUE(lease.has_value());
+  EXPECT_EQ(lease->epoch, 1u);
+  EXPECT_EQ(lease->worker, worker.workerId());
 }
 
 TEST_F(FleetFixture, DeadPidLeaseIsStolenBeforeItsDeadline) {

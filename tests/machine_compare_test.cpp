@@ -77,8 +77,8 @@ int main() {
 }
 )MC";
 
-/// The kitchen sink's golden run, with a snapshot every 8 combined
-/// candidates and none dropped.
+/// The kitchen sink's golden run, with a snapshot every 8 instructions and
+/// none dropped.
 struct Golden {
   ir::Module mod = lang::compileMiniC(kKitchenSink);
   std::vector<Snapshot> snaps;

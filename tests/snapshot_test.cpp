@@ -121,6 +121,11 @@ std::vector<Snapshot> roundTripAll(const Module& mod, const ExecLimits& limits,
     EXPECT_GE(snaps[i].writeCandidates, snaps[i - 1].writeCandidates);
     EXPECT_GE(snaps[i].instructions, snaps[i - 1].instructions);
   }
+  // Captures stop on multiples of the interval, which retention only ever
+  // doubles.
+  for (const Snapshot& s : snaps) {
+    EXPECT_EQ(s.instructions % policy.interval, 0u) << s.instructions;
+  }
   return snaps;
 }
 
@@ -196,7 +201,7 @@ int main() { return deep(0); }
   const Module mod = lang::compileMiniC(src);
   const ExecResult scratch = execute(mod);
   ASSERT_EQ(scratch.trap, TrapKind::SegFault);
-  // Thin the captures (one per 64 candidates): dense capture of a 512-deep
+  // Thin the captures (one per 64 instructions): dense capture of a 512-deep
   // call stack would copy quadratic state for no extra coverage.
   const std::vector<Snapshot> snaps =
       roundTripAll(mod, {}, {/*interval=*/64, 0, 0});
