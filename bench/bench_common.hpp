@@ -47,30 +47,28 @@
 //                       (checkpoint cap; partial results, for testing
 //                       interruption without killing the process)
 //
-// Campaign-fleet knobs (multi-process execution; see fi/fleet.hpp and the
-// "Campaign fleet" section of docs/ARCHITECTURE.md):
-//   ONEBIT_FLEET_WORKERS      fork this many fleet worker processes and run
-//                       the sweep through the lease broker instead of the
-//                       in-process thread pool (0/unset = off). Output is
-//                       bit-identical to the in-process run. Uses
+// Campaign-fleet knobs (multi-process execution; see fi/fleet.hpp,
+// fi/supervisor.hpp and the "Campaign fleet" and "Self-healing fleet"
+// sections of docs/ARCHITECTURE.md):
+//   ONEBIT_FLEET_WORKERS      fork this many fleet worker processes under a
+//                       FleetSupervisor and run the sweep through the lease
+//                       broker instead of the in-process thread pool
+//                       (0/unset = off). Crashed workers are respawned with
+//                       capped exponential backoff, shards that repeatedly
+//                       kill their workers are quarantined, and a final
+//                       in-process pass finishes whatever remains, so output
+//                       is bit-identical to the in-process run. Uses
 //                       ONEBIT_STORE when set (the store doubles as the
 //                       fleet's work queue and makes the run resumable);
 //                       otherwise a temporary store is created and removed.
+//                       ONEBIT_MAX_SHARDS caps only that final pass.
 //   ONEBIT_FLEET_LEASE_MS     shard lease duration (default 30000)
 //   ONEBIT_FLEET_HEARTBEAT_MS lease heartbeat period (default lease/3)
 //   ONEBIT_FLEET_KILL_AFTER   crash injection: the first worker SIGKILLs
-//                       itself right after its Nth lease claim; survivors
-//                       re-lease its shards (tests fault tolerance without
-//                       changing any output; 0/unset = off)
-//
-// Self-healing fleet knobs (see fi/supervisor.hpp and the "Self-healing
-// fleet" section of docs/ARCHITECTURE.md):
-//   ONEBIT_FLEET_SUPERVISE    1 = run the fleet under a FleetSupervisor:
-//                       crashed workers are respawned with capped
-//                       exponential backoff, shards that repeatedly kill
-//                       their workers are quarantined, and the final
-//                       in-process remainder pass finishes everything —
-//                       output stays bit-identical to the in-process run
+//                       itself right after its Nth lease claim, once (its
+//                       respawn does not); the others re-lease its shard
+//                       (tests fault tolerance without changing any output;
+//                       0/unset = off)
 //   ONEBIT_POISON_RETRIES     mid-lease worker deaths on one shard range
 //                       before the supervisor quarantines it (default 3)
 //   ONEBIT_LEASE_QUANTILE     adaptive lease deadlines: quantile of
@@ -78,8 +76,8 @@
 //                       (default 0.9; 0 = fixed deadlines)
 //   ONEBIT_FLEET_POISON       test hook "NAME[:SHARD]": a worker SIGKILLs
 //                       itself right after claiming that shard (any shard
-//                       of NAME when :SHARD is omitted) — the supervised
-//                       fleet quarantines it and still converges
+//                       of NAME when :SHARD is omitted) — the fleet
+//                       quarantines it and still converges
 //   ONEBIT_FLEET_CHAOS_KILL_MS  chaos hook: the supervisor SIGKILLs one
 //                       random live worker roughly this often (never
 //                       counted toward poison detection; 0/unset = off)
@@ -226,10 +224,20 @@ inline std::size_t fleetWorkers() {
   return util::envSize("ONEBIT_FLEET_WORKERS");
 }
 
-/// Shared FleetConfig resolution for both fleet paths: lease, heartbeat,
+/// The fleet options the ONEBIT_FLEET_* knobs select: workers, poison
+/// retries, chaos kills, the crash hook, lease, heartbeat, the
 /// adaptive-deadline quantile (ONEBIT_LEASE_QUANTILE; 0 disables
-/// adaptation), and the ONEBIT_FLEET_POISON "NAME[:SHARD]" test hook.
-inline void applyFleetEnv(fi::FleetConfig& config) {
+/// adaptation), and the ONEBIT_FLEET_POISON "NAME[:SHARD]" test hook (a
+/// malformed spec is ignored, as every env knob ignores garbage).
+inline fi::FleetSupervisorConfig supervisorOptionsFromEnv() {
+  fi::FleetSupervisorConfig opts;
+  opts.workers = fleetWorkers();
+  opts.poisonRetries = util::envSize("ONEBIT_POISON_RETRIES",
+                                     opts.poisonRetries);
+  opts.chaosKillMs = static_cast<std::uint64_t>(
+      util::envSize("ONEBIT_FLEET_CHAOS_KILL_MS"));
+  opts.killFirstWorkerAfterClaims = util::envSize("ONEBIT_FLEET_KILL_AFTER");
+  fi::FleetConfig& config = opts.fleet;
   config.leaseMs = static_cast<std::uint64_t>(
       util::envSize("ONEBIT_FLEET_LEASE_MS", config.leaseMs));
   config.heartbeatMs = static_cast<std::uint64_t>(
@@ -246,47 +254,7 @@ inline void applyFleetEnv(fi::FleetConfig& config) {
       }
     }
   }
-  const std::string poison = util::envStr("ONEBIT_FLEET_POISON", "");
-  if (!poison.empty()) {
-    const std::size_t colon = poison.rfind(':');
-    config.poisonWorkload = poison;
-    if (colon != std::string::npos && colon != 0 &&
-        colon + 1 < poison.size()) {
-      char* end = nullptr;
-      const unsigned long long s =
-          std::strtoull(poison.c_str() + colon + 1, &end, 10);
-      if (*end == '\0') {
-        config.poisonWorkload = poison.substr(0, colon);
-        config.poisonShard = static_cast<std::size_t>(s);
-      }
-    }
-  }
-}
-
-/// The local-fleet options selected by the ONEBIT_FLEET_* knobs.
-inline fi::LocalFleetOptions fleetOptionsFromEnv() {
-  fi::LocalFleetOptions opts;
-  opts.workers = fleetWorkers();
-  applyFleetEnv(opts.config);
-  opts.killFirstWorkerAfterClaims = util::envSize("ONEBIT_FLEET_KILL_AFTER");
-  return opts;
-}
-
-/// True when ONEBIT_FLEET_SUPERVISE selects the self-healing fleet path.
-inline bool fleetSupervised() {
-  return util::envInt("ONEBIT_FLEET_SUPERVISE", 0) != 0;
-}
-
-/// The supervised-fleet options selected by the env knobs.
-inline fi::FleetSupervisorConfig supervisorOptionsFromEnv() {
-  fi::FleetSupervisorConfig opts;
-  opts.workers = fleetWorkers();
-  opts.poisonRetries = util::envSize("ONEBIT_POISON_RETRIES",
-                                     opts.poisonRetries);
-  opts.chaosKillMs = static_cast<std::uint64_t>(
-      util::envSize("ONEBIT_FLEET_CHAOS_KILL_MS"));
-  opts.maxShardsPerWorker = util::envSize("ONEBIT_MAX_SHARDS");
-  applyFleetEnv(opts.fleet);
+  (void)fi::parsePoison(util::envStr("ONEBIT_FLEET_POISON", ""), config);
   return opts;
 }
 
@@ -408,22 +376,16 @@ class SweepBuilder {
       storePath = util::envStr("TMPDIR", "/tmp") + "/onebit_fleet_" +
                   std::to_string(util::currentPid()) + ".jsonl";
     }
-    std::vector<fi::CampaignResult> results;
-    if (fleetSupervised()) {
-      fi::FleetSupervisor::Report report;
-      results = fi::runSupervisedFleet(suite_, suiteConfigFromEnv(),
-                                       storePath, supervisorOptionsFromEnv(),
-                                       &report);
-      std::fprintf(stderr,
-                   "[fleet] supervised: %zu spawned, %zu restarts, "
-                   "%zu crashes (%zu chaos), %zu quarantined shard(s)%s\n",
-                   report.spawned, report.restarts, report.crashes,
-                   report.chaosKills, report.quarantined.size(),
-                   report.converged ? "" : " — did not converge");
-    } else {
-      results = fi::runFleet(suite_, suiteConfigFromEnv(), storePath,
-                             fleetOptionsFromEnv());
-    }
+    fi::FleetSupervisor::Report report;
+    std::vector<fi::CampaignResult> results = fi::runSupervisedFleet(
+        suite_, suiteConfigFromEnv(), storePath, supervisorOptionsFromEnv(),
+        &report);
+    std::fprintf(stderr,
+                 "[fleet] supervised: %zu spawned, %zu restarts, "
+                 "%zu crashes (%zu chaos), %zu quarantined shard(s)%s\n",
+                 report.spawned, report.restarts, report.crashes,
+                 report.chaosKills, report.quarantined.size(),
+                 report.converged ? "" : " — did not converge");
     if (temporary) {
       std::remove(storePath.c_str());
       std::remove((storePath + ".lock").c_str());

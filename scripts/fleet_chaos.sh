@@ -48,7 +48,6 @@ chaos_ms=${ONEBIT_CHAOS_MS:-100}
 echo "== supervised fleet: chaos kills every $chaos_ms ms, 'qsort' shard 1 poisoned"
 ONEBIT_STORE="$tmp/fleet.jsonl" \
   ONEBIT_FLEET_WORKERS=3 \
-  ONEBIT_FLEET_SUPERVISE=1 \
   ONEBIT_FLEET_CHAOS_KILL_MS="$chaos_ms" \
   ONEBIT_FLEET_POISON=qsort:1 \
   ONEBIT_POISON_RETRIES=2 \

@@ -4,6 +4,7 @@
 # SIGKILLs itself right after its first lease claim (the abandoned lease is
 # re-issued at the next epoch), then require:
 #
+#   0. the fleet's stderr reports exactly that one crash, and no quarantine,
 #   1. byte-identical CSV stdout between the solo and fleet runs,
 #   2. byte-identical shard records between the solo and fleet stores
 #      (sorted + deduplicated: re-run shards are byte-duplicates by the
@@ -13,17 +14,20 @@
 #      from the fleet store's records, and `report --watch --once` renders
 #      a dashboard frame over it,
 #   5. compaction drops every (superseded) lease, and the compacted store
-#      still resumes to the same CSV.
+#      still resumes to the same CSV,
+#   6. fleet_worker rejects a negative --lease-ms and a negative --poison
+#      shard with usage (exit 2) instead of wrapping them to huge values.
 #
 #   scripts/fleet_smoke.sh [BUILD_DIR]
 #
 # BUILD_DIR defaults to ./build; it must contain bench_fig1_single_bit,
-# report, and compact_store (built by the default CMake configuration).
+# report, compact_store, and fleet_worker (built by the default CMake
+# configuration).
 set -eu
 
 build=${1:-build}
 
-for tool in bench_fig1_single_bit report compact_store; do
+for tool in bench_fig1_single_bit report compact_store fleet_worker; do
   if [ ! -x "$build/$tool" ]; then
     echo "error: $build/$tool not found or not executable; build first" >&2
     echo "  cmake -B $build -S . && cmake --build $build -j" >&2
@@ -47,7 +51,11 @@ ONEBIT_STORE="$tmp/fleet.jsonl" \
   ONEBIT_FLEET_WORKERS=3 \
   ONEBIT_FLEET_KILL_AFTER=1 \
   ONEBIT_FLEET_LEASE_MS=2000 \
-  "$build/bench_fig1_single_bit" > "$tmp/fig1_fleet.csv"
+  "$build/bench_fig1_single_bit" > "$tmp/fig1_fleet.csv" 2> "$tmp/fleet.log"
+cat "$tmp/fleet.log"
+
+echo "== the crash hook fired exactly once, and nothing was quarantined"
+grep -q '1 crashes (0 chaos), 0 quarantined' "$tmp/fleet.log"
 
 echo "== CSV byte-identity"
 diff "$tmp/fig1_solo.csv" "$tmp/fig1_fleet.csv"
@@ -79,5 +87,16 @@ echo "== resume from the compacted fleet store matches the solo CSV"
 ONEBIT_STORE="$tmp/fleet.jsonl" ONEBIT_RESUME=1 \
   "$build/bench_fig1_single_bit" > "$tmp/fig1_resumed.csv"
 diff "$tmp/fig1_solo.csv" "$tmp/fig1_resumed.csv"
+
+echo "== fleet_worker rejects negative numbers with usage (exit 2)"
+for flag in "--lease-ms -1" "--poison qsort:-1"; do
+  code=0
+  # $flag is unquoted on purpose: it is an option and its value.
+  "$build/fleet_worker" "$tmp/empty.jsonl" $flag 2> /dev/null || code=$?
+  if [ "$code" -ne 2 ]; then
+    echo "error: fleet_worker $flag exited $code, want 2" >&2
+    exit 1
+  fi
+done
 
 echo "fleet smoke: OK"

@@ -1,19 +1,13 @@
 #include "fi/fleet.hpp"
 
 #include <algorithm>
-#include <cerrno>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <thread>
 #include <utility>
-
-#if !defined(_WIN32)
-#include <sys/wait.h>
-#include <unistd.h>
-#endif
 
 #include "fi/fault_plan.hpp"
 #include "progs/registry.hpp"
@@ -23,31 +17,6 @@
 namespace onebit::fi {
 
 namespace {
-
-/// Shard-local tally — the same accumulation CampaignSuite's ShardAccumulator
-/// performs, so fleet shard records are field-for-field what a solo run
-/// writes (prune counters stay local; they never reach the record).
-struct ShardTally {
-  stats::OutcomeCounts counts;
-  ActivationHistogram hist{};
-
-  void add(const ExperimentResult& r) noexcept {
-    counts.add(r.outcome);
-    const unsigned bucket = std::min(r.activations, kMaxActivationBucket);
-    ++hist[static_cast<std::size_t>(r.outcome)][bucket];
-  }
-};
-
-/// The pid prefix of a "<pid>:<hex>" worker id; nullopt for foreign formats.
-std::optional<std::uint64_t> workerPid(const std::string& worker) {
-  std::uint64_t pid = 0;
-  std::size_t i = 0;
-  for (; i < worker.size() && worker[i] >= '0' && worker[i] <= '9'; ++i) {
-    pid = pid * 10 + static_cast<std::uint64_t>(worker[i] - '0');
-  }
-  if (i == 0 || i >= worker.size() || worker[i] != ':') return std::nullopt;
-  return pid;
-}
 
 /// Is this lease still holding its shard? Expired leases are dead; on a
 /// single host, so are leases whose recorded pid no longer exists (an early
@@ -79,6 +48,37 @@ std::shared_ptr<const Workload> defaultResolve(
 }
 
 }  // namespace
+
+bool parsePoison(std::string_view spec, FleetConfig& config) {
+  const std::size_t colon = spec.rfind(':');
+  const std::string_view name = spec.substr(0, colon);
+  if (name.empty()) return false;
+  std::size_t shard = static_cast<std::size_t>(-1);
+  if (colon != std::string_view::npos) {
+    // from_chars takes no sign and fails on overflow; npos itself is the
+    // "every shard" sentinel, not a shard.
+    const std::string_view digits = spec.substr(colon + 1);
+    const char* end = digits.data() + digits.size();
+    const auto [ptr, ec] = std::from_chars(digits.data(), end, shard);
+    if (ec != std::errc() || ptr != end ||
+        shard == static_cast<std::size_t>(-1)) {
+      return false;
+    }
+  }
+  config.poisonWorkload = std::string(name);
+  config.poisonShard = shard;
+  return true;
+}
+
+std::optional<std::uint64_t> workerPid(const std::string& worker) {
+  std::uint64_t pid = 0;
+  std::size_t i = 0;
+  for (; i < worker.size() && worker[i] >= '0' && worker[i] <= '9'; ++i) {
+    pid = pid * 10 + static_cast<std::uint64_t>(worker[i] - '0');
+  }
+  if (i == 0 || i >= worker.size() || worker[i] != ':') return std::nullopt;
+  return pid;
+}
 
 std::uint64_t adaptiveLeaseMs(std::vector<std::uint64_t> costsMs,
                               double quantile, std::uint64_t baseMs) {
@@ -197,35 +197,6 @@ bool FleetBroker::complete() {
   if (cells.empty()) return false;
   return std::all_of(cells.begin(), cells.end(),
                      [](const CellStatus& c) { return c.complete(); });
-}
-
-std::optional<CampaignResult> FleetBroker::result(
-    const CampaignStore::CellRecord& cell) {
-  if (!loaded_) {
-    store_.load();
-    loaded_ = true;
-  } else {
-    store_.refresh();
-  }
-  CampaignResult result;
-  if (std::optional<FaultModel> model = FaultModel::parse(cell.spec)) {
-    model->flipWidth = cell.flipWidth;
-    result.config.model = *model;
-  }
-  result.config.experiments = cell.experiments;
-  result.config.seed = cell.seed;
-  result.config.shardSize = cell.shardSize;
-  // Merge in shard order, exactly like the suite's per-cell merge.
-  for (std::size_t s = 0; s < cell.shardCount(); ++s) {
-    const CampaignStore::ShardAggregate* agg = store_.findShard(
-        cell.key, cell.shardFirst(s), cell.shardExperiments(s));
-    if (agg == nullptr) return std::nullopt;
-    result.completedExperiments += cell.shardExperiments(s);
-    result.counts.merge(agg->counts);
-    mergeHistogram(result.activationHist, agg->hist);
-  }
-  result.resumedExperiments = result.completedExperiments;
-  return result;
 }
 
 // ---------------------------------------------------------------- FleetWorker
@@ -437,6 +408,10 @@ FleetWorker::Step FleetWorker::step() {
   const std::size_t first = cell.shardFirst(claim->shard);
   const std::size_t count = cell.shardExperiments(claim->shard);
   ShardTally acc;
+  // Beat at least three times per lease of THIS claim: an adaptive lease can
+  // be far shorter than the base lease the heartbeat period derives from.
+  const std::uint64_t beatMs = std::max<std::uint64_t>(
+      1, std::min(config_.resolvedHeartbeatMs(), claim->leaseMs / 3));
   const std::uint64_t startedMs = now();
   std::uint64_t lastBeat = startedMs;
   for (std::size_t i = first; i < first + count; ++i) {
@@ -445,7 +420,7 @@ FleetWorker::Step FleetWorker::step() {
                                                   cell.seed, i);
     acc.add(runExperiment(*exec->workload, fp));
     const std::uint64_t t = now();
-    if (t - lastBeat >= config_.resolvedHeartbeatMs()) {
+    if (t - lastBeat >= beatMs) {
       // Renew within our epoch: same claim, pushed-out deadline.
       store_.appendLease(cell.key, {first, count, id_, claim->epoch,
                                     t + claim->leaseMs});
@@ -468,8 +443,8 @@ FleetWorker::Step FleetWorker::step() {
                  cell.workload.c_str(),
                  static_cast<unsigned long long>(config_.resolvedParkMs()));
     while (now() < parkDeadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(std::min<
-          std::uint64_t>(config_.resolvedHeartbeatMs(), 1000)));
+      std::this_thread::sleep_for(
+          std::chrono::milliseconds(std::min<std::uint64_t>(beatMs, 1000)));
       const std::uint64_t t = now();
       store_.appendLease(cell.key, {first, count, id_, claim->epoch,
                                     t + claim->leaseMs});  // best-effort
@@ -525,121 +500,6 @@ FleetWorker::Step FleetWorker::run(std::size_t maxShards) {
       std::this_thread::sleep_for(std::chrono::milliseconds(sleep));
     }
   }
-}
-
-// ------------------------------------------------------------------- runFleet
-
-namespace detail {
-
-std::size_t submitSuite(const CampaignSuite& suite, const SuiteConfig& config,
-                        const std::string& storePath, FleetConfig& fleet) {
-  FleetBroker broker(storePath, fleet);
-  std::unordered_map<std::uint64_t, const Workload*> workloads;
-  for (std::size_t c = 0; c < suite.cellCount(); ++c) {
-    const SuiteCell& cell = suite.cell(c);
-    if (cell.workload == nullptr || cell.experiments == 0) continue;
-    const std::optional<CampaignStore::CellRecord> rec =
-        FleetBroker::makeCell(
-            cell.storeName, *cell.workload, cell.model, cell.experiments,
-            cell.seed, resolveShardSize(cell.experiments, config.shardSize));
-    // A cell makeCell() refuses (unnamed, or a degenerate model whose label
-    // does not round-trip) is simply left for the in-process remainder pass.
-    if (rec && broker.submit(*rec)) workloads.emplace(rec->key, cell.workload);
-  }
-  const std::size_t submitted = workloads.size();
-  if (!fleet.workloadResolver) {
-    // Forked workers inherit the suite's workloads: running those skips the
-    // recompile and re-profile, and keeps the caller's snapshot, prune and
-    // dispatch policies. The parent owns them, hence the non-owning
-    // (aliasing, empty-owner) shared_ptr.
-    fleet.workloadResolver =
-        [workloads = std::move(workloads)](
-            const CampaignStore::CellRecord& cell)
-        -> std::shared_ptr<const Workload> {
-      const auto it = workloads.find(cell.key);
-      if (it == workloads.end()) return nullptr;
-      return std::shared_ptr<const Workload>(std::shared_ptr<void>(),
-                                             it->second);
-    };
-  }
-  return submitted;
-}
-
-std::vector<CampaignResult> finishInProcess(const CampaignSuite& suite,
-                                            SuiteConfig config,
-                                            const std::string& storePath) {
-  // A resume-bound suite over the fleet store completes any remainder
-  // (cells never submitted, shards lost to crashes, quarantined shards) and
-  // performs the cell-order merge. By the suite's resume contract its
-  // results are bit-identical to suite.run() — this is what makes the fleet
-  // safe: no lease interleaving can change the answer, only how much of the
-  // work this final pass still has to do.
-  CampaignStore store(storePath, CampaignStore::WriteMode::Atomic);
-  store.load();
-  config.record = &store;
-  config.resume = &store;
-  CampaignSuite remainder(config);
-  for (std::size_t c = 0; c < suite.cellCount(); ++c) {
-    remainder.addCell(suite.cell(c));
-  }
-  return remainder.run();
-}
-
-}  // namespace detail
-
-std::vector<CampaignResult> runFleet(const CampaignSuite& suite,
-                                     SuiteConfig config,
-                                     const std::string& storePath,
-                                     const LocalFleetOptions& options) {
-#if !defined(_WIN32)
-  FleetConfig fleet = options.config;
-  if (detail::submitSuite(suite, config, storePath, fleet) != 0 &&
-      options.workers != 0) {
-    std::vector<pid_t> children;
-    for (std::size_t w = 0; w < options.workers; ++w) {
-      const pid_t pid = ::fork();
-      if (pid < 0) break;  // fork pressure: run with fewer workers
-      if (pid == 0) {
-        FleetConfig cfg = fleet;
-        if (w == 0 && options.killFirstWorkerAfterClaims != 0) {
-          const std::size_t killAfter = options.killFirstWorkerAfterClaims;
-          cfg.onClaim = [killAfter](std::size_t claims) {
-            if (claims >= killAfter) ::raise(SIGKILL);
-          };
-        }
-        int exitCode = 1;
-        try {
-          FleetWorker worker(storePath, {}, std::move(cfg));
-          const FleetWorker::Step last =
-              worker.run(options.maxShardsPerWorker);
-          exitCode = last == FleetWorker::Step::Stalled      ? 3
-                     : last == FleetWorker::Step::Quarantined ? 4
-                                                              : 0;
-        } catch (...) {
-          exitCode = 1;
-        }
-        // _Exit: no atexit handlers, no flushing the parent's inherited
-        // stdio buffers twice.
-        std::_Exit(exitCode);
-      }
-      children.push_back(pid);
-    }
-    for (const pid_t pid : children) {
-      int status = 0;
-      while (::waitpid(pid, &status, 0) < 0 && errno == EINTR) {
-      }
-      if (WIFSIGNALED(status)) {
-        std::fprintf(stderr,
-                     "fleet worker (pid %ld) died on signal %d; its "
-                     "shards will be re-leased or finished in-process\n",
-                     static_cast<long>(pid), WTERMSIG(status));
-      }
-    }
-  }
-#else
-  (void)options;
-#endif
-  return detail::finishInProcess(suite, std::move(config), storePath);
 }
 
 }  // namespace onebit::fi

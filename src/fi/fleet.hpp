@@ -40,6 +40,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -56,8 +57,10 @@ struct FleetConfig {
   /// heartbeats keep landing. 0 resolves to this default when a FleetWorker
   /// takes the config (a zero lease would expire at its own claim).
   std::uint64_t leaseMs = 30'000;
-  /// Heartbeat period; 0 resolves to leaseMs / 3 (three missed beats lose
-  /// the lease).
+  /// Heartbeat period; 0 resolves to leaseMs / 3. A worker renews its claim
+  /// at this period or at a third of the claim's own lease, whichever is
+  /// shorter (an adaptive lease can be far shorter than leaseMs), but never
+  /// more often than once per ms: three missed beats lose the lease.
   std::uint64_t heartbeatMs = 0;
   /// Base idle poll period for FleetWorker::run() when every pending shard
   /// is actively leased by someone else. Workers sleep with decorrelated
@@ -89,7 +92,8 @@ struct FleetConfig {
   /// immediately after claiming a shard of the named workload (any shard,
   /// or only `poisonShard` when that is not npos) — a deterministic stand-in
   /// for a shard that reliably kills its host process, used by the
-  /// supervisor tests and the chaos smoke script.
+  /// supervisor tests and the chaos smoke script. parsePoison() sets both
+  /// fields from one "NAME[:SHARD]" spec.
   std::string poisonWorkload;
   std::size_t poisonShard = static_cast<std::size_t>(-1);
   /// Re-lease immediately when the lease holder's pid (the prefix of its
@@ -107,9 +111,9 @@ struct FleetConfig {
   /// Maps a cell record to the workload to run. Null uses the default
   /// resolver: compile the progs registry program named by the record with
   /// the record's hang factor, default snapshots, pruning on, and the
-  /// threaded backend (runFleet and runSupervisedFleet instead hand their
-  /// forked workers the suite cells' own workloads). A resolver returning
-  /// null marks the cell unrunnable for this worker.
+  /// threaded backend (runSupervisedFleet instead hands its forked workers
+  /// the suite cells' own workloads). A resolver returning null marks the
+  /// cell unrunnable for this worker.
   std::function<std::shared_ptr<const Workload>(
       const CampaignStore::CellRecord&)>
       workloadResolver;
@@ -121,6 +125,16 @@ struct FleetConfig {
     return parkMs != 0 ? parkMs : 2 * leaseMs;
   }
 };
+
+/// Parse the poison hook spec "NAME" or "NAME:SHARD" into
+/// config.poisonWorkload / config.poisonShard. NAME must be nonempty; SHARD,
+/// when present, must be all decimal digits, fit in a size_t and not be
+/// npos (which means "every shard"). On failure returns false and leaves
+/// `config` untouched.
+bool parsePoison(std::string_view spec, FleetConfig& config);
+
+/// The pid prefix of a "<pid>:<hex>" worker id; nullopt for foreign formats.
+std::optional<std::uint64_t> workerPid(const std::string& worker);
 
 /// The adaptive lease duration for a cell: the `quantile`-th observed
 /// per-shard cost (from completion leases' cost_ms) times a 4× headroom
@@ -172,12 +186,6 @@ class FleetBroker {
 
   /// True when every submitted cell is fully recorded.
   [[nodiscard]] bool complete();
-
-  /// Assemble the CampaignResult for one submitted cell from its shard
-  /// records, merged in shard order — the same merge a solo run performs.
-  /// nullopt while any of the cell's shards is missing.
-  [[nodiscard]] std::optional<CampaignResult> result(
-      const CampaignStore::CellRecord& cell);
 
   [[nodiscard]] CampaignStore& store() noexcept { return store_; }
 
@@ -246,54 +254,5 @@ class FleetWorker {
   std::unordered_map<std::uint64_t, std::unique_ptr<CellExec>> execs_;
   std::unordered_set<std::uint64_t> unrunnable_;
 };
-
-/// Options for runFleet(), the in-process fleet driver.
-struct LocalFleetOptions {
-  std::size_t workers = 2;  ///< worker processes to fork
-  FleetConfig config;
-  /// Crash injection: when nonzero, the FIRST worker kills itself
-  /// (SIGKILL, no cleanup) right after its Nth successful claim — the
-  /// canonical re-lease test. The remaining workers finish the work.
-  std::size_t killFirstWorkerAfterClaims = 0;
-  /// Per-worker cap forwarded to FleetWorker::run().
-  std::size_t maxShardsPerWorker = 0;
-};
-
-/// Run `suite`'s cells as a local fleet over the store at `storePath`:
-/// submit every expressible cell, fork `workers` worker processes, wait for
-/// them, then finish ANY remainder in-process (cells makeCell() refused,
-/// shards lost to crashed workers) with a resume-bound CampaignSuite over
-/// the same store. That final pass also performs the merge, so the returned
-/// results are bit-identical to `suite.run()` by the suite's own resume
-/// contract — regardless of worker count or crash pattern. On platforms
-/// without fork(), the whole suite runs in-process (results unchanged).
-/// Unless options.config sets a workloadResolver, the forked workers run
-/// each cell on the suite cell's own Workload (inherited across fork), so
-/// they use the caller's snapshot, prune and dispatch policies.
-///
-/// `config` must be the SuiteConfig `suite` was built with (it fixes the
-/// shard geometry); its record/resume stores are ignored in favor of the
-/// fleet store.
-std::vector<CampaignResult> runFleet(const CampaignSuite& suite,
-                                     SuiteConfig config,
-                                     const std::string& storePath,
-                                     const LocalFleetOptions& options = {});
-
-namespace detail {
-
-/// The halves runFleet and runSupervisedFleet share. submitSuite submits
-/// every expressible cell of `suite` to the store at `storePath`, returns
-/// how many it submitted, and — when `fleet.workloadResolver` is unset —
-/// installs a resolver mapping each submitted cell key to the suite cell's
-/// own Workload (non-owning: valid in this process and its forked children
-/// while the suite's workloads live). finishInProcess runs the resume-bound
-/// remainder pass over the store and returns the merged results.
-std::size_t submitSuite(const CampaignSuite& suite, const SuiteConfig& config,
-                        const std::string& storePath, FleetConfig& fleet);
-std::vector<CampaignResult> finishInProcess(const CampaignSuite& suite,
-                                            SuiteConfig config,
-                                            const std::string& storePath);
-
-}  // namespace detail
 
 }  // namespace onebit::fi

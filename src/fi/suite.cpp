@@ -12,24 +12,6 @@ namespace onebit::fi {
 
 namespace {
 
-/// Shard-local tally: one per (cell, shard), written by exactly one worker.
-struct ShardAccumulator {
-  stats::OutcomeCounts counts;
-  ActivationHistogram hist{};
-  PruneStats prune;
-
-  void add(const ExperimentResult& r) noexcept {
-    counts.add(r.outcome);
-    const unsigned bucket = std::min(r.activations, kMaxActivationBucket);
-    ++hist[static_cast<std::size_t>(r.outcome)][bucket];
-    switch (r.prune) {
-      case PruneEvent::None: break;
-      case PruneEvent::GoldenMatch: ++prune.goldenHits; break;
-      case PruneEvent::Miss: ++prune.misses; break;
-    }
-  }
-};
-
 /// Per-cell execution plan: geometry, store metadata, shard slots, and the
 /// resumed/pending partition. Identical to what a solo CampaignEngine run
 /// computes for the same (spec, experiments, seed) — that is the whole
@@ -40,7 +22,7 @@ struct CellPlan {
   std::size_t shardSize = 1;
   std::size_t shards = 0;
   CampaignStore::CampaignMeta meta;
-  std::vector<ShardAccumulator> partial;
+  std::vector<ShardTally> partial;  ///< one per shard, one writer each
   std::vector<unsigned char> resumed;
   std::vector<unsigned char> executed;
   std::vector<std::size_t> pending;
@@ -245,7 +227,7 @@ std::vector<CampaignResult> CampaignSuite::run() const {
     const SuiteCell& cell = *plan.cell;
     const std::size_t first = plan.first(s);
     const std::size_t last = first + plan.count(s);
-    ShardAccumulator& acc = plan.partial[s];
+    ShardTally& acc = plan.partial[s];
     for (std::size_t i = first; i < last; ++i) {
       const FaultPlan fp =
           FaultPlan::forExperiment(cell.model, plan.candidates, cell.seed, i);

@@ -28,6 +28,7 @@
 // pole. Ties keep addCell order; scheduling order never affects results.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <functional>
 #include <string>
@@ -50,6 +51,27 @@ struct SuiteCell {
   /// shard records); keep it equal to what solo-mode callers pass to
   /// CampaignEngine::recordTo so records are identical across modes.
   std::string storeName;
+};
+
+/// The tally of one shard, kept by every shard loop: CampaignSuite's and each
+/// FleetWorker's, so a fleet shard record is field for field what a solo run
+/// writes. `counts` and `hist` are the record; the prune counters never
+/// enter it.
+struct ShardTally {
+  stats::OutcomeCounts counts;
+  ActivationHistogram hist{};
+  PruneStats prune;
+
+  void add(const ExperimentResult& r) noexcept {
+    counts.add(r.outcome);
+    const unsigned bucket = std::min(r.activations, kMaxActivationBucket);
+    ++hist[static_cast<std::size_t>(r.outcome)][bucket];
+    switch (r.prune) {
+      case PruneEvent::None: break;
+      case PruneEvent::GoldenMatch: ++prune.goldenHits; break;
+      case PruneEvent::Miss: ++prune.misses; break;
+    }
+  }
 };
 
 /// Suite-level progress snapshot, delivered once per tallied shard (fresh or

@@ -1,7 +1,6 @@
 #include "fi/supervisor.hpp"
 
 #include <algorithm>
-#include <cerrno>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -10,6 +9,7 @@
 #include <optional>
 #include <thread>
 #include <tuple>
+#include <unordered_map>
 #include <unordered_set>
 #include <utility>
 
@@ -23,32 +23,6 @@
 
 namespace onebit::fi {
 
-namespace {
-
-/// Child exit codes of one worker incarnation. 0/3/4 are the public codes
-/// the fleet_worker CLI also uses; the recycle code is supervisor-internal.
-enum WorkerExit : int {
-  kExitDone = 0,
-  kExitError = 1,
-  kExitStalled = 3,
-  kExitQuarantined = 4,
-  kExitCapReached = 6,  ///< maxShardsPerWorker recycle: respawn, no penalty
-};
-
-/// The pid prefix of a "<pid>:<hex>" worker id (the fleet's id format);
-/// nullopt for foreign formats.
-std::optional<std::uint64_t> workerPidOf(const std::string& worker) {
-  std::uint64_t pid = 0;
-  std::size_t i = 0;
-  for (; i < worker.size() && worker[i] >= '0' && worker[i] <= '9'; ++i) {
-    pid = pid * 10 + static_cast<std::uint64_t>(worker[i] - '0');
-  }
-  if (i == 0 || i >= worker.size() || worker[i] != ':') return std::nullopt;
-  return pid;
-}
-
-}  // namespace
-
 FleetSupervisor::FleetSupervisor(std::string storePath,
                                  FleetSupervisorConfig config)
     : storePath_(std::move(storePath)), config_(std::move(config)) {}
@@ -57,21 +31,29 @@ FleetSupervisor::FleetSupervisor(std::string storePath,
 
 namespace {
 
-pid_t spawnWorker(const std::string& storePath,
-                  const FleetSupervisorConfig& config) {
+/// Child exit codes of one worker incarnation: the public codes the
+/// fleet_worker CLI also uses.
+enum WorkerExit : int {
+  kExitDone = 0,
+  kExitError = 1,
+  kExitStalled = 3,
+  kExitQuarantined = 4,
+};
+
+pid_t spawnWorker(const std::string& storePath, const FleetConfig& config) {
   const pid_t pid = ::fork();
   if (pid != 0) return pid;  // parent (or fork failure, pid < 0)
   int exitCode = kExitError;
   try {
-    FleetWorker worker(storePath, {}, config.fleet);
-    switch (worker.run(config.maxShardsPerWorker)) {
+    FleetWorker worker(storePath, {}, config);
+    // Uncapped, run() returns only Done, Stalled or Quarantined.
+    switch (worker.run()) {
       case FleetWorker::Step::Done: exitCode = kExitDone; break;
       case FleetWorker::Step::Stalled: exitCode = kExitStalled; break;
       case FleetWorker::Step::Quarantined:
         exitCode = kExitQuarantined;
         break;
-      // run() only returns Ran when the shard cap stopped it mid-fleet.
-      case FleetWorker::Step::Ran: exitCode = kExitCapReached; break;
+      case FleetWorker::Step::Ran:
       case FleetWorker::Step::Idle: exitCode = kExitError; break;
     }
   } catch (...) {
@@ -101,6 +83,15 @@ FleetSupervisor::Report FleetSupervisor::run() {
   util::SplitMix64 rng(util::hashCombine(util::wallClockMs(),
                                          util::currentPid()));
   std::uint64_t lastChaosMs = util::wallClockMs();
+  // The first incarnation's config: the crash hook, if any, rides on it.
+  FleetConfig firstFleet = config_.fleet;
+  if (config_.killFirstWorkerAfterClaims != 0) {
+    firstFleet.onClaim = [killAfter = config_.killFirstWorkerAfterClaims,
+                          onClaim = config_.fleet.onClaim](std::size_t claims) {
+      if (onClaim) onClaim(claims);
+      if (claims >= killAfter) ::raise(SIGKILL);
+    };
+  }
 
   // Attribute a crashed child's death to the shard ranges it still held:
   // live leases naming its pid with no shard record are work it died inside.
@@ -120,7 +111,7 @@ FleetSupervisor::Report FleetSupervisor::run() {
                            leases.push_back(l);
                          });
       for (CampaignStore::LeaseRecord& l : leases) {
-        const std::optional<std::uint64_t> leasePid = workerPidOf(l.worker);
+        const std::optional<std::uint64_t> leasePid = workerPid(l.worker);
         if (!leasePid || *leasePid != static_cast<std::uint64_t>(pid)) {
           continue;
         }
@@ -163,10 +154,15 @@ FleetSupervisor::Report FleetSupervisor::run() {
         // Between incarnations: spawn once the backoff gate opens.
         anyPending = true;
         if (nowMs < slot.respawnAtMs) continue;
-        slot.pid = spawnWorker(storePath_, config_);
+        slot.pid = spawnWorker(storePath_, report.spawned == 0
+                                               ? firstFleet
+                                               : config_.fleet);
         if (slot.pid < 0) {
-          // Fork pressure: retry later rather than losing the slot.
+          // Fork pressure: retry later, within the slot's restart budget,
+          // so a fork that keeps failing cannot hold the fleet forever (the
+          // final in-process pass finishes whatever is left).
           slot.pid = -1;
+          slot.finished = slot.restarts++ >= config_.maxRestartsPerWorker;
           slot.respawnAtMs = nowMs + config_.backoffCapMs;
           continue;
         }
@@ -188,12 +184,6 @@ FleetSupervisor::Report FleetSupervisor::run() {
       slot.pid = -1;
       if (WIFEXITED(status)) {
         const int code = WEXITSTATUS(status);
-        if (code == kExitCapReached) {
-          // Planned checkpoint recycle: respawn immediately, no penalty.
-          anyPending = true;
-          slot.respawnAtMs = nowMs;
-          continue;
-        }
         if (code == kExitDone || code == kExitStalled ||
             code == kExitQuarantined) {
           slot.finished = true;
@@ -291,21 +281,65 @@ std::vector<CampaignResult> runSupervisedFleet(
     const CampaignSuite& suite, SuiteConfig config,
     const std::string& storePath, const FleetSupervisorConfig& options,
     FleetSupervisor::Report* report) {
+  if (report != nullptr) *report = {};
 #if !defined(_WIN32)
-  FleetSupervisorConfig supervised = options;
-  if (detail::submitSuite(suite, config, storePath, supervised.fleet) != 0 &&
-      options.workers != 0) {
-    FleetSupervisor supervisor(storePath, std::move(supervised));
-    FleetSupervisor::Report r = supervisor.run();
+  // Submit every expressible cell. A cell makeCell() refuses (unnamed, or
+  // a degenerate model whose label does not round-trip) is left for the
+  // final pass.
+  std::unordered_map<std::uint64_t, const Workload*> workloads;
+  {
+    FleetBroker broker(storePath);
+    for (std::size_t c = 0; c < suite.cellCount(); ++c) {
+      const SuiteCell& cell = suite.cell(c);
+      if (cell.workload == nullptr || cell.experiments == 0) continue;
+      const std::optional<CampaignStore::CellRecord> rec =
+          FleetBroker::makeCell(
+              cell.storeName, *cell.workload, cell.model, cell.experiments,
+              cell.seed, resolveShardSize(cell.experiments, config.shardSize));
+      if (rec && broker.submit(*rec)) {
+        workloads.emplace(rec->key, cell.workload);
+      }
+    }
+  }
+  if (!workloads.empty() && options.workers != 0) {
+    FleetSupervisorConfig supervised = options;
+    if (!supervised.fleet.workloadResolver) {
+      // Forked workers inherit the suite's workloads: running those skips
+      // the recompile and re-profile, and keeps the caller's snapshot, prune
+      // and dispatch policies. The parent owns them, hence the non-owning
+      // (aliasing, empty-owner) shared_ptr.
+      supervised.fleet.workloadResolver =
+          [workloads = std::move(workloads)](
+              const CampaignStore::CellRecord& cell)
+          -> std::shared_ptr<const Workload> {
+        const auto it = workloads.find(cell.key);
+        if (it == workloads.end()) return nullptr;
+        return std::shared_ptr<const Workload>(std::shared_ptr<void>(),
+                                               it->second);
+      };
+    }
+    FleetSupervisor::Report r =
+        FleetSupervisor(storePath, std::move(supervised)).run();
     if (report != nullptr) *report = std::move(r);
   }
 #else
   (void)options;
-  if (report != nullptr) *report = {};
 #endif
-  // The remainder pass finishes quarantined shards too, which makes it the
-  // built-in --force pass.
-  return detail::finishInProcess(suite, std::move(config), storePath);
+  // The final pass: a resume-bound suite over the fleet store runs whatever
+  // is left (cells never submitted, shards lost to crashes, quarantined
+  // shards — which makes it the built-in --force pass) and performs the
+  // cell-order merge. By the suite's resume contract its results are
+  // bit-identical to suite.run(): no lease interleaving can change the
+  // answer, only how much work this pass still has to do.
+  CampaignStore store(storePath, CampaignStore::WriteMode::Atomic);
+  store.load();
+  config.record = &store;
+  config.resume = &store;
+  CampaignSuite remainder(config);
+  for (std::size_t c = 0; c < suite.cellCount(); ++c) {
+    remainder.addCell(suite.cell(c));
+  }
+  return remainder.run();
 }
 
 }  // namespace onebit::fi

@@ -17,8 +17,8 @@
 //     converges on everything else and reports the quarantined ranges at
 //     the end. A `--force` pass (FleetConfig::ignoreQuarantine, or the
 //     in-process remainder pass of runSupervisedFleet) finishes them.
-//   planned exit — Done / Stalled / Quarantined / shard-cap recycling, all
-//     distinguished by exit code; only the cap triggers a respawn.
+//   planned exit — Done / Stalled / Quarantined, distinguished by exit
+//     code; none is respawned.
 //
 // Chaos kills the supervisor itself injects (chaosKillMs) are reaped like
 // crashes but never attributed to a shard: the supervisor knows which pids
@@ -48,16 +48,19 @@ struct FleetSupervisorConfig {
   /// uniform jitter of up to backoffBaseMs, per worker slot.
   std::uint64_t backoffBaseMs = 50;
   std::uint64_t backoffCapMs = 2'000;
-  /// Hard stop: a worker slot that crashed this many times stops being
-  /// respawned (quarantine should normally end the loop much earlier).
+  /// Hard stop: a worker slot that crashed (or failed to fork) this many
+  /// times stops being respawned (quarantine should normally end the loop
+  /// much earlier).
   std::size_t maxRestartsPerWorker = 100;
   /// Chaos hook: when nonzero, SIGKILL one random live worker roughly this
   /// often (wall clock). Chaos victims are respawned immediately and never
   /// count toward poison detection.
   std::uint64_t chaosKillMs = 0;
-  /// Per-worker shard cap; a worker exiting at the cap is respawned (the
-  /// worker-side checkpoint recycle), not counted as a restart.
-  std::size_t maxShardsPerWorker = 0;
+  /// Crash injection: when nonzero, the first worker incarnation spawned
+  /// SIGKILLs itself right after its Nth successful claim (after any
+  /// fleet.onClaim the caller set). Respawns do not inherit it, so the
+  /// crash happens once and is attributed once — the re-lease test.
+  std::size_t killFirstWorkerAfterClaims = 0;
   FleetConfig fleet;  ///< forwarded to every worker incarnation
 };
 
@@ -99,14 +102,22 @@ class FleetSupervisor {
   FleetSupervisorConfig config_;
 };
 
-/// The supervised analog of runFleet(): submit `suite`'s cells to the store,
-/// run a FleetSupervisor fleet over it, then finish ANY remainder — cells
-/// makeCell() refused, shards lost to crashes, and quarantined shards (the
-/// built-in `--force` pass) — with a resume-bound CampaignSuite that also
-/// performs the merge. Results are bit-identical to `suite.run()` for any
-/// crash/chaos/poison pattern, by the suite's resume contract. The report
-/// (when non-null) receives the supervisor's Report so callers can surface
-/// restarts and quarantined ranges.
+/// Run `suite`'s cells as a local fleet over the store at `storePath`:
+/// submit every expressible cell, run a FleetSupervisor fleet over it, then
+/// finish ANY remainder — cells makeCell() refused, shards lost to crashes,
+/// and quarantined shards (the built-in `--force` pass) — with a
+/// resume-bound CampaignSuite over the same store that also performs the
+/// merge. By the suite's resume contract the results are bit-identical to
+/// `suite.run()` for any worker count and any crash, chaos or poison
+/// pattern. Unless options.fleet sets a workloadResolver, the forked
+/// workers run each cell on the suite cell's own Workload (inherited across
+/// fork), so they use the caller's snapshot, prune and dispatch policies.
+/// Without fork(), the whole suite runs in-process (results unchanged).
+///
+/// `config` must be the SuiteConfig `suite` was built with (it fixes the
+/// shard geometry); its record/resume stores are ignored in favor of the
+/// fleet store. The report (when non-null) receives the supervisor's Report
+/// so callers can surface restarts and quarantined ranges.
 std::vector<CampaignResult> runSupervisedFleet(
     const CampaignSuite& suite, SuiteConfig config,
     const std::string& storePath, const FleetSupervisorConfig& options = {},

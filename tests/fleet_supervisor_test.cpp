@@ -1,14 +1,16 @@
 // Self-healing fleet tests (fi/supervisor.hpp, plus the fleet-side pieces
 // it rides on): the adaptive-deadline formula, quarantine skip/force
 // semantics at the worker level, cost stamping in completion leases,
-// adaptive deadlines driven by observed cost on a fake clock, and full
-// supervised runs — clean, poisoned (quarantines exactly the poisoned
-// shard), and chaos-killed — all bit-identical to solo.
+// adaptive deadlines driven by observed cost on a fake clock, heartbeats
+// that keep such a deadline alive, and full supervised runs — clean,
+// poisoned (quarantines exactly the poisoned shard), and chaos-killed —
+// all bit-identical to solo.
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -256,6 +258,58 @@ TEST_F(SupervisorFixture, AdaptiveDeadlineTracksObservedCostOnAFakeClock) {
   EXPECT_EQ(reclaimed->deadlineMs, fakeNow + 8'000);
 }
 
+TEST_F(SupervisorFixture, AdaptiveLeaseIsRenewedBeforeItLapses) {
+  // The claim's adaptive lease (4000 ms) is far shorter than the default
+  // heartbeat period (leaseMs / 3 = 10 000 ms). The holder must renew
+  // within the claim's own lease, or a rival re-runs the shard under it.
+  const CellSpec spec{"beta", FaultModel::singleBit(FaultDomain::RegisterWrite),
+                      10, 0xbbb2};
+  const auto cell = FleetBroker::makeCell(spec.name, *beta_, spec.model,
+                                          spec.experiments, spec.seed, 5);
+  ASSERT_TRUE(cell.has_value());  // 2 shards of 5
+  {
+    FleetBroker broker(path_);
+    ASSERT_TRUE(broker.submit(*cell));
+    // Shard 0: a foreign lease that outlives the test pins it, and its
+    // cost_ms of 1000 makes the adaptive lease
+    // adaptiveLeaseMs({1000}, .9, 30000) = 4000 ms.
+    CampaignStore store(path_, CampaignStore::WriteMode::Atomic);
+    store.load();
+    ASSERT_TRUE(store.appendLease(cell->key,
+                                  {0, 5, "history:1", 1, 1'000'000, 1000}));
+  }
+  // The clock stands at 5000 until the holder's claim, then advances 1 s
+  // per holder reading. Once it passes 10 000, mid-shard, the rival (whose
+  // clock only reads) steps once.
+  std::uint64_t fakeNow = 5'000;
+  bool ticking = false;
+  FleetConfig rivalConfig = fleetConfig();
+  rivalConfig.clock = [&fakeNow] { return fakeNow; };
+  FleetWorker rival(path_, "rival", rivalConfig);
+  std::optional<FleetWorker::Step> rivalStep;
+  FleetConfig config = fleetConfig();
+  config.clock = [&] {
+    if (ticking) {
+      fakeNow += 1'000;
+      if (fakeNow > 10'000 && !rivalStep) rivalStep = rival.step();
+    }
+    return fakeNow;
+  };
+  config.onClaim = [&](std::size_t) { ticking = true; };
+  FleetWorker holder(path_, "", config);
+  EXPECT_EQ(holder.step(), FleetWorker::Step::Ran);
+
+  ASSERT_TRUE(rivalStep.has_value());
+  EXPECT_EQ(*rivalStep, FleetWorker::Step::Idle);
+  EXPECT_EQ(rival.shardsRun(), 0u);
+  CampaignStore store(path_, CampaignStore::WriteMode::Atomic);
+  store.load();
+  const auto lease = store.latestLease(cell->key, 5, 5);
+  ASSERT_TRUE(lease.has_value());
+  EXPECT_EQ(lease->worker, holder.workerId());
+  EXPECT_EQ(lease->epoch, 1u);
+}
+
 TEST_F(SupervisorFixture, QuarantinedShardIsSkippedUntilForced) {
   const CellSpec spec{"beta", FaultModel::singleBit(FaultDomain::RegisterWrite),
                       10, 0xbbb2};
@@ -294,10 +348,23 @@ TEST_F(SupervisorFixture, QuarantinedShardIsSkippedUntilForced) {
   EXPECT_EQ(forced.shardsRun(), 1u);
   EXPECT_TRUE(broker.complete());
 
-  // The finished run is bit-identical to solo despite the detour.
-  const auto result = broker.result(*cell);
-  ASSERT_TRUE(result.has_value());
-  EXPECT_EQ(result->counts, solo(spec).counts);
+  // The finished run is bit-identical to solo despite the detour. A
+  // resume-bound engine, the merge the fleet's final pass performs, takes
+  // every experiment from the store.
+  CampaignStore store(path_, CampaignStore::WriteMode::Atomic);
+  store.load();
+  CampaignConfig resume;
+  resume.model = spec.model;
+  resume.experiments = spec.experiments;
+  resume.seed = spec.seed;
+  resume.threads = 1;
+  resume.shardSize = 5;
+  const CampaignResult result =
+      CampaignEngine(resume).resumeFrom(store).run(*beta_);
+  EXPECT_EQ(result.resumedExperiments, spec.experiments);
+  const CampaignResult ref = solo(spec);
+  EXPECT_EQ(result.counts, ref.counts);
+  EXPECT_EQ(result.activationHist, ref.activationHist);
 }
 
 // ------------------------------------------------------- supervised fleets

@@ -1,10 +1,11 @@
 // Campaign-fleet tests (fi/fleet.hpp): fleet-vs-solo bit-identity across
 // worker counts, crash-after-claim → lease expiry → epoch-bumped re-lease
 // (on a fake clock, so expiry is deterministic), the same-host dead-pid
-// fast path, SIGKILL-a-worker fault tolerance through runFleet, shard-record
-// byte identity between fleet and solo stores, stalled-worker semantics for
-// unresolvable cells, compaction of a finished fleet store, and forked
-// workers running the suite's own workloads when no resolver is given.
+// fast path, SIGKILL-a-worker fault tolerance through runSupervisedFleet,
+// shard-record byte identity between fleet and solo stores, stalled-worker
+// semantics for unresolvable cells, compaction of a finished fleet store,
+// forked workers running the suite's own workloads when no resolver is
+// given, and the poison-spec parser.
 #include <sys/wait.h>
 #include <unistd.h>
 
@@ -210,11 +211,11 @@ TEST_F(FleetFixture, FleetMatchesSoloForOneTwoAndFourWorkers) {
     SuiteConfig config;
     config.shardSize = 16;
     const CampaignSuite suite = makeSuite(cells, config);
-    LocalFleetOptions options;
+    FleetSupervisorConfig options;
     options.workers = workers;
-    options.config = fleetConfig();
+    options.fleet = fleetConfig();
     const std::vector<CampaignResult> results =
-        runFleet(suite, config, path_, options);
+        runSupervisedFleet(suite, config, path_, options);
     ASSERT_EQ(results.size(), cells.size());
     for (std::size_t i = 0; i < cells.size(); ++i) {
       EXPECT_EQ(results[i].counts, refs[i].counts)
@@ -244,13 +245,14 @@ TEST_F(FleetFixture, KilledWorkerIsReLeasedAndResultsUnchanged) {
   SuiteConfig config;
   config.shardSize = 16;
   const CampaignSuite suite = makeSuite(cells, config);
-  LocalFleetOptions options;
+  FleetSupervisorConfig options;
   options.workers = 2;
-  options.config = fleetConfig();
-  options.config.leaseMs = 1000;
+  options.fleet = fleetConfig();
+  options.fleet.leaseMs = 1000;
   options.killFirstWorkerAfterClaims = 1;
+  FleetSupervisor::Report report;
   const std::vector<CampaignResult> results =
-      runFleet(suite, config, path_, options);
+      runSupervisedFleet(suite, config, path_, options, &report);
   ASSERT_EQ(results.size(), cells.size());
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const CampaignResult ref = solo(cells[i]);
@@ -258,6 +260,13 @@ TEST_F(FleetFixture, KilledWorkerIsReLeasedAndResultsUnchanged) {
     EXPECT_EQ(results[i].activationHist, ref.activationHist) << "cell " << i;
     EXPECT_TRUE(results[i].complete());
   }
+  // The hook fires in the first incarnation only: one crash, attributed
+  // once (below the default poisonRetries, so nothing is quarantined), and
+  // one respawn.
+  EXPECT_EQ(report.crashes, 1u);
+  EXPECT_EQ(report.restarts, 1u);
+  EXPECT_EQ(report.quarantinedShards, 0u);
+  EXPECT_TRUE(report.converged);
   // The dangling lease really was re-claimed at a higher epoch (the killed
   // worker's claim is always burned, and the survivor must take it over —
   // it cannot finish while an unrecorded shard exists).
@@ -312,13 +321,21 @@ TEST_F(FleetFixture, ExpiredLeaseIsReclaimedAtTheNextEpoch) {
   EXPECT_EQ(lease->epoch, 2u);  // re-lease, not a renewal of epoch 1
   EXPECT_EQ(lease->worker, worker.workerId());
 
-  // The run the two epochs produced is bit-identical to solo.
-  FleetBroker broker(path_);
-  const auto result = broker.result(*cell);
-  ASSERT_TRUE(result.has_value());
+  // The run the two epochs produced is bit-identical to solo. A
+  // resume-bound engine, the merge the fleet's final pass performs, takes
+  // every experiment from the store.
+  CampaignConfig resume;
+  resume.model = spec.model;
+  resume.experiments = spec.experiments;
+  resume.seed = spec.seed;
+  resume.threads = 1;
+  resume.shardSize = 5;
+  const CampaignResult result =
+      CampaignEngine(resume).resumeFrom(store).run(*beta_);
+  EXPECT_EQ(result.resumedExperiments, spec.experiments);
   const CampaignResult ref = solo(spec);
-  EXPECT_EQ(result->counts, ref.counts);
-  EXPECT_EQ(result->activationHist, ref.activationHist);
+  EXPECT_EQ(result.counts, ref.counts);
+  EXPECT_EQ(result.activationHist, ref.activationHist);
 }
 
 TEST_F(FleetFixture, ZeroLeaseMsMeansTheDefaultLease) {
@@ -428,10 +445,10 @@ TEST_F(FleetFixture, WorkerStallsOnACellItCannotResolve) {
   EXPECT_EQ(rescue.shardsRun(), 2u);
 }
 
-TEST_F(FleetFixture, RunFleetFinishesInexpressibleCellsInProcess) {
-  // A cell with no store name cannot be submitted to the fleet; runFleet
-  // must fall back to running it in-process and still return a result set
-  // bit-identical to suite.run().
+TEST_F(FleetFixture, RunSupervisedFleetFinishesInexpressibleCellsInProcess) {
+  // A cell with no store name cannot be submitted to the fleet;
+  // runSupervisedFleet must fall back to running it in-process and still
+  // return a result set bit-identical to suite.run().
   std::vector<CellSpec> cells = mixedCells();
   SuiteConfig config;
   config.shardSize = 16;
@@ -441,11 +458,11 @@ TEST_F(FleetFixture, RunFleetFinishesInexpressibleCellsInProcess) {
                   cells[i].model, cells[i].experiments, cells[i].seed,
                   i == 0 ? std::string() : cells[i].name);  // cell 0 unnamed
   }
-  LocalFleetOptions options;
+  FleetSupervisorConfig options;
   options.workers = 1;
-  options.config = fleetConfig();
+  options.fleet = fleetConfig();
   const std::vector<CampaignResult> results =
-      runFleet(suite, config, path_, options);
+      runSupervisedFleet(suite, config, path_, options);
   ASSERT_EQ(results.size(), cells.size());
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const CampaignResult ref = solo(cells[i]);
@@ -465,10 +482,10 @@ TEST_F(FleetFixture, FleetShardRecordsAreByteIdenticalToSoloRecords) {
   // Fleet store: two workers through the lease protocol.
   {
     const CampaignSuite suite = makeSuite(cells, config);
-    LocalFleetOptions options;
+    FleetSupervisorConfig options;
     options.workers = 2;
-    options.config = fleetConfig();
-    (void)runFleet(suite, config, path_, options);
+    options.fleet = fleetConfig();
+    (void)runSupervisedFleet(suite, config, path_, options);
   }
   // Solo store: the ordinary record path, same cells, same geometry.
   const std::string soloPath = path_ + ".solo";
@@ -492,10 +509,10 @@ TEST_F(FleetFixture, CompactDropsEveryLeaseOfAFinishedFleetRun) {
   config.shardSize = 16;
   {
     const CampaignSuite suite = makeSuite(cells, config);
-    LocalFleetOptions options;
+    FleetSupervisorConfig options;
     options.workers = 2;
-    options.config = fleetConfig();
-    (void)runFleet(suite, config, path_, options);
+    options.fleet = fleetConfig();
+    (void)runSupervisedFleet(suite, config, path_, options);
   }
   // Every shard is recorded, so every lease is superseded — compaction must
   // drop them all (nowMs = 0: superseded-ness alone, no clock involved)
@@ -534,46 +551,67 @@ TEST_F(FleetFixture, ForkedWorkersRunTheSuiteWorkloadsWithoutAResolver) {
   SuiteConfig config;
   config.shardSize = 16;
   const CampaignSuite suite = makeSuite(cells, config);
-  FleetConfig fleet;
-  fleet.pollMs = 2;
-  for (const bool supervised : {false, true}) {
-    cleanup();
-    const char* const mode = supervised ? "runSupervisedFleet" : "runFleet";
-    std::vector<CampaignResult> results;
-    if (supervised) {
-      FleetSupervisorConfig options;
-      options.workers = 2;
-      options.fleet = fleet;
-      results = runSupervisedFleet(suite, config, path_, options);
+  FleetSupervisorConfig options;
+  options.workers = 2;
+  options.fleet.pollMs = 2;
+  const std::vector<CampaignResult> results =
+      runSupervisedFleet(suite, config, path_, options);
+  ASSERT_EQ(results.size(), cells.size());
+  for (std::size_t i = 0; i < cells.size(); ++i) {
+    const CampaignResult ref = solo(cells[i]);
+    EXPECT_EQ(results[i].counts, ref.counts) << "cell " << i;
+    EXPECT_EQ(results[i].activationHist, ref.activationHist) << "cell " << i;
+    EXPECT_TRUE(results[i].complete()) << "cell " << i;
+  }
+  CampaignStore store(path_, CampaignStore::WriteMode::Atomic);
+  store.load();
+  ASSERT_EQ(store.cells().size(), cells.size());
+  for (const CampaignStore::CellRecord& cell : store.cells()) {
+    for (std::size_t s = 0; s < cell.shardCount(); ++s) {
+      const std::optional<CampaignStore::LeaseRecord> lease =
+          store.latestLease(cell.key, cell.shardFirst(s),
+                            cell.shardExperiments(s));
+      ASSERT_TRUE(lease.has_value()) << cell.workload << " shard " << s;
+      EXPECT_NE(lease->costMs, 0u) << cell.workload << " shard " << s;
+      EXPECT_NE(lease->worker.find(':'), std::string::npos)
+          << "worker id '" << lease->worker << "'";
+    }
+  }
+}
+
+TEST(ParsePoison, AcceptsNameAndOptionalShardOnly) {
+  constexpr std::size_t kAny = static_cast<std::size_t>(-1);
+  struct Case {
+    const char* spec;
+    bool ok;
+    const char* name;
+    std::size_t shard;
+  };
+  const Case cases[] = {
+      {"qsort", true, "qsort", kAny},
+      {"qsort:1", true, "qsort", 1},
+      {"a:b:2", true, "a:b", 2},
+      {"", false, "", 0},
+      {":1", false, "", 0},
+      {"qsort:", false, "", 0},
+      {"qsort:x", false, "", 0},
+      {"qsort:1x", false, "", 0},
+      {"qsort:-1", false, "", 0},
+      {"qsort:+1", false, "", 0},
+      {"qsort:18446744073709551615", false, "", 0},  // npos: "every shard"
+      {"qsort:99999999999999999999", false, "", 0},  // overflows
+  };
+  for (const Case& c : cases) {
+    FleetConfig config;
+    config.poisonWorkload = "untouched";
+    config.poisonShard = 7;
+    EXPECT_EQ(parsePoison(c.spec, config), c.ok) << "'" << c.spec << "'";
+    if (c.ok) {
+      EXPECT_EQ(config.poisonWorkload, c.name) << "'" << c.spec << "'";
+      EXPECT_EQ(config.poisonShard, c.shard) << "'" << c.spec << "'";
     } else {
-      LocalFleetOptions options;
-      options.workers = 2;
-      options.config = fleet;
-      results = runFleet(suite, config, path_, options);
-    }
-    ASSERT_EQ(results.size(), cells.size()) << mode;
-    for (std::size_t i = 0; i < cells.size(); ++i) {
-      const CampaignResult ref = solo(cells[i]);
-      EXPECT_EQ(results[i].counts, ref.counts) << mode << " cell " << i;
-      EXPECT_EQ(results[i].activationHist, ref.activationHist)
-          << mode << " cell " << i;
-      EXPECT_TRUE(results[i].complete()) << mode << " cell " << i;
-    }
-    CampaignStore store(path_, CampaignStore::WriteMode::Atomic);
-    store.load();
-    ASSERT_EQ(store.cells().size(), cells.size()) << mode;
-    for (const CampaignStore::CellRecord& cell : store.cells()) {
-      for (std::size_t s = 0; s < cell.shardCount(); ++s) {
-        const std::optional<CampaignStore::LeaseRecord> lease =
-            store.latestLease(cell.key, cell.shardFirst(s),
-                              cell.shardExperiments(s));
-        ASSERT_TRUE(lease.has_value())
-            << mode << " " << cell.workload << " shard " << s;
-        EXPECT_NE(lease->costMs, 0u)
-            << mode << " " << cell.workload << " shard " << s;
-        EXPECT_NE(lease->worker.find(':'), std::string::npos)
-            << mode << " worker id '" << lease->worker << "'";
-      }
+      EXPECT_EQ(config.poisonWorkload, "untouched") << "'" << c.spec << "'";
+      EXPECT_EQ(config.poisonShard, 7u) << "'" << c.spec << "'";
     }
   }
 }

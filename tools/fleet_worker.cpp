@@ -8,6 +8,7 @@
 // cells this worker cannot run remain (Stalled; finish them in-process,
 // e.g. via the bench drivers), 4 = only quarantined shards remain
 // (Quarantined; re-run with --force or finish in-process), 1 = error.
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -38,10 +39,12 @@ void usage(const char* argv0) {
       argv0);
 }
 
+/// A decimal count: digits only (no sign, no space) that fit in 64 bits.
 bool parseCount(const char* s, std::uint64_t& out) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, 10);
-  if (end == s || *end != '\0') return false;
+  const char* end = s + std::strlen(s);
+  std::uint64_t v = 0;
+  const auto [ptr, ec] = std::from_chars(s, end, v);
+  if (ec != std::errc() || ptr != end) return false;
   out = v;
   return true;
 }
@@ -52,20 +55,6 @@ bool parseQuantile(const char* s, double& out) {
   if (end == s || *end != '\0' || !(v > 0.0) || v > 1.0) return false;
   out = v;
   return true;
-}
-
-/// "NAME" or "NAME:SHARD" → poison hook fields. NAME must be nonempty.
-bool parsePoison(const char* s, onebit::fi::FleetConfig& config) {
-  const char* colon = std::strrchr(s, ':');
-  if (colon == nullptr) {
-    config.poisonWorkload = s;
-  } else {
-    std::uint64_t shard = 0;
-    if (colon == s || !parseCount(colon + 1, shard)) return false;
-    config.poisonWorkload.assign(s, static_cast<std::size_t>(colon - s));
-    config.poisonShard = static_cast<std::size_t>(shard);
-  }
-  return !config.poisonWorkload.empty();
 }
 
 }  // namespace
@@ -101,7 +90,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--lease-quantile" && hasValue &&
                parseQuantile(argv[++i], config.leaseQuantile)) {
     } else if (arg == "--poison" && hasValue &&
-               parsePoison(argv[++i], config)) {
+               onebit::fi::parsePoison(argv[++i], config)) {
     } else {
       usage(argv[0]);
       return 2;
