@@ -16,18 +16,22 @@
 #   5. compaction drops every (superseded) lease, and the compacted store
 #      still resumes to the same CSV,
 #   6. fleet_worker rejects a negative --lease-ms and a negative --poison
-#      shard with usage (exit 2) instead of wrapping them to huge values.
+#      shard with usage (exit 2) instead of wrapping them to huge values,
+#      and fleet_broker --submit rejects a signed, suffixed or overflowing
+#      experiment count and a --flip-width outside 1..64 the same way,
+#      submitting nothing.
 #
 #   scripts/fleet_smoke.sh [BUILD_DIR]
 #
 # BUILD_DIR defaults to ./build; it must contain bench_fig1_single_bit,
-# report, compact_store, and fleet_worker (built by the default CMake
-# configuration).
+# report, compact_store, fleet_worker and fleet_broker (built by the default
+# CMake configuration).
 set -eu
 
 build=${1:-build}
 
-for tool in bench_fig1_single_bit report compact_store fleet_worker; do
+for tool in bench_fig1_single_bit report compact_store fleet_worker \
+    fleet_broker; do
   if [ ! -x "$build/$tool" ]; then
     echo "error: $build/$tool not found or not executable; build first" >&2
     echo "  cmake -B $build -S . && cmake --build $build -j" >&2
@@ -98,5 +102,22 @@ for flag in "--lease-ms -1" "--poison qsort:-1"; do
     exit 1
   fi
 done
+
+echo "== fleet_broker rejects malformed counts and flip widths (exit 2)"
+for args in "-1" "+8" "8x" "18446744073709551616" "8 --flip-width 0" \
+    "8 --flip-width 65" "8 --flip-width 4294967297"; do
+  code=0
+  # $args is unquoted on purpose: the count, then maybe an option and value.
+  "$build/fleet_broker" "$tmp/broker.jsonl" --submit qsort read/single $args \
+    > /dev/null 2>&1 || code=$?
+  if [ "$code" -ne 2 ]; then
+    echo "error: fleet_broker --submit qsort read/single $args exited $code, want 2" >&2
+    exit 1
+  fi
+done
+if grep -q '"kind":"cell"' "$tmp/broker.jsonl" 2> /dev/null; then
+  echo "error: a rejected fleet_broker --submit wrote a cell" >&2
+  exit 1
+fi
 
 echo "fleet smoke: OK"

@@ -18,7 +18,7 @@ Workload::Workload(ir::Module mod, std::uint64_t hangFactor,
   // The backend rides on the limits into every run this workload owns: the
   // golden pass below (its captures pause at runUntil() stops, so it keeps
   // the backend throughout), and, through faultyLimits_, runExperiment's
-  // post-exhaustion suffixes.
+  // sleeping stretches and post-exhaustion suffixes.
   goldenLimits.dispatch = dispatch;
   if (dispatch == vm::DispatchBackend::Threaded) {
     // Decode once: every faulty run would otherwise decode the module again
@@ -177,6 +177,61 @@ ExperimentResult runExperiment(const Workload& workload,
     }
   }
   const vm::ExecResult faulty = machine->run();
+  result.outcome = classify(faulty, workload.golden());
+  result.trap = faulty.trap;
+  result.activations = hook.activations();
+  result.instructions = faulty.instructions;
+  return result;
+}
+
+namespace {
+
+/// Delivers every callback to the wrapped hook and never sleeps; it
+/// detaches only when the wrapped hook is exhausted.
+class AwakeForwarder final : public vm::ExecHook {
+ public:
+  explicit AwakeForwarder(InjectorHook& inner) : inner_(inner) { sync(); }
+
+  void onRead(std::uint64_t readIndex, std::uint64_t instrIndex,
+              const ir::Instr& instr, std::span<std::uint64_t> values,
+              std::span<const bool> isReg) override {
+    inner_.onRead(readIndex, instrIndex, instr, values, isReg);
+    sync();
+  }
+  void onWrite(std::uint64_t writeIndex, std::uint64_t instrIndex,
+               const ir::Instr& instr, std::uint64_t& value) override {
+    inner_.onWrite(writeIndex, instrIndex, instr, value);
+    sync();
+  }
+  void onStore(std::uint64_t storeIndex, std::uint64_t instrIndex,
+               const ir::Instr& instr, std::uint64_t addr,
+               vm::Memory& mem) override {
+    inner_.onStore(storeIndex, instrIndex, instr, addr, mem);
+    sync();
+  }
+
+ private:
+  void sync() noexcept {
+    if (inner_.exhausted()) markExhausted();
+  }
+
+  InjectorHook& inner_;
+};
+
+}  // namespace
+
+ExperimentResult runReference(const Workload& workload, const FaultPlan& plan) {
+  InjectorHook hook(plan);
+  return runReference(workload, hook);
+}
+
+ExperimentResult runReference(const Workload& workload, InjectorHook& hook) {
+  AwakeForwarder awake(hook);
+  vm::ExecLimits limits = workload.faultyLimits();
+  limits.dispatch = vm::DispatchBackend::Switch;
+  limits.threadedCode = nullptr;
+  const vm::ExecResult faulty = vm::execute(workload.module(), limits, &awake);
+  ExperimentResult result;
   result.outcome = classify(faulty, workload.golden());
   result.trap = faulty.trap;
   result.activations = hook.activations();

@@ -82,7 +82,8 @@ class Workload {
   /// (off by default; a workload without snapshots never prunes).
   /// `dispatch` selects the execution backend for every hook-free segment
   /// this workload runs — the golden pass, snapshot captures included, and
-  /// the post-exhaustion suffix of every experiment. Like the snapshot and
+  /// every stretch an experiment's injector sleeps through or outlives.
+  /// Like the snapshot and
   /// prune policies it is a pure speedup (bit-identical results, pinned by
   /// tests/dispatch_differential_test and tests/dispatch_equivalence_test)
   /// and is NOT part of the fingerprint.
@@ -207,5 +208,17 @@ stats::Outcome classify(const vm::ExecResult& faulty,
 /// run for every plan and policy; only `prune` and wall-clock differ.
 ExperimentResult runExperiment(const Workload& workload,
                                const FaultPlan& plan);
+
+/// The slow oracle for runExperiment: the same experiment from scratch (no
+/// snapshot, no pruning), every instruction on the reference loop, with the
+/// plan's InjectorHook behind a forwarder that never sleeps, so the hook
+/// sees every callback until it is exhausted. Outcome, trap, activations
+/// and instruction count must equal runExperiment's for every plan and
+/// policy.
+ExperimentResult runReference(const Workload& workload, const FaultPlan& plan);
+
+/// runReference with a caller-owned, not yet run injector, whose records
+/// and observables the caller can read afterwards.
+ExperimentResult runReference(const Workload& workload, InjectorHook& hook);
 
 }  // namespace onebit::fi

@@ -6,6 +6,7 @@
 #include <cmath>
 #include <csignal>
 #include <cstdio>
+#include <limits>
 #include <thread>
 #include <utility>
 
@@ -49,24 +50,30 @@ std::shared_ptr<const Workload> defaultResolve(
 
 }  // namespace
 
+bool parseCount(std::string_view s, std::uint64_t& out, int base) {
+  // from_chars takes no sign, space or prefix for an unsigned type, and
+  // fails on overflow.
+  std::uint64_t v = 0;
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, v, base);
+  if (ec != std::errc() || ptr != end) return false;
+  out = v;
+  return true;
+}
+
 bool parsePoison(std::string_view spec, FleetConfig& config) {
   const std::size_t colon = spec.rfind(':');
   const std::string_view name = spec.substr(0, colon);
   if (name.empty()) return false;
-  std::size_t shard = static_cast<std::size_t>(-1);
-  if (colon != std::string_view::npos) {
-    // from_chars takes no sign and fails on overflow; npos itself is the
-    // "every shard" sentinel, not a shard.
-    const std::string_view digits = spec.substr(colon + 1);
-    const char* end = digits.data() + digits.size();
-    const auto [ptr, ec] = std::from_chars(digits.data(), end, shard);
-    if (ec != std::errc() || ptr != end ||
-        shard == static_cast<std::size_t>(-1)) {
-      return false;
-    }
+  std::uint64_t shard = std::numeric_limits<std::size_t>::max();
+  // npos itself is the "every shard" sentinel, not a shard.
+  if (colon != std::string_view::npos &&
+      (!parseCount(spec.substr(colon + 1), shard) ||
+       shard >= std::numeric_limits<std::size_t>::max())) {
+    return false;
   }
   config.poisonWorkload = std::string(name);
-  config.poisonShard = shard;
+  config.poisonShard = static_cast<std::size_t>(shard);
   return true;
 }
 
@@ -111,7 +118,12 @@ std::optional<CampaignStore::CellRecord> FleetBroker::makeCell(
     const std::string& name, const Workload& workload,
     const FaultModel& model, std::size_t experiments, std::uint64_t seed,
     std::size_t resolvedShardSize) {
-  if (name.empty() || experiments == 0 || resolvedShardSize == 0) {
+  // The store's loader drops a cell whose counts are 0 or its 2^64 − 1
+  // "malformed" sentinel, or whose flip width is outside 1..64.
+  constexpr std::size_t kBad = std::numeric_limits<std::size_t>::max();
+  if (name.empty() || experiments == 0 || experiments == kBad ||
+      resolvedShardSize == 0 || resolvedShardSize == kBad ||
+      model.flipWidth == 0 || model.flipWidth > 64) {
     return std::nullopt;
   }
   CampaignStore::CellRecord rec;

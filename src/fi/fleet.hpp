@@ -126,11 +126,16 @@ struct FleetConfig {
   }
 };
 
+/// Parse a count: digits only in `base` (no sign, space or prefix) that fit
+/// in 64 bits. On failure returns false and leaves `out` untouched. Every
+/// numeric fleet CLI argument goes through it, so "-1" or 2^64 is rejected
+/// instead of wrapping into a huge value.
+bool parseCount(std::string_view s, std::uint64_t& out, int base = 10);
+
 /// Parse the poison hook spec "NAME" or "NAME:SHARD" into
 /// config.poisonWorkload / config.poisonShard. NAME must be nonempty; SHARD,
-/// when present, must be all decimal digits, fit in a size_t and not be
-/// npos (which means "every shard"). On failure returns false and leaves
-/// `config` untouched.
+/// when present, must be a parseCount() count below npos (which means
+/// "every shard"). On failure returns false and leaves `config` untouched.
 bool parsePoison(std::string_view spec, FleetConfig& config);
 
 /// The pid prefix of a "<pid>:<hex>" worker id; nullopt for foreign formats.
@@ -169,7 +174,8 @@ class FleetBroker {
   /// workload's hang factor and golden cost, and validates that
   /// parse(model.label()) + flipWidth reproduces the same campaign key.
   /// Returns nullopt when it cannot (empty name, degenerate model whose
-  /// label re-parses to different semantics, zero experiments) — such cells
+  /// label re-parses to different semantics, zero experiments, or a count
+  /// or flip width the store's loader would drop as malformed) — such cells
   /// must run in-process instead of being submitted.
   static std::optional<CampaignStore::CellRecord> makeCell(
       const std::string& name, const Workload& workload,

@@ -39,7 +39,26 @@ std::uint64_t lowBits(unsigned n) noexcept {
 
 InjectorHook::InjectorHook(const FaultPlan& plan)
     : plan_(plan), rng_(plan.seed) {
-  if (flipBudget() == 0) markExhausted();
+  if (flipBudget() == 0) {
+    markExhausted();
+    return;
+  }
+  // Nothing acts before the first injection point: candidate firstIndex of
+  // the domain's stream, or the RandomValue landing instruction.
+  switch (plan_.domain) {
+    case FaultDomain::RegisterRead:
+      sleepUntil(Stream::Reads, plan_.firstIndex);
+      break;
+    case FaultDomain::RegisterWrite:
+      sleepUntil(Stream::Writes, plan_.firstIndex);
+      break;
+    case FaultDomain::MemoryData:
+      sleepUntil(Stream::Stores, plan_.firstIndex);
+      break;
+    case FaultDomain::RandomValue:
+      sleepUntil(Stream::Instructions, plan_.firstIndex);
+      break;
+  }
 }
 
 unsigned InjectorHook::flipBudget() const noexcept {
@@ -111,6 +130,10 @@ void InjectorHook::commitEvent(std::uint64_t candidateIndex,
   if (plan_.pattern.kind == BitPattern::Kind::BurstAdjacent || allAtOnce ||
       injectionsPlanned_ >= flipBudget()) {
     markExhausted();
+  } else {
+    // The next temporal event waits for the first candidate at or after
+    // nextMinInstr_.
+    sleepUntil(Stream::Instructions, nextMinInstr_);
   }
 }
 

@@ -24,9 +24,15 @@
 // observes the flipped value until an instruction writes it, which flushes
 // the fault. Activations count the corrupted values actually consumed.
 //
-// Once a hook can no longer mutate any future candidate it marks itself
-// exhausted (vm::ExecHook::exhausted), so the interpreter finishes the run
-// on its hook-free fast path with no virtual dispatch per candidate.
+// Every injection point is fixed by index, so the hook sleeps
+// (vm::ExecHook::sleepUntil) until the next one: from construction until
+// the plan's first index in its domain's stream (the landing instruction for
+// RandomValue), and after each temporal event that leaves budget until
+// instruction `nextMinInstr_`. The interpreter runs those stretches on its
+// hook-free fast path. Once a hook can no longer mutate any future candidate
+// it marks itself exhausted (vm::ExecHook::exhausted), so the interpreter
+// finishes the run there too. Callbacks delivered while it sleeps are
+// ignored, so a forwarder that never sleeps gets the same records.
 #pragma once
 
 #include <cstdint>

@@ -1,7 +1,10 @@
 #include "lang/lexer.hpp"
 
 #include <cctype>
+#include <charconv>
+#include <cstdint>
 #include <cstdlib>
+#include <string_view>
 #include <unordered_map>
 
 namespace onebit::lang {
@@ -168,8 +171,21 @@ std::vector<Token> lex(std::string_view source) {
         t.floatValue = std::strtod(num.c_str(), nullptr);
       } else {
         t.kind = Tok::IntLit;
-        t.intValue = static_cast<std::int64_t>(
-            std::strtoull(num.c_str(), nullptr, isHex ? 16 : 10));
+        // The digits after any 0x prefix must fit in 64 bits (values past
+        // INT64_MAX wrap, like C's unsigned literals).
+        const std::string_view digits =
+            std::string_view(num).substr(isHex ? 2 : 0);
+        const char* const end = digits.data() + digits.size();
+        std::uint64_t v = 0;
+        const auto [ptr, ec] =
+            std::from_chars(digits.data(), end, v, isHex ? 16 : 10);
+        if (ec == std::errc::result_out_of_range) {
+          throw CompileError("integer literal out of range", line, col);
+        }
+        if (ec != std::errc() || ptr != end) {
+          throw CompileError("malformed integer literal", line, col);
+        }
+        t.intValue = static_cast<std::int64_t>(v);
       }
       out.push_back(std::move(t));
       continue;

@@ -31,6 +31,7 @@
 
 namespace onebit::vm {
 
+class Machine;
 class ThreadedCode;
 
 /// Observer/mutator interface for fault injection.
@@ -41,8 +42,29 @@ class ThreadedCode;
 /// virtual-call-free fast path golden runs use. Exhaustion is a promise
 /// about the future, not a request — callbacks already in flight for the
 /// current instruction are still delivered.
+///
+/// A hook that knows where it acts next can instead call sleepUntil(stream,
+/// index). That is the same kind of promise, with an end: no callback
+/// delivered before the *wake point* will act (mutate a value, or change
+/// what the hook does later). The wake point is
+///   * Stream::Instructions, n: the first callback whose instrIndex is >= n
+///     (the n-th dynamic instruction, counting from 1 like instrIndex);
+///   * Stream::Reads / Writes / Stores, k: the callback of that stream
+///     whose candidate index is k.
+/// The machine may then run any stretch before the wake point on its
+/// hook-free loop, skipping those callbacks; it may also deliver some of
+/// them (it wakes the hook a few instructions early rather than enter the
+/// fast loop for a short stretch), and the hook must ignore them. From the
+/// wake point on the hook gets exactly the callbacks an always-awake hook
+/// gets. Callbacks already in flight for the current instruction are still
+/// delivered, and a later sleepUntil() replaces a pending one. A hook that
+/// never sleeps gets every callback until it is exhausted.
 class ExecHook {
  public:
+  /// The counters a wake point is addressed in: the dynamic instruction
+  /// count, or one of the three candidate streams.
+  enum class Stream : unsigned char { Instructions, Reads, Writes, Stores };
+
   virtual ~ExecHook() = default;
 
   /// Called before executing a dynamic instruction that reads at least one
@@ -75,17 +97,35 @@ class ExecHook {
   }
 
   /// True once the hook has promised to never mutate another candidate.
-  /// Deliberately non-virtual: the interpreter polls it once per dynamic
-  /// instruction while the hook is attached.
-  [[nodiscard]] bool exhausted() const noexcept { return exhausted_; }
+  [[nodiscard]] bool exhausted() const noexcept {
+    return state_ == State::Exhausted;
+  }
 
  protected:
   /// Irreversibly mark this hook as done; the interpreter detaches it and
   /// continues on the hook-free fast path.
-  void markExhausted() noexcept { exhausted_ = true; }
+  void markExhausted() noexcept { state_ = State::Exhausted; }
+
+  /// Promise that no callback before the wake point (stream, index) will
+  /// act (see the class comment). Ignored once the hook is exhausted.
+  void sleepUntil(Stream stream, std::uint64_t index) noexcept {
+    if (state_ == State::Exhausted) return;
+    state_ = State::Asleep;
+    wakeStream_ = stream;
+    wakeIndex_ = index;
+  }
 
  private:
-  bool exhausted_ = false;
+  /// The machine reads the wake point and wakes the hook when it delivers
+  /// callbacks again.
+  friend class Machine;
+  enum class State : unsigned char { Awake, Asleep, Exhausted };
+
+  /// Deliberately non-virtual and one byte: the hooked loop polls it once
+  /// per dynamic instruction and returns as soon as it is not Awake.
+  State state_ = State::Awake;
+  Stream wakeStream_ = Stream::Instructions;
+  std::uint64_t wakeIndex_ = 0;
 };
 
 enum class ExecStatus : unsigned char {
@@ -95,15 +135,16 @@ enum class ExecStatus : unsigned char {
 };
 
 /// Which execution loop runs the hook-free part of a run (golden
-/// executions, snapshot captures included, and the post-exhaustion suffix
-/// of faulty runs). `Switch` is the templated reference interpreter in
-/// vm/machine.cpp; `Threaded` pre-decodes the module into a dense
-/// direct-threaded stream (computed-goto label pointers where the compiler
-/// supports them, a decoded switch otherwise — see vm/threaded.hpp) and
-/// runs that. The two are bit-identical for every program — pinned by the
-/// differential backend fuzzer (tests/dispatch_differential_test.cpp) — so
-/// the choice is a pure speedup. Hooked segments always run on the
-/// reference loop regardless of this setting.
+/// executions, snapshot captures included, the stretches a faulty run's
+/// hook sleeps through, and the post-exhaustion suffix). `Switch` is the
+/// templated reference interpreter in vm/machine.cpp; `Threaded`
+/// pre-decodes the module into a dense direct-threaded stream
+/// (computed-goto label pointers where the compiler supports them, a
+/// decoded switch otherwise — see vm/threaded.hpp) and runs that. The two
+/// are bit-identical for every program — pinned by the differential
+/// backend fuzzer (tests/dispatch_differential_test.cpp) — so the choice is
+/// a pure speedup. Instructions whose callbacks an awake hook receives
+/// always run on the reference loop regardless of this setting.
 enum class DispatchBackend : unsigned char {
   Switch,    ///< templated switch interpreter (the reference semantics)
   Threaded,  ///< pre-decoded direct-threaded stream (fast path)

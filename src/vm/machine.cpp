@@ -223,7 +223,10 @@ void Machine::appendOutput(const char* data, std::size_t n) {
 }
 
 void Machine::printValue(ir::PrintKind kind, std::uint64_t v) {
-  char buf[64];
+  // Room for any finite double at "%.6f": a sign, 309 integer digits, the
+  // point, six decimals and the NUL. snprintf returns the full length, and
+  // all of it is appended.
+  char buf[std::numeric_limits<double>::max_exponent10 + 11];
   switch (kind) {
     case ir::PrintKind::I64: {
       const int n = std::snprintf(buf, sizeof buf, "%lld",
@@ -292,10 +295,11 @@ std::uint64_t Machine::applyIntrinsic(ir::IntrinsicKind kind,
 
 void Machine::runHookFree() {
   // Hook-free fast path: golden runs (captures included: they pause at
-  // runUntil() stops), and the tail of a faulty run once the hook can no
-  // longer mutate anything (no virtual dispatch at all). Only this part is
-  // eligible for the threaded backend: hooked parts need the
-  // per-instruction callbacks only the reference loop carries.
+  // runUntil() stops), the stretches a faulty run's hook sleeps through,
+  // and its tail once the hook can no longer mutate anything (no virtual
+  // dispatch at all). Only this part is eligible for the threaded backend:
+  // hooked parts need the per-instruction callbacks only the reference loop
+  // carries.
   if (limits_.dispatch == DispatchBackend::Threaded) {
     runThreaded();
   } else {
@@ -303,18 +307,49 @@ void Machine::runHookFree() {
   }
 }
 
-ExecResult Machine::run() {
-  if (running() && hook_ != nullptr && !hook_->exhausted()) {
+std::uint64_t Machine::sleepStop() const noexcept {
+  const std::uint64_t k = hook_->wakeIndex_;
+  std::uint64_t count = 0;
+  switch (hook_->wakeStream_) {
+    case ExecHook::Stream::Instructions:
+      // Callbacks carry the pre-incremented count: the instruction whose
+      // callbacks carry instrIndex == k must run hooked.
+      return k > instructions_ + 1 ? k - 1 : instructions_;
+    case ExecHook::Stream::Reads: count = readCandidates_; break;
+    case ExecHook::Stream::Writes: count = writeCandidates_; break;
+    case ExecHook::Stream::Stores: count = storeCandidates_; break;
+  }
+  // Candidates are post-incremented: k − count more instructions yield at
+  // most candidates count .. k − 1, never candidate k itself.
+  return k > count ? instructions_ + std::min(k - count, ~instructions_)
+                   : instructions_;
+}
+
+void Machine::runHooked() {
+  while (running() && hook_ != nullptr && !hook_->exhausted()) {
+    if (hook_->state_ == ExecHook::State::Asleep) {
+      const std::uint64_t stop = sleepStop();
+      if (stop - instructions_ >= kMinSleep) {
+        // Candidate stops are lower bounds: re-evaluate after each stretch.
+        limit_ = std::min(limits_.maxInstructions, stop);
+        runHookFree();
+        limit_ = limits_.maxInstructions;
+        continue;
+      }
+      hook_->state_ = ExecHook::State::Awake;
+    }
     loop<true>();
   }
+}
+
+ExecResult Machine::run() {
+  runHooked();
   if (running()) runHookFree();
   return finish();
 }
 
 Machine::Stop Machine::runUntil(std::uint64_t n) {
-  if (running() && hook_ != nullptr && !hook_->exhausted()) {
-    loop<true>();
-  }
+  runHooked();
   if (!running()) return Stop::Ended;
   if (instructions_ > n) return Stop::Overshot;
   limit_ = std::min(limits_.maxInstructions, n);
@@ -339,7 +374,8 @@ template <bool Hooked>
 void Machine::loop() {
   while (result_.status == ExecStatus::Ok) {
     if constexpr (Hooked) {
-      if (hook_->exhausted()) return;  // caller re-enters the unhooked loop
+      // Asleep or exhausted: runHooked() takes over.
+      if (hook_->state_ != ExecHook::State::Awake) return;
     }
     CallFrame& frame = frames_.back();
     const ir::BasicBlock& bb = frame.fn->blocks[frame.block];

@@ -9,11 +9,15 @@
 //     itself with a snapshot taken there (outcome-equivalence pruning,
 //     fi/experiment.hpp).
 //
-// The execution loop is templated on whether a hook is attached: once an
-// attached hook reports exhausted() — it can no longer mutate any future
-// candidate — run() switches to the hook-free instantiation, so the tail of
-// a faulty run pays no virtual hook dispatch at all (the same fast path
-// golden runs use).
+// The execution loop is templated on whether a hook is attached, and only
+// the instructions whose callbacks an awake hook must see run hooked. While
+// the hook sleeps (ExecHook::sleepUntil) the machine runs hook-free up to
+// the last instruction count that cannot reach the wake point, and once it
+// reports exhausted() — it can no longer mutate any future candidate — the
+// rest of the run is hook-free. Hook-free stretches use the selected
+// dispatch backend (the threaded loop in every driver), so a faulty run
+// pays virtual hook dispatch only for the few instructions around each
+// injection, as golden runs pay none.
 #pragma once
 
 #include <cstdint>
@@ -48,6 +52,12 @@ enum class StateDiff : unsigned char {
 
 class Machine {
  public:
+  /// A sleeping hook is woken, rather than run past hook-free, once fewer
+  /// than this many instructions can be skipped before its wake point:
+  /// entering the threaded loop and stepping the segment that crosses the
+  /// stop on the reference loop costs more than a few hooked instructions.
+  static constexpr std::uint64_t kMinSleep = 16;
+
   /// Fresh run: pushes the entry frame (a frame too large for the stack
   /// traps immediately; run() then returns that trap).
   Machine(const ir::Module& mod, const ExecLimits& limits, ExecHook* hook);
@@ -73,11 +83,11 @@ class Machine {
 
   /// Run until `n` dynamic instructions have executed, then pause between
   /// instructions. While an attached hook is not yet exhausted the run does
-  /// NOT pause: the hooked part always runs to exhaustion first (pending
-  /// injections are dynamic state a comparison cannot see), so a hook that
-  /// never exhausts runs to the end. The stop shares the fuel check: both
-  /// loops run against min(fuel, n), so stopping costs nothing per
-  /// instruction.
+  /// NOT pause: the hooked part, sleeping stretches included, always runs to
+  /// exhaustion first (pending injections are dynamic state a comparison
+  /// cannot see), so a hook that never exhausts runs to the end. The stop
+  /// shares the fuel check: both loops run against min(fuel, n), so
+  /// stopping costs nothing per instruction.
   Stop runUntil(std::uint64_t n);
 
   /// Snapshot the current between-instructions state.
@@ -120,11 +130,24 @@ class Machine {
                                std::span<const std::uint64_t> v);
 
   /// The interpreter loop. `Hooked` instantiations dispatch to hook_ and
-  /// return early once it is exhausted. Both instantiations stop before the
-  /// instruction that would pass limit_: past the fuel budget they end the
-  /// run FuelExhausted, at a runUntil() stop they pause.
+  /// return early once it sleeps or is exhausted. Both instantiations stop
+  /// before the instruction that would pass limit_: past the fuel budget
+  /// they end the run FuelExhausted, at a runUntil() or sleep stop they
+  /// pause.
   template <bool Hooked>
   void loop();
+
+  /// Run the part of the run that has an unexhausted hook attached: hooked
+  /// while the hook is awake, hook-free up to each sleep's stop. Returns
+  /// once the hook is exhausted or the run ended.
+  void runHooked();
+
+  /// The instruction count a sleeping hook can be run hook-free to: one
+  /// before an instruction wake point, or, for candidate wake point k of a
+  /// stream that has counted c so far, k − c instructions on (each
+  /// instruction adds at most one candidate to each stream). The current
+  /// count when the wake point is due or passed.
+  [[nodiscard]] std::uint64_t sleepStop() const noexcept;
 
   /// Run the hook-free part: on the direct-threaded backend when selected,
   /// else on the reference loop.
@@ -160,7 +183,7 @@ class Machine {
   std::uint64_t storeCandidates_ = 0;
   bool halted_ = false;  ///< main returned
   /// The instruction count no loop runs past: the fuel budget, or a lower
-  /// runUntil() stop while one is pending.
+  /// runUntil() or sleep stop while one is pending.
   std::uint64_t limit_ = 0;
   ExecResult result_;
 };

@@ -198,6 +198,17 @@ TEST_F(FleetFixture, MakeCellStampsTheContractAndRefusesTheInexpressible) {
   EXPECT_FALSE(FleetBroker::makeCell("", *alpha_, model, 96, 1, 16));
   EXPECT_FALSE(FleetBroker::makeCell("alpha", *alpha_, model, 0, 1, 16));
   EXPECT_FALSE(FleetBroker::makeCell("alpha", *alpha_, model, 96, 1, 0));
+  // Nor a cell the store's loader would drop as malformed: a count equal to
+  // its 2^64 − 1 sentinel, or a flip width outside 1..64.
+  constexpr std::size_t kBad = static_cast<std::size_t>(-1);
+  EXPECT_FALSE(FleetBroker::makeCell("alpha", *alpha_, model, kBad, 1, 16));
+  EXPECT_FALSE(FleetBroker::makeCell("alpha", *alpha_, model, 96, 1, kBad));
+  for (const unsigned width : {0U, 65U}) {
+    FaultModel odd = model;
+    odd.flipWidth = width;
+    EXPECT_FALSE(FleetBroker::makeCell("alpha", *alpha_, odd, 96, 1, 16))
+        << "flip width " << width;
+  }
 }
 
 TEST_F(FleetFixture, FleetMatchesSoloForOneTwoAndFourWorkers) {
@@ -576,6 +587,37 @@ TEST_F(FleetFixture, ForkedWorkersRunTheSuiteWorkloadsWithoutAResolver) {
       EXPECT_NE(lease->worker.find(':'), std::string::npos)
           << "worker id '" << lease->worker << "'";
     }
+  }
+}
+
+TEST(ParseCount, AcceptsDigitsThatFitOnly) {
+  struct Case {
+    const char* text;
+    int base;
+    bool ok;
+    std::uint64_t value;
+  };
+  const Case cases[] = {
+      {"0", 10, true, 0},
+      {"8", 10, true, 8},
+      {"18446744073709551615", 10, true, ~0ULL},
+      {"ff", 16, true, 0xff},
+      {"FFFFFFFFFFFFFFFF", 16, true, ~0ULL},
+      {"", 10, false, 0},
+      {"-1", 10, false, 0},
+      {"+8", 10, false, 0},
+      {" 8", 10, false, 0},
+      {"8 ", 10, false, 0},
+      {"8x", 10, false, 0},
+      {"0x10", 16, false, 0},
+      {"ff", 10, false, 0},
+      {"18446744073709551616", 10, false, 0},  // 2^64 overflows
+      {"10000000000000000", 16, false, 0},
+  };
+  for (const Case& c : cases) {
+    std::uint64_t v = 42;
+    EXPECT_EQ(parseCount(c.text, v, c.base), c.ok) << "'" << c.text << "'";
+    EXPECT_EQ(v, c.ok ? c.value : 42u) << "'" << c.text << "'";
   }
 }
 

@@ -78,6 +78,32 @@ TEST(Lexer, ErrorsOnBadInput) {
   EXPECT_THROW(lex("'a"), CompileError);
   EXPECT_THROW(lex("/* unterminated"), CompileError);
   EXPECT_THROW(lex("'\\q'"), CompileError);
+  EXPECT_THROW(lex("0x"), CompileError);
+}
+
+TEST(Lexer, IntegerLiteralsMustFitIn64Bits) {
+  // The largest 64-bit patterns keep wrapping to -1 ...
+  const auto toks = lex("18446744073709551615 0xFFFFFFFFFFFFFFFF");
+  EXPECT_EQ(toks[0].intValue, -1);
+  EXPECT_EQ(toks[1].intValue, -1);
+  // ... one past them is an error at the literal, not a saturated -1.
+  for (const char* src : {"int x = 18446744073709551616;",
+                          "int x = 99999999999999999999;",
+                          "int x = 0x1FFFFFFFFFFFFFFFF;"}) {
+    try {
+      lex(src);
+      ADD_FAILURE() << src << " lexed";
+    } catch (const CompileError& e) {
+      EXPECT_EQ(e.line, 1) << src;
+      EXPECT_EQ(e.col, 9) << src;
+    }
+  }
+  EXPECT_THROW(
+      compileMiniC("int main() { print_i(99999999999999999999); return 0; }"),
+      CompileError);
+  EXPECT_THROW(
+      compileMiniC("int main() { print_i(0x1FFFFFFFFFFFFFFFF); return 0; }"),
+      CompileError);
 }
 
 // --- parser -------------------------------------------------------------------

@@ -685,6 +685,30 @@ TEST(Output, InfinityPrintsStably) {
   EXPECT_EQ(execute(mod).output, "inf -inf");
 }
 
+TEST(Output, HugeDoublePrintsInFull) {
+  // "%.6f" of -DBL_MAX is 317 characters: every one of them is printed on
+  // both loops, and no byte past them.
+  Module mod;
+  IRBuilder bld(mod);
+  bld.createFunction("main", Type::I64, 0);
+  const auto entry = bld.createBlock("entry");
+  bld.setInsertBlock(entry);
+  const double big = -std::numeric_limits<double>::max();
+  bld.emitPrint(Operand::makeImm(ir::fromF64(big)), ir::PrintKind::F64);
+  bld.emitPrint(Operand::makeImm(' '), ir::PrintKind::Char);
+  bld.emitPrint(Operand::makeImm(ir::fromF64(1e300)), ir::PrintKind::F64);
+  bld.emitRet(Operand::makeImm(0));
+  ir::verifyOrThrow(mod);
+  const std::string want = std::to_string(big) + " " + std::to_string(1e300);
+  ASSERT_EQ(want.size(), 317u + 1u + 308u);
+  for (const DispatchBackend backend :
+       {DispatchBackend::Switch, DispatchBackend::Threaded}) {
+    ExecLimits limits;
+    limits.dispatch = backend;
+    EXPECT_EQ(execute(mod, limits).output, want);
+  }
+}
+
 TEST(Output, NegativeZeroPrintsAsPositiveZero) {
   Module mod;
   IRBuilder bld(mod);

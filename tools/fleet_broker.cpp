@@ -16,7 +16,6 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <exception>
 #include <string>
@@ -36,14 +35,6 @@ void usage(const char* argv0) {
       "                      [--flip-width W] [--shard-size S] "
       "[--hang-factor H]\n",
       argv0, argv0, argv0);
-}
-
-bool parseCount(const char* s, std::uint64_t& out, int base = 10) {
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(s, &end, base);
-  if (end == s || *end != '\0') return false;
-  out = v;
-  return true;
 }
 
 int printStatus(onebit::fi::FleetBroker& broker) {
@@ -78,6 +69,8 @@ int printStatus(onebit::fi::FleetBroker& broker) {
 }
 
 }  // namespace
+
+using onebit::fi::parseCount;
 
 int main(int argc, char** argv) {
   if (argc < 2 || std::strcmp(argv[1], "--help") == 0) {
@@ -140,13 +133,16 @@ int main(int argc, char** argv) {
       std::uint64_t flipWidth = 32;
       std::uint64_t shardSize = 0;
       std::uint64_t hangFactor = onebit::fi::Workload::kDefaultHangFactor;
-      for (int i = 6; i + 1 < argc; i += 2) {
+      for (int i = 6; i < argc; i += 2) {
         const std::string_view arg = argv[i];
+        const char* const value = i + 1 < argc ? argv[i + 1] : "";
         bool ok = false;
-        if (arg == "--seed") ok = parseCount(argv[i + 1], seed, 16);
-        else if (arg == "--flip-width") ok = parseCount(argv[i + 1], flipWidth);
-        else if (arg == "--shard-size") ok = parseCount(argv[i + 1], shardSize);
-        else if (arg == "--hang-factor") ok = parseCount(argv[i + 1], hangFactor);
+        if (arg == "--seed") ok = parseCount(value, seed, 16);
+        else if (arg == "--flip-width") {
+          ok = parseCount(value, flipWidth) && flipWidth >= 1 &&
+               flipWidth <= 64;
+        } else if (arg == "--shard-size") ok = parseCount(value, shardSize);
+        else if (arg == "--hang-factor") ok = parseCount(value, hangFactor);
         if (!ok) {
           usage(argv[0]);
           return 2;
@@ -175,7 +171,8 @@ int main(int argc, char** argv) {
               static_cast<std::size_t>(shardSize)));
       if (!cell) {
         std::fprintf(stderr,
-                     "error: cell is not fleet-expressible (label does not "
+                     "error: cell is not fleet-expressible (a count the "
+                     "store cannot hold, or a label that does not "
                      "round-trip); run it in-process instead\n");
         return 1;
       }

@@ -8,7 +8,6 @@
 // cells this worker cannot run remain (Stalled; finish them in-process,
 // e.g. via the bench drivers), 4 = only quarantined shards remain
 // (Quarantined; re-run with --force or finish in-process), 1 = error.
-#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -37,16 +36,6 @@ void usage(const char* argv0) {
       "  --poison NAME[:S]  test hook: SIGKILL self after claiming shard S\n"
       "                     (any shard if omitted) of workload NAME\n",
       argv0);
-}
-
-/// A decimal count: digits only (no sign, no space) that fit in 64 bits.
-bool parseCount(const char* s, std::uint64_t& out) {
-  const char* end = s + std::strlen(s);
-  std::uint64_t v = 0;
-  const auto [ptr, ec] = std::from_chars(s, end, v);
-  if (ec != std::errc() || ptr != end) return false;
-  out = v;
-  return true;
 }
 
 bool parseQuantile(const char* s, double& out) {
@@ -80,13 +69,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--id" && hasValue) {
       id = argv[++i];
     } else if (arg == "--lease-ms" && hasValue &&
-               parseCount(argv[++i], config.leaseMs)) {
+               onebit::fi::parseCount(argv[++i], config.leaseMs)) {
     } else if (arg == "--heartbeat-ms" && hasValue &&
-               parseCount(argv[++i], config.heartbeatMs)) {
+               onebit::fi::parseCount(argv[++i], config.heartbeatMs)) {
     } else if (arg == "--poll-ms" && hasValue &&
-               parseCount(argv[++i], config.pollMs)) {
+               onebit::fi::parseCount(argv[++i], config.pollMs)) {
     } else if (arg == "--max-shards" && hasValue &&
-               parseCount(argv[++i], maxShards)) {
+               onebit::fi::parseCount(argv[++i], maxShards)) {
     } else if (arg == "--lease-quantile" && hasValue &&
                parseQuantile(argv[++i], config.leaseQuantile)) {
     } else if (arg == "--poison" && hasValue &&
