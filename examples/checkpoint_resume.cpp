@@ -15,10 +15,10 @@
 #include <cstdio>
 #include <string>
 
+#include "analytics/knobs.hpp"
 #include "fi/campaign.hpp"
 #include "fi/campaign_store.hpp"
 #include "lang/compile.hpp"
-#include "util/env.hpp"
 
 namespace {
 
@@ -53,8 +53,7 @@ int main() {
   fi::CampaignConfig config;
   config.model = fi::FaultModel::multiBitTemporal(fi::FaultDomain::RegisterWrite, 3,
                                         fi::WinSize::fixed(2));
-  config.experiments = static_cast<std::size_t>(
-      util::envInt("ONEBIT_EXPERIMENTS", 400));
+  config.experiments = analytics::experimentsPerCampaign(400);
   config.seed = 0xc8ec9017ULL;
   config.shardSize = 32;
 

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 
+#include "analytics/knobs.hpp"
 #include "fi/campaign.hpp"
 #include "fi/grid.hpp"
 #include "progs/registry.hpp"
@@ -25,8 +26,7 @@ int main(int argc, char** argv) {
   }
   const ir::Module mod = progs::compileProgram(*info);
   const fi::Workload workload(mod);
-  const auto n =
-      static_cast<std::size_t>(util::envInt("ONEBIT_EXPERIMENTS", 400));
+  const std::size_t n = analytics::experimentsPerCampaign(400);
 
   std::printf("%s: SDC%% vs max-MBF at win-size=%llu (%zu experiments "
               "per campaign)\n\n",

@@ -6,9 +6,9 @@
 //   ./pruning_analysis [program]
 #include <cstdio>
 
+#include "analytics/knobs.hpp"
 #include "progs/registry.hpp"
 #include "pruning/transition_study.hpp"
-#include "util/env.hpp"
 
 int main(int argc, char** argv) {
   using namespace onebit;
@@ -20,8 +20,7 @@ int main(int argc, char** argv) {
   }
   const ir::Module mod = progs::compileProgram(*info);
   const fi::Workload workload(mod);
-  const auto n =
-      static_cast<std::size_t>(util::envInt("ONEBIT_EXPERIMENTS", 400));
+  const std::size_t n = analytics::experimentsPerCampaign(400);
 
   for (const fi::FaultDomain domain :
        {fi::FaultDomain::RegisterRead, fi::FaultDomain::RegisterWrite}) {

@@ -5,9 +5,9 @@
 //   ONEBIT_EXPERIMENTS=2000 ./quickstart
 #include <cstdio>
 
+#include "analytics/knobs.hpp"
 #include "fi/campaign.hpp"
 #include "lang/compile.hpp"
-#include "util/env.hpp"
 
 namespace {
 
@@ -68,8 +68,7 @@ int main() {
                   workload.candidates(fi::FaultDomain::RegisterWrite)),
               workload.golden().output.c_str());
 
-  const auto n = static_cast<std::size_t>(
-      util::envInt("ONEBIT_EXPERIMENTS", 500));
+  const std::size_t n = analytics::experimentsPerCampaign(500);
 
   // 3. Single bit-flip campaign (inject-on-write).
   fi::CampaignConfig single;

@@ -19,7 +19,8 @@
 #      shard with usage (exit 2) instead of wrapping them to huge values,
 #      and fleet_broker --submit rejects a signed, suffixed or overflowing
 #      experiment count and a --flip-width outside 1..64 the same way,
-#      submitting nothing.
+#      and refuses a count near 2^64, whose cell would have more shards than
+#      a fleet can walk, with exit 1 — submitting nothing.
 #
 #   scripts/fleet_smoke.sh [BUILD_DIR]
 #
@@ -115,6 +116,14 @@ for args in "-1" "+8" "8x" "18446744073709551616" "8 --flip-width 0" \
     exit 1
   fi
 done
+echo "== fleet_broker refuses a cell with too many shards (exit 1)"
+code=0
+"$build/fleet_broker" "$tmp/broker.jsonl" --submit qsort read/single \
+  18446744073709551614 > /dev/null 2>&1 || code=$?
+if [ "$code" -ne 1 ]; then
+  echo "error: fleet_broker --submit of 2^64 - 2 experiments exited $code, want 1" >&2
+  exit 1
+fi
 if grep -q '"kind":"cell"' "$tmp/broker.jsonl" 2> /dev/null; then
   echo "error: a rejected fleet_broker --submit wrote a cell" >&2
   exit 1

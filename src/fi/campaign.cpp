@@ -7,6 +7,7 @@
 
 #include "fi/campaign_store.hpp"
 #include "fi/suite.hpp"
+#include "util/bitops.hpp"
 #include "util/thread_pool.hpp"
 
 namespace onebit::fi {
@@ -44,8 +45,8 @@ std::size_t resolveShardSize(std::size_t experiments,
   // per-task overhead per experiment, the ceiling keeps progress
   // callbacks flowing on huge ones.
   constexpr std::size_t kTargetShards = 64;
-  return std::clamp<std::size_t>(
-      (experiments + kTargetShards - 1) / kTargetShards, 16, 4096);
+  return std::clamp<std::size_t>(util::ceilDiv(experiments, kTargetShards),
+                                 16, 4096);
 }
 
 CampaignEngine::CampaignEngine(CampaignConfig config)
@@ -79,7 +80,7 @@ CampaignEngine& CampaignEngine::withStore(const StoreBinding& binding) {
 }
 
 std::size_t CampaignEngine::shardCount() const noexcept {
-  return (config_.experiments + shardSize_ - 1) / shardSize_;
+  return util::ceilDiv(config_.experiments, shardSize_);
 }
 
 CampaignResult CampaignEngine::run(const Workload& workload) const {

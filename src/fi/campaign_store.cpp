@@ -163,7 +163,8 @@ bool parseShardRecord(const util::Json& record, ParsedShard& out) {
   const util::Json* outcomes = record.find("outcomes");
   const util::Json* hist = record.find("hist");
   if (!key || first == bad || count == bad || count == 0 ||
-      experiments == bad || first + count > experiments ||
+      experiments == bad || count > experiments ||
+      first > experiments - count ||  // first + count could wrap 2^64
       outcomes == nullptr || !stats::fromJson(*outcomes, out.agg.counts) ||
       hist == nullptr || !histFromJson(*hist, out.agg.hist) ||
       out.agg.counts.total() != count || histTotal(out.agg.hist) != count) {

@@ -112,6 +112,7 @@
 #include <vector>
 
 #include "fi/campaign.hpp"
+#include "util/bitops.hpp"
 #include "util/file_lock.hpp"
 #include "util/jsonl.hpp"
 
@@ -199,7 +200,7 @@ class CampaignStore {
     bool operator==(const CellRecord&) const = default;
 
     [[nodiscard]] std::size_t shardCount() const noexcept {
-      return shardSize == 0 ? 0 : (experiments + shardSize - 1) / shardSize;
+      return shardSize == 0 ? 0 : util::ceilDiv(experiments, shardSize);
     }
     [[nodiscard]] std::size_t shardFirst(std::size_t shard) const noexcept {
       return shard * shardSize;

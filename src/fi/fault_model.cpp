@@ -81,7 +81,9 @@ std::string_view domainName(FaultDomain d) noexcept {
 
 std::uint64_t TemporalSpread::sample(util::Rng& rng) const {
   if (kind == Kind::Fixed) return value;
-  return lo + rng.below(hi - lo + 1);
+  // [0, 2^64 - 1] has 2^64 values, a span that wraps to 0: draw all bits.
+  const std::uint64_t span = hi - lo + 1;
+  return span == 0 ? rng.next() : lo + rng.below(span);
 }
 
 std::string TemporalSpread::label() const {

@@ -12,6 +12,7 @@
 
 #include "fi/fault_plan.hpp"
 #include "progs/registry.hpp"
+#include "util/bitops.hpp"
 #include "util/file_lock.hpp"
 #include "util/rng.hpp"
 
@@ -123,6 +124,7 @@ std::optional<CampaignStore::CellRecord> FleetBroker::makeCell(
   constexpr std::size_t kBad = std::numeric_limits<std::size_t>::max();
   if (name.empty() || experiments == 0 || experiments == kBad ||
       resolvedShardSize == 0 || resolvedShardSize == kBad ||
+      util::ceilDiv(experiments, resolvedShardSize) > kMaxCellShards ||
       model.flipWidth == 0 || model.flipWidth > 64) {
     return std::nullopt;
   }

@@ -169,14 +169,22 @@ class FleetBroker {
 
   explicit FleetBroker(const std::string& storePath, FleetConfig config = {});
 
+  /// The most shards one cell may have. status(), the supervisor and every
+  /// worker walk a cell's shards one by one (a store lookup each), so a
+  /// cell with vastly more — a count near 2^64 has ~4.5e15 at the largest
+  /// automatic shard size — would hang them; 2^20 shards already hold
+  /// ~4e9 experiments at that size.
+  static constexpr std::size_t kMaxCellShards = std::size_t{1} << 20;
+
   /// Build the cell record a worker needs to reproduce `(workload, model,
   /// experiments, seed)` exactly: stamps the resolved shard size, the
   /// workload's hang factor and golden cost, and validates that
   /// parse(model.label()) + flipWidth reproduces the same campaign key.
   /// Returns nullopt when it cannot (empty name, degenerate model whose
-  /// label re-parses to different semantics, zero experiments, or a count
-  /// or flip width the store's loader would drop as malformed) — such cells
-  /// must run in-process instead of being submitted.
+  /// label re-parses to different semantics, zero experiments, a count or
+  /// flip width the store's loader would drop as malformed, or more than
+  /// kMaxCellShards shards) — such cells must run in-process instead of
+  /// being submitted.
   static std::optional<CampaignStore::CellRecord> makeCell(
       const std::string& name, const Workload& workload,
       const FaultModel& model, std::size_t experiments, std::uint64_t seed,

@@ -81,7 +81,10 @@ bool InjectorHook::shouldInject(std::uint64_t candidateIndex,
 }
 
 void InjectorHook::armNext(std::uint64_t instrIndex) noexcept {
-  nextMinInstr_ = instrIndex + plan_.window;
+  // Saturate: a window reaching past the last instruction index arms
+  // nothing, instead of wrapping to an index already passed.
+  nextMinInstr_ = plan_.window > ~instrIndex ? ~std::uint64_t{0}
+                                             : instrIndex + plan_.window;
 }
 
 std::uint64_t InjectorHook::eventMask(unsigned width, unsigned& flips) {

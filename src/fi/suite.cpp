@@ -6,6 +6,7 @@
 #include <mutex>
 #include <utility>
 
+#include "util/bitops.hpp"
 #include "util/thread_pool.hpp"
 
 namespace onebit::fi {
@@ -90,7 +91,7 @@ std::vector<CampaignResult> CampaignSuite::run() const {
     if (n == 0) continue;  // trivially complete; zero shards
     plan.candidates = cell.workload->candidates(cell.model.domain);
     plan.shardSize = resolveShardSize(n, config_.shardSize);
-    plan.shards = (n + plan.shardSize - 1) / plan.shardSize;
+    plan.shards = util::ceilDiv(n, plan.shardSize);
     plan.partial.resize(plan.shards);
     plan.resumed.assign(plan.shards, 0);
     plan.executed.assign(plan.shards, 0);

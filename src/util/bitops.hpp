@@ -1,4 +1,4 @@
-// Bit-manipulation helpers used by the fault-injection engine.
+// Bit-manipulation and integer helpers used by the fault-injection engine.
 #pragma once
 
 #include <cstdint>
@@ -7,6 +7,11 @@
 #include "util/rng.hpp"
 
 namespace onebit::util {
+
+/// ceil(n / d) for d > 0, also where (n + d - 1) / d would wrap 2^64.
+constexpr std::uint64_t ceilDiv(std::uint64_t n, std::uint64_t d) noexcept {
+  return n / d + (n % d != 0 ? 1 : 0);
+}
 
 /// Flip a single bit of a 64-bit raw value. bit must be < 64.
 constexpr std::uint64_t flipBit(std::uint64_t value, unsigned bit) noexcept {

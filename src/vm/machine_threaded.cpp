@@ -1,7 +1,7 @@
 // The direct-threaded execution loop (the DispatchBackend::Threaded fast
 // path). Executes the pre-decoded stream of vm/threaded.hpp with one
-// computed `goto *label` per instruction on GCC/Clang; other compilers run
-// the same decoded stream through a switch (still much cheaper than the
+// computed `goto *label` per handler on GCC/Clang; other compilers run the
+// same decoded stream through a switch (still much cheaper than the
 // reference loop's per-execution ir::Instr decode).
 //
 // Semantics are a field-for-field replica of the hook-free instantiation
@@ -24,15 +24,27 @@
 //     that segment, so a run ending FuelExhausted or paused by runUntil
 //     stops on exactly the reference loop's instruction;
 //   * every exit resynchronizes the top frame's (block, ip) from the
-//     current Op's provenance, so capture()/compare()/resume see exactly
-//     the coordinates the reference loop would leave;
+//     current Op's provenance (ThreadedCode::coords), so
+//     capture()/compare()/resume see exactly the coordinates the reference
+//     loop would leave;
 //   * the caller's coordinates are synchronized BEFORE a call pushes its
 //     frame, keeping the "caller.ip - 1 is the Call" invariant snapshots
 //     rely on;
-//   * a fused op+move pair writes both destinations and skips the Move; the
-//     Move is still in the stream, so entering there runs it alone.
+//   * a superinstruction (an op+move twin, compare-and-branch, array
+//     access, loop latch) performs its Ops' writes in their order and reads
+//     each operand after the writes before it, so it leaves what running its
+//     Ops one by one leaves. Its later Ops are still in the stream, so
+//     entering at one runs from there. Its last Op may be a Br or CondBr,
+//     which enters its target through OB_ENTER like any branch; a Load
+//     inside one moves `op` to its own Op before it can trap.
+//
+// Each opcode's semantics are written once — the binary ops in namespace
+// sem, Load in OB_LOAD, CondBr in OB_BRANCH — and every generic, per-form
+// and fused handler is generated from them.
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <iterator>
 #include <limits>
 #include <span>
 
@@ -52,19 +64,50 @@
 
 namespace onebit::vm::detail {
 
-// OB_CASE / OB_FUSED_CASE introduce an opcode's plain and fused handler;
+namespace sem {
+
+// The binary ops' semantics (x, y: the values of operands 0 and 1). The
+// generic handler, every per-form handler and every superinstruction that
+// runs the opcode call the same function.
+using W = std::uint64_t;
+inline W Add(W x, W y) { return x + y; }
+inline W Sub(W x, W y) { return x - y; }
+inline W Mul(W x, W y) { return x * y; }
+inline W And(W x, W y) { return x & y; }
+inline W Or(W x, W y) { return x | y; }
+inline W Xor(W x, W y) { return x ^ y; }
+inline W Shl(W x, W y) { return x << (y & 63U); }
+inline W LShr(W x, W y) { return x >> (y & 63U); }
+inline W AShr(W x, W y) { return ir::fromI64(ir::asI64(x) >> (y & 63U)); }
+inline W FAdd(W x, W y) { return ir::fromF64(ir::asF64(x) + ir::asF64(y)); }
+inline W FSub(W x, W y) { return ir::fromF64(ir::asF64(x) - ir::asF64(y)); }
+inline W FMul(W x, W y) { return ir::fromF64(ir::asF64(x) * ir::asF64(y)); }
+inline W FDiv(W x, W y) { return ir::fromF64(ir::asF64(x) / ir::asF64(y)); }
+inline W ICmpEq(W x, W y) { return x == y ? 1 : 0; }
+inline W ICmpNe(W x, W y) { return x != y ? 1 : 0; }
+inline W ICmpLt(W x, W y) { return ir::asI64(x) < ir::asI64(y) ? 1 : 0; }
+inline W ICmpLe(W x, W y) { return ir::asI64(x) <= ir::asI64(y) ? 1 : 0; }
+inline W ICmpGt(W x, W y) { return ir::asI64(x) > ir::asI64(y) ? 1 : 0; }
+inline W ICmpGe(W x, W y) { return ir::asI64(x) >= ir::asI64(y) ? 1 : 0; }
+inline W FCmpEq(W x, W y) { return ir::asF64(x) == ir::asF64(y) ? 1 : 0; }
+inline W FCmpNe(W x, W y) { return ir::asF64(x) != ir::asF64(y) ? 1 : 0; }
+inline W FCmpLt(W x, W y) { return ir::asF64(x) < ir::asF64(y) ? 1 : 0; }
+inline W FCmpLe(W x, W y) { return ir::asF64(x) <= ir::asF64(y) ? 1 : 0; }
+inline W FCmpGt(W x, W y) { return ir::asF64(x) > ir::asF64(y) ? 1 : 0; }
+inline W FCmpGe(W x, W y) { return ir::asF64(x) >= ir::asF64(y) ? 1 : 0; }
+
+}  // namespace sem
+
+// OB_CASE(name) introduces the handler of slot `name` (ONEBIT_VM_SLOTS);
 // OB_DISPATCH jumps to the handler of `op`. In computed-goto mode handlers
 // are labels and OB_DISPATCH is one `goto *label`; in portable mode they
 // are cases of a switch over Op::handler, re-entered through `dispatch`.
 #if ONEBIT_COMPUTED_GOTO
 #define OB_CASE(name) Lbl_##name:
-#define OB_FUSED_CASE(name) LblMv_##name:
 #define OB_DISPATCH() goto* op->label
 #else
-#define OB_CASE(name) case static_cast<std::size_t>(ir::Opcode::name):
-#define OB_FUSED_CASE(name)              \
-  case ThreadedCode::kNumOpcodes +       \
-      static_cast<std::size_t>(ir::Opcode::name):
+#define OB_CASE(name) \
+  case static_cast<std::uint8_t>(ThreadedCode::Slot::name):
 #define OB_DISPATCH() goto dispatch
 #endif
 
@@ -86,38 +129,127 @@ namespace onebit::vm::detail {
     OB_DISPATCH();                                        \
   } while (0)
 
-// Operand slot -> value (register read or immediate).
-#define OB_VAL(A) ((A).reg != ir::kNoReg ? regs[(A).reg] : (A).imm)
+// Operand values. The generic handlers check each operand's kind; a
+// per-form handler reads the register (OB_R) or the immediate (OB_I) its
+// slot was chosen for, of `op` or of a later Op of its superinstruction.
+#define OB_X (op->reg[0] != ir::kNoReg ? regs[op->reg[0]] : op->imm[0])
+#define OB_Y (op->reg[1] != ir::kNoReg ? regs[op->reg[1]] : op->imm[1])
+#define OB_R(o, i) regs[(o).reg[i]]
+#define OB_I(o, i) (o).imm[i]
 
-// A value-producing opcode and its fused op+move twin, from one body: the
-// statements after `name` set `v` from the operand slots `a` (and may
-// OB_TRAP). The plain handler writes v to dest; the fused one also writes
-// it to the dest of the Move that follows, then skips that Move.
-#define OB_VALUE_OP(name, ...)                                \
-  OB_CASE(name) {                                             \
-    const ThreadedCode::Arg* const a = argPool + op->argBase; \
-    std::uint64_t v = 0;                                      \
-    __VA_ARGS__                                               \
-    regs[op->dest] = v;                                       \
-    OB_NEXT();                                                \
-  }                                                           \
-  OB_FUSED_CASE(name) {                                       \
-    const ThreadedCode::Arg* const a = argPool + op->argBase; \
-    std::uint64_t v = 0;                                      \
-    __VA_ARGS__                                               \
-    regs[op->dest] = v;                                       \
-    regs[op[1].dest] = v;                                     \
-    op += 2;                                                  \
-    OB_DISPATCH();                                            \
+// A Call operand from the Arg pool.
+#define OB_ARG(A) ((A).reg != ir::kNoReg ? regs[(A).reg] : (A).imm)
+
+// Load: v = the Op's `width`-byte word at `addr`, or trap at `op`.
+#define OB_LOAD(v, addr)                          \
+  do {                                            \
+    TrapKind t = TrapKind::None;                  \
+    v = m.mem_.load((addr), op->aux, t);          \
+    if (t != TrapKind::None) OB_TRAP(t);          \
+  } while (0)
+
+// CondBr: enter the taken target of the CondBr Op `br` when `cond` != 0,
+// else its false target.
+#define OB_BRANCH(cond, br)                                  \
+  do {                                                       \
+    op = fnOps + ((cond) != 0 ? (br).target : (br).aux);     \
+    OB_ENTER();                                              \
+  } while (0)
+
+// A value-producing handler and its op+move twin, from one body: the
+// statements after `name` set `v` (and may OB_TRAP). The plain handler
+// writes v to dest; the twin also writes it to the dest of the Move that
+// follows, then skips that Move.
+#define OB_VALUE_OP(name, ...)   \
+  OB_CASE(name) {                \
+    std::uint64_t v = 0;         \
+    __VA_ARGS__                  \
+    regs[op->dest] = v;          \
+    OB_NEXT();                   \
+  }                              \
+  OB_CASE(Mv_##name) {           \
+    std::uint64_t v = 0;         \
+    __VA_ARGS__                  \
+    regs[op->dest] = v;          \
+    regs[op[1].dest] = v;        \
+    op += 2;                     \
+    OB_DISPATCH();               \
   }
 
-// A binary value opcode: EXPR computes the result from operands x and y.
-#define OB_BINARY(name, EXPR)              \
-  OB_VALUE_OP(name, {                      \
-    const std::uint64_t x = OB_VAL(a[0]);  \
-    const std::uint64_t y = OB_VAL(a[1]);  \
-    v = (EXPR);                            \
-  })
+// A binary op with only its generic handler and op+move twin.
+#define OB_BINARY(name) OB_VALUE_OP(name, { v = sem::name(OB_X, OB_Y); })
+
+// One form (F) of a non-trapping integer op, operands X and Y.
+#define OB_FORM(name, F, X, Y) OB_VALUE_OP(name##_##F, { v = sem::name(X, Y); })
+
+// A non-trapping integer op: its generic handler (two immediates) and its
+// three forms.
+#define OB_INT_BINARY(name)                                 \
+  OB_CASE(name) {                                           \
+    regs[op->dest] = sem::name(OB_X, OB_Y);                 \
+    OB_NEXT();                                              \
+  }                                                         \
+  OB_FORM(name, RR, OB_R(*op, 0), OB_R(*op, 1))             \
+  OB_FORM(name, RI, OB_R(*op, 0), OB_I(*op, 1))             \
+  OB_FORM(name, IR, OB_I(*op, 0), OB_R(*op, 1))
+
+// ICmp + CondBr on its result, for one form of the ICmp.
+#define OB_CMP_BR(name, F, X, Y)                    \
+  OB_CASE(Br_##name##_##F) {                        \
+    const std::uint64_t v = sem::name(X, Y);        \
+    regs[op->dest] = v;                             \
+    OB_BRANCH(v, op[1]);                            \
+  }
+
+// An ICmp: its integer-op handlers and its compare-and-branch ones.
+#define OB_ICMP(name)                                  \
+  OB_INT_BINARY(name)                                  \
+  OB_CMP_BR(name, RR, OB_R(*op, 0), OB_R(*op, 1))      \
+  OB_CMP_BR(name, RI, OB_R(*op, 0), OB_I(*op, 1))      \
+  OB_CMP_BR(name, IR, OB_I(*op, 0), OB_R(*op, 1))
+
+// Mul(reg, imm) + Add(X, product) [+ Load of the sum], X being the Add's
+// operand 0 (register or immediate: form F). X is read after the product
+// is written, as the Add would read it.
+#define OB_MUL_ADD(F, X)                                  \
+  OB_CASE(MulAdd_##F) {                                   \
+    const std::uint64_t p = sem::Mul(OB_R(*op, 0), OB_I(*op, 1)); \
+    regs[op->dest] = p;                                   \
+    regs[op[1].dest] = sem::Add(X, p);                    \
+    op += 2;                                              \
+    OB_DISPATCH();                                        \
+  }                                                       \
+  OB_CASE(MulAddLoad_##F) {                               \
+    const std::uint64_t p = sem::Mul(OB_R(*op, 0), OB_I(*op, 1)); \
+    regs[op->dest] = p;                                   \
+    const std::uint64_t addr = sem::Add(X, p);            \
+    regs[op[1].dest] = addr;                              \
+    op += 2; /* the Load: a trap leaves from its own Op */ \
+    std::uint64_t v = 0;                                  \
+    OB_LOAD(v, addr);                                     \
+    regs[op->dest] = v;                                   \
+    OB_NEXT();                                            \
+  }
+
+// Add + Load of the sum, and Add + Move of the sum + Br, for one form of
+// the Add.
+#define OB_ADD_FUSED(F, X, Y)                             \
+  OB_CASE(AddLoad_##F) {                                  \
+    const std::uint64_t addr = sem::Add(X, Y);            \
+    regs[op->dest] = addr;                                \
+    ++op; /* the Load: a trap leaves from its own Op */   \
+    std::uint64_t v = 0;                                  \
+    OB_LOAD(v, addr);                                     \
+    regs[op->dest] = v;                                   \
+    OB_NEXT();                                            \
+  }                                                       \
+  OB_CASE(AddMoveBr_##F) {                                \
+    const std::uint64_t v = sem::Add(X, Y);               \
+    regs[op->dest] = v;                                   \
+    regs[op[1].dest] = v;                                 \
+    op = fnOps + op[2].target;                            \
+    OB_ENTER();                                           \
+  }
 
 // The instruction/candidate counters live in locals so the hot path never
 // round-trips them through the Machine (nothing called from this loop reads
@@ -139,30 +271,10 @@ namespace onebit::vm::detail {
 void runThreadedLoop(Machine* mp, const ThreadedCode* codep,
                      const void* const** labelsOut) {
 #if ONEBIT_COMPUTED_GOTO
-  static const void* const kLabels[ThreadedCode::kNumHandlers] = {
-      // Plain handlers, in ir::Opcode order.
-      &&Lbl_Add,     &&Lbl_Sub,    &&Lbl_Mul,    &&Lbl_SDiv,   &&Lbl_SRem,
-      &&Lbl_And,     &&Lbl_Or,     &&Lbl_Xor,    &&Lbl_Shl,    &&Lbl_LShr,
-      &&Lbl_AShr,    &&Lbl_FAdd,   &&Lbl_FSub,   &&Lbl_FMul,   &&Lbl_FDiv,
-      &&Lbl_ICmpEq,  &&Lbl_ICmpNe, &&Lbl_ICmpLt, &&Lbl_ICmpLe, &&Lbl_ICmpGt,
-      &&Lbl_ICmpGe,  &&Lbl_FCmpEq, &&Lbl_FCmpNe, &&Lbl_FCmpLt, &&Lbl_FCmpLe,
-      &&Lbl_FCmpGt,  &&Lbl_FCmpGe, &&Lbl_SIToFP, &&Lbl_FPToSI, &&Lbl_Load,
-      &&Lbl_Store,   &&Lbl_FrameAddr, &&Lbl_Br,  &&Lbl_CondBr, &&Lbl_Call,
-      &&Lbl_Ret,     &&Lbl_Const,  &&Lbl_Move,   &&Lbl_Intrinsic,
-      &&Lbl_Print,   &&Lbl_Alloc,  &&Lbl_Abort,
-      // Fused op+move handlers (ThreadedCode::fusesMove opcodes only).
-      &&LblMv_Add,    &&LblMv_Sub,    &&LblMv_Mul,    &&LblMv_SDiv,
-      &&LblMv_SRem,   &&LblMv_And,    &&LblMv_Or,     &&LblMv_Xor,
-      &&LblMv_Shl,    &&LblMv_LShr,   &&LblMv_AShr,   &&LblMv_FAdd,
-      &&LblMv_FSub,   &&LblMv_FMul,   &&LblMv_FDiv,   &&LblMv_ICmpEq,
-      &&LblMv_ICmpNe, &&LblMv_ICmpLt, &&LblMv_ICmpLe, &&LblMv_ICmpGt,
-      &&LblMv_ICmpGe, &&LblMv_FCmpEq, &&LblMv_FCmpNe, &&LblMv_FCmpLt,
-      &&LblMv_FCmpLe, &&LblMv_FCmpGt, &&LblMv_FCmpGe, nullptr,
-      nullptr,        &&LblMv_Load,   nullptr,        nullptr,
-      nullptr,        nullptr,        nullptr,        nullptr,
-      nullptr,        nullptr,        nullptr,        nullptr,
-      nullptr,        nullptr,
-  };
+#define OB_LABEL(name) &&Lbl_##name,
+  static const void* const kLabels[] = {ONEBIT_VM_SLOTS(OB_LABEL)};
+#undef OB_LABEL
+  static_assert(std::size(kLabels) == ThreadedCode::kNumSlots);
   if (labelsOut != nullptr) {
     *labelsOut = kLabels;
     return;
@@ -177,8 +289,10 @@ void runThreadedLoop(Machine* mp, const ThreadedCode* codep,
   Machine& m = *mp;
   const ThreadedCode& code = *codep;
   const ThreadedCode::Arg* const argPool = code.args.data();
+  const ThreadedCode::Coord* const coords = code.coords.data();
   const std::uint64_t limit = m.limit_;
   const std::uint64_t stackBytes = m.mem_.stackBytes();
+  std::uint8_t* const globals = m.mem_.globalsData();
 
   // Per-frame execution state, cached in locals and refreshed on every
   // call/ret. Declared before the first jump so no goto skips an
@@ -214,73 +328,87 @@ dispatch:
   switch (op->handler) {
 #endif
 
-  OB_BINARY(Add, x + y)
-  OB_BINARY(Sub, x - y)
-  OB_BINARY(Mul, x * y)
+  OB_INT_BINARY(Add)
+  OB_INT_BINARY(Sub)
+  OB_INT_BINARY(Mul)
   OB_VALUE_OP(SDiv, {
-    const auto num = ir::asI64(OB_VAL(a[0]));
-    const auto den = ir::asI64(OB_VAL(a[1]));
+    const auto num = ir::asI64(OB_X);
+    const auto den = ir::asI64(OB_Y);
     if (den == 0) OB_TRAP(TrapKind::DivByZero);
     // INT64_MIN / -1 wraps, like x86 would fault; define it.
     v = den == -1 && num == std::numeric_limits<std::int64_t>::min()
-            ? OB_VAL(a[0])
+            ? OB_X
             : ir::fromI64(num / den);
   })
   OB_VALUE_OP(SRem, {
-    const auto num = ir::asI64(OB_VAL(a[0]));
-    const auto den = ir::asI64(OB_VAL(a[1]));
+    const auto num = ir::asI64(OB_X);
+    const auto den = ir::asI64(OB_Y);
     if (den == 0) OB_TRAP(TrapKind::DivByZero);
     v = den == -1 ? 0 : ir::fromI64(num % den);
   })
-  OB_BINARY(And, x & y)
-  OB_BINARY(Or, x | y)
-  OB_BINARY(Xor, x ^ y)
-  OB_BINARY(Shl, x << (y & 63U))
-  OB_BINARY(LShr, x >> (y & 63U))
-  OB_BINARY(AShr, ir::fromI64(ir::asI64(x) >> (y & 63U)))
-  OB_BINARY(FAdd, ir::fromF64(ir::asF64(x) + ir::asF64(y)))
-  OB_BINARY(FSub, ir::fromF64(ir::asF64(x) - ir::asF64(y)))
-  OB_BINARY(FMul, ir::fromF64(ir::asF64(x) * ir::asF64(y)))
-  OB_BINARY(FDiv, ir::fromF64(ir::asF64(x) / ir::asF64(y)))
-  OB_BINARY(ICmpEq, x == y ? 1 : 0)
-  OB_BINARY(ICmpNe, x != y ? 1 : 0)
-  OB_BINARY(ICmpLt, ir::asI64(x) < ir::asI64(y) ? 1 : 0)
-  OB_BINARY(ICmpLe, ir::asI64(x) <= ir::asI64(y) ? 1 : 0)
-  OB_BINARY(ICmpGt, ir::asI64(x) > ir::asI64(y) ? 1 : 0)
-  OB_BINARY(ICmpGe, ir::asI64(x) >= ir::asI64(y) ? 1 : 0)
-  OB_BINARY(FCmpEq, ir::asF64(x) == ir::asF64(y) ? 1 : 0)
-  OB_BINARY(FCmpNe, ir::asF64(x) != ir::asF64(y) ? 1 : 0)
-  OB_BINARY(FCmpLt, ir::asF64(x) < ir::asF64(y) ? 1 : 0)
-  OB_BINARY(FCmpLe, ir::asF64(x) <= ir::asF64(y) ? 1 : 0)
-  OB_BINARY(FCmpGt, ir::asF64(x) > ir::asF64(y) ? 1 : 0)
-  OB_BINARY(FCmpGe, ir::asF64(x) >= ir::asF64(y) ? 1 : 0)
-  OB_VALUE_OP(Load, {
-    TrapKind t = TrapKind::None;
-    v = m.mem_.load(OB_VAL(a[0]), op->aux, t);
-    if (t != TrapKind::None) OB_TRAP(t);
-  })
+  OB_INT_BINARY(And)
+  OB_INT_BINARY(Or)
+  OB_INT_BINARY(Xor)
+  OB_INT_BINARY(Shl)
+  OB_INT_BINARY(LShr)
+  OB_INT_BINARY(AShr)
+  OB_BINARY(FAdd)
+  OB_BINARY(FSub)
+  OB_BINARY(FMul)
+  OB_BINARY(FDiv)
+  OB_ICMP(ICmpEq)
+  OB_ICMP(ICmpNe)
+  OB_ICMP(ICmpLt)
+  OB_ICMP(ICmpLe)
+  OB_ICMP(ICmpGt)
+  OB_ICMP(ICmpGe)
+  OB_BINARY(FCmpEq)
+  OB_BINARY(FCmpNe)
+  OB_BINARY(FCmpLt)
+  OB_BINARY(FCmpLe)
+  OB_BINARY(FCmpGt)
+  OB_BINARY(FCmpGe)
   OB_CASE(SIToFP) {
-    const ThreadedCode::Arg* const a = argPool + op->argBase;
-    regs[op->dest] =
-        ir::fromF64(static_cast<double>(ir::asI64(OB_VAL(a[0]))));
+    regs[op->dest] = ir::fromF64(static_cast<double>(ir::asI64(OB_X)));
     OB_NEXT();
   }
   OB_CASE(FPToSI) {
-    const ThreadedCode::Arg* const a = argPool + op->argBase;
-    regs[op->dest] = ir::fromI64(saturatingFpToSi(ir::asF64(OB_VAL(a[0]))));
+    regs[op->dest] = ir::fromI64(saturatingFpToSi(ir::asF64(OB_X)));
     OB_NEXT();
   }
+  // Load: the generic handler serves the immediate addresses the decoder
+  // could not resolve (each traps, or lies outside the globals).
+  OB_CASE(Load) {
+    std::uint64_t v = 0;
+    OB_LOAD(v, OB_X);
+    regs[op->dest] = v;
+    OB_NEXT();
+  }
+  OB_VALUE_OP(LoadR, { OB_LOAD(v, OB_R(*op, 0)); })
+  // Resolved global loads: imm[0] is the offset into the globals, in range
+  // and aligned for the width.
+  OB_VALUE_OP(LoadG8, { std::memcpy(&v, globals + op->imm[0], 8); })
+  OB_VALUE_OP(LoadG1, { v = globals[op->imm[0]]; })
   OB_CASE(Store) {
-    const ThreadedCode::Arg* const a = argPool + op->argBase;
     TrapKind t = TrapKind::None;
-    m.mem_.store(OB_VAL(a[0]), op->aux, OB_VAL(a[1]), t);
+    m.mem_.store(OB_X, op->aux, OB_Y, t);
     if (t != TrapKind::None) OB_TRAP(t);
     // Only committed stores are MemoryData candidates.
     ++stores;
     OB_NEXT();
   }
+  OB_CASE(StoreG8) {
+    std::memcpy(globals + op->imm[0], &OB_R(*op, 1), 8);
+    ++stores;
+    OB_NEXT();
+  }
+  OB_CASE(StoreG1) {
+    globals[op->imm[0]] = static_cast<std::uint8_t>(OB_R(*op, 1));
+    ++stores;
+    OB_NEXT();
+  }
   OB_CASE(FrameAddr) {
-    regs[op->dest] = frameBase + op->imm;
+    regs[op->dest] = frameBase + op->imm[0];
     OB_NEXT();
   }
   OB_CASE(Br) {
@@ -288,8 +416,24 @@ dispatch:
     OB_ENTER();
   }
   OB_CASE(CondBr) {
-    const ThreadedCode::Arg* const a = argPool + op->argBase;
-    op = fnOps + (OB_VAL(a[0]) != 0 ? op->target : op->aux);
+    OB_BRANCH(OB_X, *op);
+  }
+  OB_CASE(CondBr_R) {
+    OB_BRANCH(OB_R(*op, 0), *op);
+  }
+  OB_MUL_ADD(R, OB_R(op[1], 0))
+  OB_MUL_ADD(I, OB_I(op[1], 0))
+  OB_ADD_FUSED(RR, OB_R(*op, 0), OB_R(*op, 1))
+  OB_ADD_FUSED(RI, OB_R(*op, 0), OB_I(*op, 1))
+  OB_ADD_FUSED(IR, OB_I(*op, 0), OB_R(*op, 1))
+  OB_CASE(MoveAddMoveBr) {
+    // Move s <- i; Add t <- s, imm; Move i <- t; Br.
+    const std::uint64_t s = OB_R(*op, 0);
+    regs[op->dest] = s;
+    const std::uint64_t v = sem::Add(s, OB_I(op[1], 1));
+    regs[op[1].dest] = v;
+    regs[op[2].dest] = v;
+    op = fnOps + op[3].target;
     OB_ENTER();
   }
   OB_CASE(Call) {
@@ -300,18 +444,19 @@ dispatch:
       // Park the caller at the instruction after the call BEFORE pushing:
       // the push may trap (depth/stack overflow), and snapshots derive
       // pendingCall from "caller.ip - 1 is the Call".
+      const ThreadedCode::Coord at = coords[op - code.ops.data()];
       auto& caller = m.frames_.back();
-      caller.block = op->block;
-      caller.ip = op->ip + 1;
+      caller.block = at.block;
+      caller.ip = at.ip + 1;
       const ir::Instr* const callInstr =
-          &caller.fn->blocks[op->block].instrs[op->ip];
+          &caller.fn->blocks[at.block].instrs[at.ip];
       const std::size_t base = m.regsTop_;
       if (m.frames_.size() < m.limits_.maxCallDepth &&
           callee->frameSize <= stackBytes - m.sp_ &&
           callee->numRegs <= m.regs_.size() - base) {
         // Machine::pushFrame's non-trapping, non-growing path.
         std::uint64_t* const calleeRegs = m.regs_.data() + base;
-        for (unsigned i = 0; i < n; ++i) calleeRegs[i] = OB_VAL(a[i]);
+        for (unsigned i = 0; i < n; ++i) calleeRegs[i] = OB_ARG(a[i]);
         std::fill(calleeRegs + n, calleeRegs + callee->numRegs, 0);
         m.frames_.push_back({&m.mod_.functions[op->aux], 0, 0, base,
                              ir::kStackBase + m.sp_, callInstr});
@@ -319,7 +464,7 @@ dispatch:
         m.regsTop_ = base + callee->numRegs;
         regs = calleeRegs;
       } else {
-        for (unsigned i = 0; i < n; ++i) scratch[i] = OB_VAL(a[i]);
+        for (unsigned i = 0; i < n; ++i) scratch[i] = OB_ARG(a[i]);
         m.pushFrame(op->aux, std::span(scratch, n), callInstr);
         if (m.result_.status != ExecStatus::Ok) goto trap_exit;
         regs = m.regs_.data() + m.frames_.back().regBase;
@@ -332,8 +477,7 @@ dispatch:
     OB_ENTER();
   }
   OB_CASE(Ret) {
-    const std::uint64_t retVal =
-        op->nops > 0 ? OB_VAL(argPool[op->argBase]) : 0;
+    const std::uint64_t retVal = op->nops > 0 ? OB_X : 0;
     const ir::Instr* call = nullptr;
     {
       // Machine::popFrame, inline.
@@ -365,30 +509,33 @@ dispatch:
     OB_ENTER();
   }
   OB_CASE(Const) {
-    regs[op->dest] = op->imm;
+    regs[op->dest] = op->imm[0];
     OB_NEXT();
   }
-  OB_CASE(Move) {
-    const ThreadedCode::Arg* const a = argPool + op->argBase;
-    regs[op->dest] = OB_VAL(a[0]);
+  OB_CASE(Move_R) {
+    regs[op->dest] = OB_R(*op, 0);
+    OB_NEXT();
+  }
+  OB_CASE(Move_I) {
+    regs[op->dest] = OB_I(*op, 0);
     OB_NEXT();
   }
   OB_CASE(Intrinsic) {
-    const ThreadedCode::Arg* const a = argPool + op->argBase;
     const unsigned n = op->nops;
-    for (unsigned i = 0; i < n; ++i) scratch[i] = OB_VAL(a[i]);
-    regs[op->dest] = m.applyIntrinsic(op->intrinsic, std::span(scratch, n));
+    scratch[0] = OB_X;
+    if (n > 1) scratch[1] = OB_Y;
+    regs[op->dest] =
+        m.applyIntrinsic(static_cast<ir::IntrinsicKind>(op->aux),
+                         std::span(scratch, n));
     OB_NEXT();
   }
   OB_CASE(Print) {
-    const ThreadedCode::Arg* const a = argPool + op->argBase;
-    m.printValue(op->printKind, OB_VAL(a[0]));
+    m.printValue(static_cast<ir::PrintKind>(op->aux), OB_X);
     OB_NEXT();
   }
   OB_CASE(Alloc) {
-    const ThreadedCode::Arg* const a = argPool + op->argBase;
     TrapKind t = TrapKind::None;
-    const std::uint64_t v = m.mem_.alloc(ir::asI64(OB_VAL(a[0])), t);
+    const std::uint64_t v = m.mem_.alloc(ir::asI64(OB_X), t);
     if (t != TrapKind::None) OB_TRAP(t);
     regs[op->dest] = v;
     OB_NEXT();
@@ -404,9 +551,10 @@ dispatch:
 limit_tail : {
   // The limit falls inside the segment starting at `op`, which is not
   // charged yet: park between instructions at `op` for the reference loop.
+  const ThreadedCode::Coord at = coords[op - code.ops.data()];
   auto& frame = m.frames_.back();
-  frame.block = op->block;
-  frame.ip = op->ip;
+  frame.block = at.block;
+  frame.ip = at.ip;
   OB_FLUSH();
   return;
 }
@@ -418,21 +566,33 @@ trap_exit : {
   instrs -= op->segInstrs - 1;
   reads -= op->segReads - op->countsRead;
   writes -= op->segWrites;
+  const ThreadedCode::Coord at = coords[op - code.ops.data()];
   auto& frame = m.frames_.back();
-  frame.block = op->block;
-  frame.ip = op->ip + 1;
+  frame.block = at.block;
+  frame.ip = at.ip + 1;
   OB_FLUSH();
 }
 }
 
 #undef OB_CASE
-#undef OB_FUSED_CASE
 #undef OB_DISPATCH
 #undef OB_NEXT
 #undef OB_ENTER
-#undef OB_VAL
+#undef OB_X
+#undef OB_Y
+#undef OB_R
+#undef OB_I
+#undef OB_ARG
+#undef OB_LOAD
+#undef OB_BRANCH
 #undef OB_VALUE_OP
 #undef OB_BINARY
+#undef OB_FORM
+#undef OB_INT_BINARY
+#undef OB_CMP_BR
+#undef OB_ICMP
+#undef OB_MUL_ADD
+#undef OB_ADD_FUSED
 #undef OB_FLUSH
 #undef OB_TRAP
 

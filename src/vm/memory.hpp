@@ -78,6 +78,11 @@ class Memory {
   std::uint64_t alloc(std::int64_t bytes, TrapKind& trap);
 
   [[nodiscard]] std::size_t stackBytes() const noexcept { return stackSize_; }
+
+  /// The globals segment's bytes. Its size is the module's global image
+  /// size and never changes, so the threaded loop indexes it directly at
+  /// the offsets its decoder resolved (vm/threaded.hpp).
+  [[nodiscard]] std::uint8_t* globalsData() noexcept { return globals_.data(); }
   [[nodiscard]] std::size_t heapUsed() const noexcept { return heap_.size(); }
 
   /// One past the highest stack byte ever written through store(). Stack

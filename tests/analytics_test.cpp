@@ -145,6 +145,36 @@ TEST_F(AnalyticsFixture, PartialCampaignIsNeverReportedComplete) {
   EXPECT_NE(text.find("(partial)"), std::string::npos);
 }
 
+TEST_F(AnalyticsFixture, ShardRangeThatWrapsIsIgnored) {
+  // A record whose range ends at 2^64 wraps `first + count` to 0, which
+  // passed a `first + count > experiments` check: with shards 0 and 1 the
+  // forged one made the campaign look complete and its outcomes counted.
+  {
+    CampaignStore store(path_);
+    store.load();
+    writeShards(store, 2);
+    ASSERT_TRUE(store.appendShard(testMeta(), 2,
+                                  ~std::size_t{0} - (kShardSize - 1),
+                                  kShardSize, testShard(2)));
+  }
+  {
+    CampaignStore store(path_);
+    const CampaignStore::LoadStats stats = store.load();
+    EXPECT_EQ(stats.shardRecords, 2u);
+    EXPECT_EQ(stats.malformed, 1u);
+  }
+  Dataset ds;
+  ds.addStore(path_);
+  const CampaignTable& table = ds.campaigns().at(kKey);
+  EXPECT_EQ(table.recordedExperiments(), 2 * kShardSize);
+  EXPECT_FALSE(table.complete());
+  EXPECT_EQ(table.totals().total(), 2 * kShardSize);
+  const auto check = CampaignStore::fsck(path_, /*repair=*/false);
+  ASSERT_TRUE(check.has_value());
+  EXPECT_EQ(check->integrityFailures, 1u);
+  EXPECT_TRUE(check->corrupt());
+}
+
 TEST_F(AnalyticsFixture, ShardsOfDifferentSizesAreNeverCountedTwice) {
   // A resume under another shard size records its own ranges beside the
   // old ones: (0,16) and (16,16) from one run, (0,32) from the next. They

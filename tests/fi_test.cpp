@@ -218,6 +218,16 @@ INSTANTIATE_TEST_SUITE_P(TableOneRanges, WinSizeSample,
                                            std::pair{101ULL, 1000ULL},
                                            std::pair{5ULL, 5ULL}));
 
+TEST(WinSize, FullRangeRandomDrawIsNotConstant) {
+  // RND(0-18446744073709551615) spans 2^64 values: hi - lo + 1 wraps to 0,
+  // and the draw must still cover the range rather than stick at lo.
+  const WinSize w = WinSize::random(0, ~std::uint64_t{0});
+  util::Rng rng(99);
+  std::set<std::uint64_t> seen;
+  for (int i = 0; i < 100; ++i) seen.insert(w.sample(rng));
+  EXPECT_GT(seen.size(), 90u);
+}
+
 TEST(WinSize, FixedSampleIsConstant) {
   const WinSize w = WinSize::fixed(7);
   util::Rng rng(1);
@@ -390,6 +400,25 @@ TEST(Injector, WindowSpacingIsRespected) {
   for (std::size_t i = 1; i < hook.records().size(); ++i) {
     EXPECT_GE(hook.records()[i].instrIndex,
               hook.records()[i - 1].instrIndex + 10);
+  }
+}
+
+TEST(Injector, WindowsReachingPastTheLastInstructionInjectOnce) {
+  // A window that reaches past instruction 2^64 - 1 arms nothing: instrIndex
+  // + window must saturate, not wrap to an index already passed (which made
+  // the widest windows flip more often than narrow ones).
+  const ir::Module mod = chainModule(200);
+  for (const std::uint64_t k : {0ULL, 1ULL, 5ULL, 100ULL, 1000ULL}) {
+    FaultPlan plan;
+    plan.domain = FaultDomain::RegisterRead;
+    plan.pattern = BitPattern::multiBitTemporal(30);
+    plan.window = ~std::uint64_t{0} - k;
+    plan.firstIndex = 20;
+    plan.seed = 19 + k;
+    InjectorHook hook(plan);
+    const vm::ExecResult r = vm::execute(mod, {}, &hook);
+    EXPECT_EQ(r.status, vm::ExecStatus::Ok) << "k " << k;
+    EXPECT_EQ(hook.activations(), 1u) << "k " << k;
   }
 }
 

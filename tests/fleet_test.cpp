@@ -19,6 +19,7 @@
 
 #include <gtest/gtest.h>
 
+#include "fi/campaign.hpp"
 #include "fi/campaign_store.hpp"
 #include "fi/fleet.hpp"
 #include "fi/suite.hpp"
@@ -209,6 +210,32 @@ TEST_F(FleetFixture, MakeCellStampsTheContractAndRefusesTheInexpressible) {
     EXPECT_FALSE(FleetBroker::makeCell("alpha", *alpha_, odd, 96, 1, 16))
         << "flip width " << width;
   }
+}
+
+TEST_F(FleetFixture, ShardCountsHoldNearTwoToTheSixtyFour) {
+  // (n + s - 1) / s wraps for n near 2^64: n = 2^64 - 2 got an automatic
+  // shard size of 16 and a cell of 0 shards, which the broker accepted and
+  // the fleet then waited on forever.
+  constexpr std::size_t kHuge = ~std::size_t{0} - 1;
+  const std::size_t shardSize = resolveShardSize(kHuge, 0);
+  EXPECT_EQ(shardSize, 4096u);
+  const std::size_t shards = kHuge / 4096 + 1;
+  CampaignStore::CellRecord rec;
+  rec.experiments = kHuge;
+  rec.shardSize = shardSize;
+  EXPECT_EQ(rec.shardCount(), shards);
+  CampaignConfig config;
+  config.experiments = kHuge;
+  EXPECT_EQ(CampaignEngine(config).shardCount(), shards);
+  // The broker refuses a cell with more shards than a fleet can walk, and
+  // takes one at the limit.
+  const FaultModel model = FaultModel::singleBit(FaultDomain::RegisterRead);
+  EXPECT_FALSE(FleetBroker::makeCell("alpha", *alpha_, model, kHuge, 1,
+                                     shardSize));
+  const std::size_t atLimit = FleetBroker::kMaxCellShards * 16;
+  EXPECT_TRUE(FleetBroker::makeCell("alpha", *alpha_, model, atLimit, 1, 16));
+  EXPECT_FALSE(
+      FleetBroker::makeCell("alpha", *alpha_, model, atLimit + 1, 1, 16));
 }
 
 TEST_F(FleetFixture, FleetMatchesSoloForOneTwoAndFourWorkers) {

@@ -172,8 +172,9 @@ int main(int argc, char** argv) {
       if (!cell) {
         std::fprintf(stderr,
                      "error: cell is not fleet-expressible (a count the "
-                     "store cannot hold, or a label that does not "
-                     "round-trip); run it in-process instead\n");
+                     "store cannot hold, more shards than a fleet walks, "
+                     "or a label that does not round-trip); run it "
+                     "in-process instead\n");
         return 1;
       }
       if (!broker.submit(*cell)) {
