@@ -149,7 +149,7 @@ inline fi::Workload makeWorkload(
     ir::Module mod,
     std::uint64_t hangFactor = fi::Workload::kDefaultHangFactor) {
   return fi::Workload(std::move(mod), hangFactor, snapshotPolicyFromEnv(),
-                      fi::PrunePolicy::on(), vm::DispatchBackend::Threaded);
+                      fi::PrunePolicy{}, vm::DispatchBackend::Threaded);
 }
 
 /// Compile and profile all (selected) Table II workloads.

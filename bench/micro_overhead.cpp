@@ -1,5 +1,8 @@
 // Microbenchmarks (google-benchmark): interpreter throughput, injection
-// hook overhead, compile time, campaign throughput.
+// hook overhead, compile time, campaign throughput. BM_SingleExperiment and
+// BM_Campaign100 build their workloads with default arguments, so they time
+// pruned experiments: a run whose fault is masked ends at its first golden
+// snapshot match.
 #include <benchmark/benchmark.h>
 
 #include "fi/campaign.hpp"

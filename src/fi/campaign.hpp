@@ -92,7 +92,7 @@ struct CampaignResult {
   CampaignConfig config;
   stats::OutcomeCounts counts;
   ActivationHistogram activationHist{};
-  PruneStats prune;  ///< zeros unless the workload was built to prune
+  PruneStats prune;  ///< zeros unless the workload prunes
   /// Experiments tallied into `counts` — executed this run plus resumed
   /// from the store. Less than config.experiments after a capped run.
   std::size_t completedExperiments = 0;

@@ -52,13 +52,15 @@ struct SnapshotPolicy {
 /// match means the fault was masked, and the run ends there with the golden
 /// outcome. Like SnapshotPolicy, pruning is a pure speedup — it must never
 /// change results — and is therefore NOT part of the workload fingerprint.
-/// The library default is off; the bench drivers turn it on.
+/// It is on by default: every workload that keeps snapshots prunes.
 struct PrunePolicy {
-  bool enabled = false;
+  bool enabled = true;
 
-  static PrunePolicy on() noexcept {
+  /// The unpruned policy, for differential tests that hold pruning to an
+  /// unpruned arm; production code keeps the default.
+  static PrunePolicy off() noexcept {
     PrunePolicy p;
-    p.enabled = true;
+    p.enabled = false;
     return p;
   }
 };
@@ -79,7 +81,8 @@ class Workload {
   /// captured during that same golden run (on by default; pass
   /// SnapshotPolicy::disabled() to interpret every experiment from scratch).
   /// `prune` makes runExperiment compare faulty runs with those snapshots
-  /// (off by default; a workload without snapshots never prunes).
+  /// (on by default; PrunePolicy::off() is for differential tests, and a
+  /// workload without snapshots never prunes).
   /// `dispatch` selects the execution backend for every hook-free segment
   /// this workload runs — the golden pass, snapshot captures included, and
   /// every stretch an experiment's injector sleeps through or outlives.

@@ -46,7 +46,7 @@ std::shared_ptr<const Workload> defaultResolve(
       cell.hangFactor != 0 ? cell.hangFactor : Workload::kDefaultHangFactor;
   return std::make_shared<const Workload>(
       progs::compileProgram(*info), hangFactor, SnapshotPolicy{},
-      PrunePolicy::on(), vm::DispatchBackend::Threaded);
+      PrunePolicy{}, vm::DispatchBackend::Threaded);
 }
 
 }  // namespace

@@ -2,8 +2,8 @@
 
 #include <algorithm>
 #include <array>
+#include <charconv>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <stdexcept>
 #include <utility>
@@ -224,14 +224,14 @@ void Machine::appendOutput(const char* data, std::size_t n) {
 
 void Machine::printValue(ir::PrintKind kind, std::uint64_t v) {
   // Room for any finite double at "%.6f": a sign, 309 integer digits, the
-  // point, six decimals and the NUL. snprintf returns the full length, and
-  // all of it is appended.
+  // point, six decimals and a spare byte. std::to_chars writes what printf
+  // would in the "C" locale, and all of it is appended.
   char buf[std::numeric_limits<double>::max_exponent10 + 11];
+  char* const end = buf + sizeof buf;
   switch (kind) {
     case ir::PrintKind::I64: {
-      const int n = std::snprintf(buf, sizeof buf, "%lld",
-                                  static_cast<long long>(ir::asI64(v)));
-      appendOutput(buf, static_cast<std::size_t>(n));
+      const std::to_chars_result r = std::to_chars(buf, end, ir::asI64(v));
+      appendOutput(buf, static_cast<std::size_t>(r.ptr - buf));
       break;
     }
     case ir::PrintKind::F64: {
@@ -248,8 +248,9 @@ void Machine::printValue(ir::PrintKind kind, std::uint64_t v) {
         break;
       }
       if (d == 0.0) d = 0.0;  // collapse -0.0 into +0.0
-      const int n = std::snprintf(buf, sizeof buf, "%.6f", d);
-      appendOutput(buf, static_cast<std::size_t>(n));
+      const std::to_chars_result r =
+          std::to_chars(buf, end, d, std::chars_format::fixed, 6);
+      appendOutput(buf, static_cast<std::size_t>(r.ptr - buf));
       break;
     }
     case ir::PrintKind::Char: {

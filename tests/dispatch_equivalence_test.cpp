@@ -98,7 +98,7 @@ WorkloadSet buildWorkloads(vm::DispatchBackend backend, bool snapshots,
     set.w[i] = std::make_unique<Workload>(
         lang::compileMiniC(srcs[i]), Workload::kDefaultHangFactor,
         snapshots ? SnapshotPolicy{} : SnapshotPolicy::disabled(),
-        prune ? PrunePolicy::on() : PrunePolicy{}, backend);
+        prune ? PrunePolicy{} : PrunePolicy::off(), backend);
   }
   return set;
 }

@@ -254,7 +254,7 @@ struct Variants {
               program(name), hangFactor,
               snapshots ? fi::SnapshotPolicy{}
                         : fi::SnapshotPolicy::disabled(),
-              prune ? fi::PrunePolicy::on() : fi::PrunePolicy{}, backend));
+              prune ? fi::PrunePolicy{} : fi::PrunePolicy::off(), backend));
         }
       }
     }

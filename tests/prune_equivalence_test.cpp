@@ -1,6 +1,9 @@
 // Differential equivalence harness for outcome-equivalence pruning: the
-// "pure speedup" contract of a Workload built with PrunePolicy::on().
+// "pure speedup" contract of a Workload built with the default PrunePolicy,
+// held to the same Workload built with PrunePolicy::off().
 //
+//  * a Workload with default arguments prunes, and a campaign on it equals
+//    the PrunePolicy::off() campaign; without snapshots it never prunes;
 //  * a bench-style cell mix (two workloads × all four fault domains ×
 //    single-bit / multi-bit / burst patterns) produces bit-identical
 //    OutcomeCounts and activation histograms on pruning and plain
@@ -88,18 +91,18 @@ std::vector<FaultModel> modelMix() {
 }
 
 struct Bench {
-  std::unique_ptr<Workload> plain[2];   ///< PrunePolicy{} (pruning off)
-  std::unique_ptr<Workload> pruned[2];  ///< PrunePolicy::on
+  std::unique_ptr<Workload> plain[2];   ///< PrunePolicy::off()
+  std::unique_ptr<Workload> pruned[2];  ///< default arguments
 };
 
 Bench buildBench() {
   Bench b;
   const char* const srcs[2] = {kMixer, kBranchy};
   for (int i = 0; i < 2; ++i) {
-    b.plain[i] = std::make_unique<Workload>(lang::compileMiniC(srcs[i]));
-    b.pruned[i] = std::make_unique<Workload>(lang::compileMiniC(srcs[i]), 50,
-                                             SnapshotPolicy{},
-                                             PrunePolicy::on());
+    b.plain[i] = std::make_unique<Workload>(
+        lang::compileMiniC(srcs[i]), Workload::kDefaultHangFactor,
+        SnapshotPolicy{}, PrunePolicy::off());
+    b.pruned[i] = std::make_unique<Workload>(lang::compileMiniC(srcs[i]));
   }
   return b;
 }
@@ -135,6 +138,31 @@ std::size_t totalShortCircuited(const std::vector<CampaignResult>& results) {
   std::size_t total = 0;
   for (const CampaignResult& r : results) total += r.prune.goldenHits;
   return total;
+}
+
+TEST(PruneEquivalence, DefaultWorkloadPrunes) {
+  const Workload byDefault(lang::compileMiniC(kMixer));
+  const Workload off(lang::compileMiniC(kMixer), Workload::kDefaultHangFactor,
+                     SnapshotPolicy{}, PrunePolicy::off());
+  const Workload noSnapshots(lang::compileMiniC(kMixer),
+                             Workload::kDefaultHangFactor,
+                             SnapshotPolicy::disabled());
+  ASSERT_GT(byDefault.snapshotCount(), 0u);
+  EXPECT_TRUE(byDefault.pruningEnabled());
+  EXPECT_FALSE(off.pruningEnabled());
+  EXPECT_FALSE(noSnapshots.pruningEnabled());
+
+  CampaignConfig config;
+  config.model = FaultModel::singleBit(FaultDomain::RegisterRead);
+  config.experiments = 200;
+  config.seed = 0xde7a;
+  config.threads = 2;
+  const CampaignResult pruned = runCampaign(byDefault, config);
+  const CampaignResult plain = runCampaign(off, config);
+  EXPECT_GT(pruned.prune.goldenHits, 0u);
+  EXPECT_EQ(plain.prune, PruneStats{});
+  EXPECT_EQ(pruned.counts, plain.counts);
+  EXPECT_EQ(pruned.activationHist, plain.activationHist);
 }
 
 TEST(PruneEquivalence, SuiteBitIdenticalAcrossThreadsAndShardSizes) {
@@ -296,9 +324,9 @@ int main() {
 )MC";
 
 TEST(PruneEquivalence, GrownHeapIsNotPrunedAsGolden) {
-  const Workload plain(lang::compileMiniC(kHeapGrowth));
-  const Workload pruned(lang::compileMiniC(kHeapGrowth), 50, {},
-                        PrunePolicy::on());
+  const Workload plain(lang::compileMiniC(kHeapGrowth),
+                       Workload::kDefaultHangFactor, {}, PrunePolicy::off());
+  const Workload pruned(lang::compileMiniC(kHeapGrowth));
   ASSERT_TRUE(pruned.pruningEnabled());
   // Every run that gets past the second allocation zero-fills 32 MiB of
   // fresh heap (milliseconds of page faults), so each location takes 8 plan

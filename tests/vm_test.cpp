@@ -1,8 +1,12 @@
 // Unit tests for src/vm: memory, traps, interpreter semantics, hooks.
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -706,6 +710,88 @@ TEST(Output, HugeDoublePrintsInFull) {
     ExecLimits limits;
     limits.dispatch = backend;
     EXPECT_EQ(execute(mod, limits).output, want);
+  }
+}
+
+TEST(Output, NumbersPrintAsPrintfDoes) {
+  // The VM formats print_i and print_f itself; its output must stay what
+  // printf's "%lld" and "%.6f" give in the "C" locale, after the VM's
+  // nan/inf/-0.0 normalization, on both loops.
+  std::vector<double> doubles;
+  for (const double denom : {128.0, 1024.0}) {
+    // Exact ties at the sixth decimal, and the numbers around them.
+    for (int j = -2048; j <= 2048; ++j) doubles.push_back(j / denom);
+    for (int j = 199'000; j <= 200'000; j += 7) {
+      doubles.push_back(j / denom);
+      doubles.push_back(-j / denom);
+    }
+  }
+  for (int e = std::numeric_limits<double>::min_exponent - 53;
+       e < std::numeric_limits<double>::max_exponent; e += 3) {
+    doubles.push_back(std::ldexp(1.0, e));
+    doubles.push_back(-std::ldexp(1.0, e));
+  }
+  for (const double d :
+       {std::numeric_limits<double>::max(), -std::numeric_limits<double>::max(),
+        std::numeric_limits<double>::denorm_min(), -0.0, 0.0, 0.5, 2.5e-7,
+        std::numeric_limits<double>::quiet_NaN(),
+        -std::numeric_limits<double>::infinity(),
+        std::numeric_limits<double>::infinity()}) {
+    doubles.push_back(d);
+  }
+  std::mt19937_64 rng(0x9f1d);
+  std::vector<std::uint64_t> ints = {
+      0, 1, static_cast<std::uint64_t>(-1),
+      static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::min()),
+      static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max())};
+  for (int i = 0; i < 1000; ++i) {
+    doubles.push_back(ir::asF64(rng()));
+    ints.push_back(rng());
+  }
+
+  Module mod;
+  IRBuilder bld(mod);
+  bld.createFunction("main", Type::I64, 0);
+  bld.setInsertBlock(bld.createBlock("entry"));
+  std::string want;
+  char buf[400];
+  for (const double d : doubles) {
+    bld.emitPrint(Operand::makeImm(ir::fromF64(d)), ir::PrintKind::F64);
+    bld.emitPrint(Operand::makeImm(' '), ir::PrintKind::Char);
+    if (std::isnan(d)) {
+      want += "nan";
+    } else if (std::isinf(d)) {
+      want += d < 0 ? "-inf" : "inf";
+    } else {
+      std::snprintf(buf, sizeof buf, "%.6f", d == 0.0 ? 0.0 : d);
+      want += buf;
+    }
+    want += ' ';
+  }
+  for (const std::uint64_t v : ints) {
+    bld.emitPrint(Operand::makeImm(v), ir::PrintKind::I64);
+    bld.emitPrint(Operand::makeImm(' '), ir::PrintKind::Char);
+    std::snprintf(buf, sizeof buf, "%lld",
+                  static_cast<long long>(ir::asI64(v)));
+    want += buf;
+    want += ' ';
+  }
+  bld.emitRet(Operand::makeImm(0));
+  ir::verifyOrThrow(mod);
+  for (const DispatchBackend backend :
+       {DispatchBackend::Switch, DispatchBackend::Threaded}) {
+    ExecLimits limits;
+    limits.dispatch = backend;
+    const ExecResult r = execute(mod, limits);
+    EXPECT_FALSE(r.outputTruncated);
+    const std::size_t at = static_cast<std::size_t>(
+        std::mismatch(want.begin(), want.end(), r.output.begin(),
+                      r.output.end())
+            .first -
+        want.begin());
+    EXPECT_TRUE(r.output == want)
+        << "first difference at byte " << at << "\nwant ..."
+        << want.substr(at, 40) << "\ngot  ..." << r.output.substr(at, 40);
   }
 }
 
