@@ -353,8 +353,9 @@ class SweepBuilder {
       if (util::envInt("ONEBIT_PROGRESS", 0) >= 1) {
         fi::PruneStats total;
         for (const fi::CampaignResult& r : results_) total += r.prune;
-        std::fprintf(stderr, "[prune] golden_hits=%zu misses=%zu\n",
-                     total.goldenHits, total.misses);
+        std::fprintf(stderr,
+                     "[prune] golden_hits=%zu misses=%zu hang_proofs=%zu\n",
+                     total.goldenHits, total.misses, total.hangProofs);
       }
     }
     return results_;

@@ -18,8 +18,8 @@
 #   6. fleet_worker rejects a negative --lease-ms and a negative --poison
 #      shard with usage (exit 2) instead of wrapping them to huge values,
 #      and fleet_broker --submit rejects a signed, suffixed or overflowing
-#      experiment count and a --flip-width outside 1..64 the same way,
-#      and refuses a count near 2^64, whose cell would have more shards than
+#      experiment count, a --flip-width outside 1..64 and a --hang-factor
+#      whose faulty-run budget overflows 64 bits the same way, and refuses a count near 2^64, whose cell would have more shards than
 #      a fleet can walk, with exit 1 — submitting nothing.
 #
 #   scripts/fleet_smoke.sh [BUILD_DIR]
@@ -104,9 +104,10 @@ for flag in "--lease-ms -1" "--poison qsort:-1"; do
   fi
 done
 
-echo "== fleet_broker rejects malformed counts and flip widths (exit 2)"
+echo "== fleet_broker rejects malformed counts, flip widths and hang factors (exit 2)"
 for args in "-1" "+8" "8x" "18446744073709551616" "8 --flip-width 0" \
-    "8 --flip-width 65" "8 --flip-width 4294967297"; do
+    "8 --flip-width 65" "8 --flip-width 4294967297" \
+    "8 --hang-factor 18446744073709551615"; do
   code=0
   # $args is unquoted on purpose: the count, then maybe an option and value.
   "$build/fleet_broker" "$tmp/broker.jsonl" --submit qsort read/single $args \

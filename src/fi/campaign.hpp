@@ -80,9 +80,14 @@ void mergeHistogram(ActivationHistogram& into,
 struct PruneStats {
   std::size_t goldenHits = 0;  ///< short-circuited by a golden-snapshot match
   std::size_t misses = 0;      ///< compared with no match, ran to completion
+  /// Ended by a hang proof (ExperimentResult::hangProof). Counted with or
+  /// without pruning: a run that reaches a proof checkpoint was never
+  /// pruned.
+  std::size_t hangProofs = 0;
   PruneStats& operator+=(const PruneStats& o) noexcept {
     goldenHits += o.goldenHits;
     misses += o.misses;
+    hangProofs += o.hangProofs;
     return *this;
   }
   bool operator==(const PruneStats&) const = default;

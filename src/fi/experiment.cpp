@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 #include <stdexcept>
+#include <string>
 
 #include "util/rng.hpp"
 #include "vm/machine.hpp"
@@ -41,8 +42,16 @@ Workload::Workload(ir::Module mod, std::uint64_t hangFactor,
         std::string(vm::trapName(golden_.trap)) + ")");
   }
   faultyLimits_ = goldenLimits;
+  constexpr std::uint64_t kBudgetSlack = 10'000;
+  if (hangFactor != 0 &&
+      golden_.instructions > (~std::uint64_t{0} - kBudgetSlack) / hangFactor) {
+    throw std::invalid_argument(
+        "workload hang factor " + std::to_string(hangFactor) +
+        " makes the faulty-run budget overflow 64 bits (golden run: " +
+        std::to_string(golden_.instructions) + " instructions)");
+  }
   faultyLimits_.maxInstructions =
-      golden_.instructions * hangFactor + 10'000ULL;
+      golden_.instructions * hangFactor + kBudgetSlack;
   // The faulty-run instruction budget (hangFactor) decides Hang vs other
   // outcomes, so two workloads differing only in it must not share
   // persisted campaign results — fold it in alongside the golden profile.
@@ -175,6 +184,27 @@ ExperimentResult runExperiment(const Workload& workload,
         break;
       }
     }
+  }
+  // Hang proofs. A run still going at twice the golden length is rarely
+  // masked and often hangs, in a long finite loop (a flipped counter or
+  // bound). At each checkpoint below golden × hangFactor its hook is
+  // exhausted (runUntil pauses only then), so the proof starts from a
+  // hook-free state, which does not depend on snapshots or pruning: every
+  // prune stop lies at or before the golden length. A proof returns what
+  // the full run would: FuelExhausted on the instruction after the budget.
+  const std::uint64_t goldenLength = workload.golden().instructions;
+  const std::uint64_t hangFactor = workload.hangFactor();
+  for (std::uint64_t f = 2; f < hangFactor; f *= 2) {
+    const vm::Machine::Stop stop = machine->runUntil(goldenLength * f);
+    if (stop == vm::Machine::Stop::Ended) break;
+    if (stop == vm::Machine::Stop::Paused && machine->provesHang()) {
+      result.outcome = stats::Outcome::Hang;
+      result.activations = hook.activations();
+      result.instructions = limits.maxInstructions + 1;
+      result.hangProof = true;
+      return result;
+    }
+    if (f > hangFactor / 2) break;  // the next doubling would overflow
   }
   const vm::ExecResult faulty = machine->run();
   result.outcome = classify(faulty, workload.golden());

@@ -77,7 +77,9 @@ class Workload {
 
   /// Takes ownership of the module and runs the golden execution once.
   /// `hangFactor` scales the faulty-run instruction budget relative to the
-  /// golden run. `snapshots` controls the golden-prefix snapshot cache
+  /// golden run: golden instructions × hangFactor + 10,000 (throws
+  /// std::invalid_argument when that does not fit 64 bits). `snapshots`
+  /// controls the golden-prefix snapshot cache
   /// captured during that same golden run (on by default; pass
   /// SnapshotPolicy::disabled() to interpret every experiment from scratch).
   /// `prune` makes runExperiment compare faulty runs with those snapshots
@@ -195,6 +197,9 @@ struct ExperimentResult {
   unsigned activations = 0;  ///< bit-flip errors actually applied (RQ1)
   std::uint64_t instructions = 0;
   PruneEvent prune = PruneEvent::None;
+  /// The run ended as a Hang proven by vm::Machine::provesHang, without
+  /// interpreting the rest of its budget.
+  bool hangProof = false;
 };
 
 /// Classify a faulty run against the golden run (§III-E taxonomy).
@@ -206,9 +211,14 @@ stats::Outcome classify(const vm::ExecResult& faulty,
 /// On a pruning workload, once the injector hook is exhausted the run is
 /// compared with each later golden snapshot at that snapshot's instruction
 /// count: an exact match returns the golden outcome without running the
-/// rest; a control or output mismatch stops comparing. Outcome, trap,
-/// activations and instruction count are bit-identical to a from-scratch
-/// run for every plan and policy; only `prune` and wall-clock differ.
+/// rest; a control or output mismatch stops comparing. A run that is still
+/// going at 2×, 4×, 8×… the golden instruction count (checkpoints below
+/// golden × hangFactor; none at hang factors <= 2), with its hook
+/// exhausted, tries vm::Machine::provesHang there: a proof returns Hang
+/// with instructions == maxInstructions + 1, as the full run would end.
+/// Outcome, trap, activations and instruction count are bit-identical to a
+/// from-scratch run for every plan and policy; only `prune`, `hangProof`
+/// and wall-clock differ.
 ExperimentResult runExperiment(const Workload& workload,
                                const FaultPlan& plan);
 

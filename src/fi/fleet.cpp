@@ -7,6 +7,7 @@
 #include <csignal>
 #include <cstdio>
 #include <limits>
+#include <stdexcept>
 #include <thread>
 #include <utility>
 
@@ -44,9 +45,13 @@ std::shared_ptr<const Workload> defaultResolve(
   if (info == nullptr) return nullptr;
   const std::uint64_t hangFactor =
       cell.hangFactor != 0 ? cell.hangFactor : Workload::kDefaultHangFactor;
-  return std::make_shared<const Workload>(
-      progs::compileProgram(*info), hangFactor, SnapshotPolicy{},
-      PrunePolicy{}, vm::DispatchBackend::Threaded);
+  try {
+    return std::make_shared<const Workload>(
+        progs::compileProgram(*info), hangFactor, SnapshotPolicy{},
+        PrunePolicy{}, vm::DispatchBackend::Threaded);
+  } catch (const std::invalid_argument&) {
+    return nullptr;  // a hang factor whose budget overflows
+  }
 }
 
 }  // namespace

@@ -71,6 +71,7 @@ struct ShardTally {
       case PruneEvent::GoldenMatch: ++prune.goldenHits; break;
       case PruneEvent::Miss: ++prune.misses; break;
     }
+    if (r.hangProof) ++prune.hangProofs;
   }
 };
 

@@ -8,6 +8,8 @@
 #include <stdexcept>
 #include <utility>
 
+#include "vm/semantics.hpp"
+
 namespace onebit::vm {
 
 using ir::Instr;
@@ -261,17 +263,6 @@ void Machine::printValue(ir::PrintKind kind, std::uint64_t v) {
   }
 }
 
-namespace detail {
-
-std::int64_t saturatingFpToSi(double d) noexcept {
-  if (std::isnan(d)) return 0;
-  if (d >= 9.2233720368547758e18) return std::numeric_limits<std::int64_t>::max();
-  if (d <= -9.2233720368547758e18) return std::numeric_limits<std::int64_t>::min();
-  return static_cast<std::int64_t>(d);
-}
-
-}  // namespace detail
-
 std::uint64_t Machine::applyIntrinsic(ir::IntrinsicKind kind,
                                       std::span<const std::uint64_t> v) {
   const double a = ir::asF64(v[0]);
@@ -357,6 +348,12 @@ Machine::Stop Machine::runUntil(std::uint64_t n) {
   runHookFree();
   limit_ = limits_.maxInstructions;
   return running() ? Stop::Paused : Stop::Ended;
+}
+
+void Machine::step() {
+  limit_ = std::min(limits_.maxInstructions, instructions_ + 1);
+  loop<false>();
+  limit_ = limits_.maxInstructions;
 }
 
 void Machine::runThreaded() {

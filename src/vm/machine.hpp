@@ -33,11 +33,7 @@
 namespace onebit::vm {
 
 namespace detail {
-
-/// FPToSI semantics shared by both dispatch backends: NaN converts to 0,
-/// out-of-range values saturate to the int64 extremes.
-std::int64_t saturatingFpToSi(double d) noexcept;
-
+class HangProof;
 }  // namespace detail
 
 /// The first part of the machine state that differs from a snapshot, in the
@@ -106,6 +102,18 @@ class Machine {
     return instructions_;
   }
 
+  /// Try to prove that this run ends FuelExhausted: that from here one loop
+  /// repeats on one path, with no trap and no halt, until the fuel runs
+  /// out (vm/hang_proof.cpp gives the argument). The run must be between
+  /// instructions and hook-free or exhausted (a runUntil() pause); any
+  /// other run is not eligible. The attempt steps the run on the reference
+  /// loop, at most 4,096 instructions, so a false return leaves the run
+  /// valid but further along, and possibly ended (run() then returns that
+  /// end). After a true return a full run() would end FuelExhausted with
+  /// instructions == maxInstructions + 1; the caller reports that instead
+  /// of running it.
+  [[nodiscard]] bool provesHang();
+
  private:
   struct CallFrame {
     const ir::Function* fn = nullptr;
@@ -124,6 +132,9 @@ class Machine {
   void pushFrame(std::uint32_t fnId, std::span<const std::uint64_t> args,
                  const ir::Instr* pendingCall);
   void popFrame();
+  /// Run exactly one instruction (or end the run) on the reference loop.
+  /// Precondition: running, hook-free or exhausted.
+  void step();
   void appendOutput(const char* data, std::size_t n);
   void printValue(ir::PrintKind kind, std::uint64_t v);
   std::uint64_t applyIntrinsic(ir::IntrinsicKind kind,
@@ -164,6 +175,8 @@ class Machine {
   /// and drives this machine's private state directly.
   friend void detail::runThreadedLoop(Machine* m, const ThreadedCode* code,
                                       const void* const** labelsOut);
+  /// The hang proof (vm/hang_proof.cpp) reads the state it starts from.
+  friend class detail::HangProof;
 
   const ir::Module& mod_;
   ExecLimits limits_;

@@ -38,17 +38,18 @@
 //     which enters its target through OB_ENTER like any branch; a Load
 //     inside one moves `op` to its own Op before it can trap.
 //
-// Each opcode's semantics are written once — the binary ops in namespace
-// sem, Load in OB_LOAD, CondBr in OB_BRANCH — and every generic, per-form
-// and fused handler is generated from them.
+// Each opcode's semantics are written once — the value ops in namespace
+// sem (vm/semantics.hpp, shared with the hang prover), Load in OB_LOAD,
+// CondBr in OB_BRANCH — and every generic, per-form and fused handler is
+// generated from them.
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
 #include <iterator>
-#include <limits>
 #include <span>
 
 #include "vm/machine.hpp"
+#include "vm/semantics.hpp"
 #include "vm/threaded.hpp"
 
 // The compiler gate. CMake passes -DONEBIT_COMPUTED_GOTO=0/1 after a
@@ -63,40 +64,6 @@
 #endif
 
 namespace onebit::vm::detail {
-
-namespace sem {
-
-// The binary ops' semantics (x, y: the values of operands 0 and 1). The
-// generic handler, every per-form handler and every superinstruction that
-// runs the opcode call the same function.
-using W = std::uint64_t;
-inline W Add(W x, W y) { return x + y; }
-inline W Sub(W x, W y) { return x - y; }
-inline W Mul(W x, W y) { return x * y; }
-inline W And(W x, W y) { return x & y; }
-inline W Or(W x, W y) { return x | y; }
-inline W Xor(W x, W y) { return x ^ y; }
-inline W Shl(W x, W y) { return x << (y & 63U); }
-inline W LShr(W x, W y) { return x >> (y & 63U); }
-inline W AShr(W x, W y) { return ir::fromI64(ir::asI64(x) >> (y & 63U)); }
-inline W FAdd(W x, W y) { return ir::fromF64(ir::asF64(x) + ir::asF64(y)); }
-inline W FSub(W x, W y) { return ir::fromF64(ir::asF64(x) - ir::asF64(y)); }
-inline W FMul(W x, W y) { return ir::fromF64(ir::asF64(x) * ir::asF64(y)); }
-inline W FDiv(W x, W y) { return ir::fromF64(ir::asF64(x) / ir::asF64(y)); }
-inline W ICmpEq(W x, W y) { return x == y ? 1 : 0; }
-inline W ICmpNe(W x, W y) { return x != y ? 1 : 0; }
-inline W ICmpLt(W x, W y) { return ir::asI64(x) < ir::asI64(y) ? 1 : 0; }
-inline W ICmpLe(W x, W y) { return ir::asI64(x) <= ir::asI64(y) ? 1 : 0; }
-inline W ICmpGt(W x, W y) { return ir::asI64(x) > ir::asI64(y) ? 1 : 0; }
-inline W ICmpGe(W x, W y) { return ir::asI64(x) >= ir::asI64(y) ? 1 : 0; }
-inline W FCmpEq(W x, W y) { return ir::asF64(x) == ir::asF64(y) ? 1 : 0; }
-inline W FCmpNe(W x, W y) { return ir::asF64(x) != ir::asF64(y) ? 1 : 0; }
-inline W FCmpLt(W x, W y) { return ir::asF64(x) < ir::asF64(y) ? 1 : 0; }
-inline W FCmpLe(W x, W y) { return ir::asF64(x) <= ir::asF64(y) ? 1 : 0; }
-inline W FCmpGt(W x, W y) { return ir::asF64(x) > ir::asF64(y) ? 1 : 0; }
-inline W FCmpGe(W x, W y) { return ir::asF64(x) >= ir::asF64(y) ? 1 : 0; }
-
-}  // namespace sem
 
 // OB_CASE(name) introduces the handler of slot `name` (ONEBIT_VM_SLOTS);
 // OB_DISPATCH jumps to the handler of `op`. In computed-goto mode handlers
@@ -332,19 +299,14 @@ dispatch:
   OB_INT_BINARY(Sub)
   OB_INT_BINARY(Mul)
   OB_VALUE_OP(SDiv, {
-    const auto num = ir::asI64(OB_X);
-    const auto den = ir::asI64(OB_Y);
+    const std::uint64_t den = OB_Y;
     if (den == 0) OB_TRAP(TrapKind::DivByZero);
-    // INT64_MIN / -1 wraps, like x86 would fault; define it.
-    v = den == -1 && num == std::numeric_limits<std::int64_t>::min()
-            ? OB_X
-            : ir::fromI64(num / den);
+    v = sem::SDiv(OB_X, den);
   })
   OB_VALUE_OP(SRem, {
-    const auto num = ir::asI64(OB_X);
-    const auto den = ir::asI64(OB_Y);
+    const std::uint64_t den = OB_Y;
     if (den == 0) OB_TRAP(TrapKind::DivByZero);
-    v = den == -1 ? 0 : ir::fromI64(num % den);
+    v = sem::SRem(OB_X, den);
   })
   OB_INT_BINARY(And)
   OB_INT_BINARY(Or)
@@ -369,11 +331,11 @@ dispatch:
   OB_BINARY(FCmpGt)
   OB_BINARY(FCmpGe)
   OB_CASE(SIToFP) {
-    regs[op->dest] = ir::fromF64(static_cast<double>(ir::asI64(OB_X)));
+    regs[op->dest] = sem::SIToFP(OB_X);
     OB_NEXT();
   }
   OB_CASE(FPToSI) {
-    regs[op->dest] = ir::fromI64(saturatingFpToSi(ir::asF64(OB_X)));
+    regs[op->dest] = sem::FPToSI(OB_X);
     OB_NEXT();
   }
   // Load: the generic handler serves the immediate addresses the decoder

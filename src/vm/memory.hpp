@@ -83,6 +83,9 @@ class Memory {
   /// size and never changes, so the threaded loop indexes it directly at
   /// the offsets its decoder resolved (vm/threaded.hpp).
   [[nodiscard]] std::uint8_t* globalsData() noexcept { return globals_.data(); }
+  [[nodiscard]] std::size_t globalBytes() const noexcept {
+    return globals_.size();
+  }
   [[nodiscard]] std::size_t heapUsed() const noexcept { return heap_.size(); }
 
   /// One past the highest stack byte ever written through store(). Stack

@@ -12,6 +12,7 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
@@ -25,6 +26,7 @@
 #include "fi/suite.hpp"
 #include "fi/supervisor.hpp"
 #include "lang/compile.hpp"
+#include "progs/registry.hpp"
 #include "util/file_lock.hpp"
 
 namespace onebit::fi {
@@ -481,6 +483,34 @@ TEST_F(FleetFixture, WorkerStallsOnACellItCannotResolve) {
   FleetWorker rescue(path_, worker.workerId(), fleetConfig());
   EXPECT_EQ(rescue.run(), FleetWorker::Step::Done);
   EXPECT_EQ(rescue.shardsRun(), 2u);
+}
+
+TEST_F(FleetFixture, DefaultResolverRefusesAHangFactorWhoseBudgetOverflows) {
+  // fleet_worker's resolver rebuilds a cell's workload from the progs
+  // registry and the cell's hang factor. A factor whose budget overflows 64
+  // bits must not resolve (a wrapped budget would be a tiny one); the
+  // worker gives the cell up as unresolvable and runs nothing.
+  const progs::ProgramInfo* info = progs::findProgram("crc32");
+  ASSERT_NE(info, nullptr);
+  const Workload crc32(progs::compileProgram(*info));
+  auto cell = FleetBroker::makeCell(
+      "crc32", crc32, FaultModel::singleBit(FaultDomain::RegisterRead), 16,
+      0xccc1, 16);
+  ASSERT_TRUE(cell.has_value());
+  cell->hangFactor = std::numeric_limits<std::uint64_t>::max();
+  {
+    FleetBroker broker(path_);
+    ASSERT_TRUE(broker.submit(*cell));
+  }
+  FleetConfig config;  // no resolver: the default one
+  config.pollMs = 2;
+  FleetWorker worker(path_, "", config);
+  testing::internal::CaptureStderr();
+  const FleetWorker::Step step = worker.run();
+  const std::string err = testing::internal::GetCapturedStderr();
+  EXPECT_EQ(step, FleetWorker::Step::Stalled);
+  EXPECT_EQ(worker.shardsRun(), 0u);
+  EXPECT_NE(err.find("workload did not resolve"), std::string::npos) << err;
 }
 
 TEST_F(FleetFixture, RunSupervisedFleetFinishesInexpressibleCellsInProcess) {

@@ -18,6 +18,8 @@
 #include <cstdio>
 #include <cstring>
 #include <exception>
+#include <optional>
+#include <stdexcept>
 #include <string>
 #include <thread>
 
@@ -161,8 +163,16 @@ int main(int argc, char** argv) {
         return 1;
       }
       model->flipWidth = static_cast<unsigned>(flipWidth);
-      const onebit::fi::Workload workload(
-          onebit::progs::compileProgram(*info), hangFactor);
+      std::optional<onebit::fi::Workload> built;
+      try {
+        built.emplace(onebit::progs::compileProgram(*info), hangFactor);
+      } catch (const std::invalid_argument& e) {
+        // A hang factor whose faulty-run budget overflows 64 bits.
+        std::fprintf(stderr, "error: %s\n", e.what());
+        usage(argv[0]);
+        return 2;
+      }
+      const onebit::fi::Workload& workload = *built;
       const auto cell = onebit::fi::FleetBroker::makeCell(
           name, workload, *model, static_cast<std::size_t>(experiments),
           seed,
