@@ -15,6 +15,7 @@
 #   4. `report --trend` across the partial and the complete snapshot marks
 #      the partial column explicitly,
 #   5. `report --watch --once` renders one dashboard frame over the store,
+#      and `--interval` exits 2 on anything but a positive decimal count,
 #   6. `report --summary --json` emits the machine-readable summary.
 #
 #   scripts/analytics_smoke.sh [BUILD_DIR]
@@ -112,6 +113,16 @@ grep -q 'partial' "$tmp/trend.txt"
 echo "== watch dashboard, one frame"
 "$build/report" --watch --once "$tmp/fig1.jsonl" > "$tmp/watch.txt"
 grep -q 'report --watch' "$tmp/watch.txt"
+"$build/report" --watch --once --interval 5 "$tmp/fig1.jsonl" > /dev/null
+for bad in 5x 99999999999999999999 0; do
+  rc=0
+  "$build/report" --watch --once --interval "$bad" "$tmp/fig1.jsonl" \
+    > /dev/null 2>&1 || rc=$?
+  if [ "$rc" != 2 ]; then
+    echo "error: report --interval $bad exited $rc, want 2" >&2
+    exit 1
+  fi
+done
 
 echo "== report --summary --json"
 "$build/report" --summary --json "$tmp/fig1.jsonl" > "$tmp/stats.json"

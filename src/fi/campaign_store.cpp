@@ -1,83 +1,20 @@
 #include "fi/campaign_store.hpp"
 
 #include <cerrno>
-#include <cinttypes>
 #include <cstdio>
 #include <tuple>
 
-#include "stats/serialize.hpp"
+#include "fi/shard_line.hpp"
 #include "util/rng.hpp"
 
 namespace onebit::fi {
 
 namespace {
 
-std::string keyToHex(std::uint64_t key) {
-  char buf[24];
-  std::snprintf(buf, sizeof buf, "0x%016" PRIx64, key);
-  return buf;
-}
-
-std::optional<std::uint64_t> keyFromHex(std::string_view s) {
-  if (s.size() != 18 || s[0] != '0' || s[1] != 'x') return std::nullopt;
-  std::uint64_t v = 0;
-  for (const char c : s.substr(2)) {
-    v <<= 4;
-    if (c >= '0' && c <= '9') v |= static_cast<std::uint64_t>(c - '0');
-    else if (c >= 'a' && c <= 'f') v |= static_cast<std::uint64_t>(c - 'a' + 10);
-    else return std::nullopt;
-  }
-  return v;
-}
-
-util::Json histToJson(const ActivationHistogram& hist) {
-  util::Json arr = util::Json::array();
-  for (std::size_t o = 0; o < stats::kOutcomeCount; ++o) {
-    for (std::size_t k = 0; k <= kMaxActivationBucket; ++k) {
-      if (hist[o][k] == 0) continue;
-      util::Json cell = util::Json::array();
-      cell.push(util::Json::number(static_cast<std::uint64_t>(o)));
-      cell.push(util::Json::number(static_cast<std::uint64_t>(k)));
-      cell.push(util::Json::number(static_cast<std::uint64_t>(hist[o][k])));
-      arr.push(std::move(cell));
-    }
-  }
-  return arr;
-}
-
-bool histFromJson(const util::Json& value, ActivationHistogram& out) {
-  if (!value.isArray()) return false;
-  ActivationHistogram hist{};
-  for (const util::Json& cell : value.items()) {
-    const util::Json::Array& triple = cell.items();
-    if (triple.size() != 3) return false;
-    const std::uint64_t bad = ~0ULL;
-    const std::uint64_t o = triple[0].asUint(bad);
-    const std::uint64_t k = triple[1].asUint(bad);
-    const std::uint64_t c = triple[2].asUint(bad);
-    if (o >= stats::kOutcomeCount || k > kMaxActivationBucket || c == bad ||
-        c > 0xffffffffULL) {
-      return false;
-    }
-    hist[o][k] += static_cast<std::uint32_t>(c);
-  }
-  out = hist;
-  return true;
-}
-
-std::uint64_t histTotal(const ActivationHistogram& hist) noexcept {
-  std::uint64_t t = 0;
-  for (const auto& row : hist) {
-    for (const std::uint32_t c : row) t += c;
-  }
-  return t;
-}
-
-std::uint64_t getUint(const util::Json& obj, std::string_view field,
-                      std::uint64_t fallback) {
-  const util::Json* v = obj.find(field);
-  return v != nullptr ? v->asUint(fallback) : fallback;
-}
+using detail::getUint;
+using detail::hex64;
+using detail::parseHex64;
+using detail::ParsedShard;
 
 /// Lock-order note: the cross-process file lock (when present) is always
 /// taken BEFORE the in-memory mutex, matching fleet claim sequences that
@@ -140,54 +77,6 @@ std::uint64_t CampaignStore::campaignKey(
 
 namespace {
 
-/// One decoded-and-validated shard record (shared by load and compact).
-struct ParsedShard {
-  std::uint64_t key = 0;
-  std::size_t first = 0;
-  std::size_t count = 0;
-  CampaignStore::ShardAggregate agg;
-  CampaignStore::CampaignMeta meta;
-};
-
-/// Decode a "shard" record. Integrity: the shard range must lie inside the
-/// campaign and both aggregates must tally exactly `count` experiments — a
-/// mangled record is worth less than a re-run shard.
-bool parseShardRecord(const util::Json& record, ParsedShard& out) {
-  const util::Json* keyField = record.find("key");
-  const std::optional<std::uint64_t> key =
-      keyField != nullptr ? keyFromHex(keyField->asString()) : std::nullopt;
-  const std::uint64_t bad = ~0ULL;
-  const std::uint64_t first = getUint(record, "first", bad);
-  const std::uint64_t count = getUint(record, "count", bad);
-  const std::uint64_t experiments = getUint(record, "experiments", bad);
-  const util::Json* outcomes = record.find("outcomes");
-  const util::Json* hist = record.find("hist");
-  if (!key || first == bad || count == bad || count == 0 ||
-      experiments == bad || count > experiments ||
-      first > experiments - count ||  // first + count could wrap 2^64
-      outcomes == nullptr || !stats::fromJson(*outcomes, out.agg.counts) ||
-      hist == nullptr || !histFromJson(*hist, out.agg.hist) ||
-      out.agg.counts.total() != count || histTotal(out.agg.hist) != count) {
-    return false;
-  }
-  out.key = *key;
-  out.first = static_cast<std::size_t>(first);
-  out.count = static_cast<std::size_t>(count);
-  out.meta.key = *key;
-  if (const util::Json* f = record.find("workload")) {
-    out.meta.workload = std::string(f->asString());
-  }
-  if (const util::Json* f = record.find("spec")) {
-    out.meta.specLabel = std::string(f->asString());
-  }
-  if (const util::Json* f = record.find("seed")) {
-    out.meta.seed = keyFromHex(f->asString()).value_or(0);
-  }
-  out.meta.experiments = static_cast<std::size_t>(experiments);
-  out.meta.candidates = getUint(record, "candidates", 0);
-  return true;
-}
-
 /// Decode a "workload" record (only the name is mandatory).
 bool parseWorkloadRecord(const util::Json& record,
                          CampaignStore::WorkloadRecord& rec) {
@@ -201,7 +90,7 @@ bool parseWorkloadRecord(const util::Json& record,
     rec.package = std::string(f->asString());
   }
   if (const util::Json* f = record.find("src_hash")) {
-    rec.sourceHash = keyFromHex(f->asString()).value_or(0);
+    rec.sourceHash = parseHex64(f->asString()).value_or(0);
   }
   rec.minicLoc = getUint(record, "minic_loc", 0);
   rec.irInstrs = getUint(record, "ir_instrs", 0);
@@ -219,12 +108,12 @@ bool parseCellRecord(const util::Json& record,
                      CampaignStore::CellRecord& rec) {
   const util::Json* keyField = record.find("key");
   const std::optional<std::uint64_t> key =
-      keyField != nullptr ? keyFromHex(keyField->asString()) : std::nullopt;
+      keyField != nullptr ? parseHex64(keyField->asString()) : std::nullopt;
   const util::Json* name = record.find("workload");
   const util::Json* spec = record.find("spec");
   const util::Json* seedField = record.find("seed");
   const std::optional<std::uint64_t> seed =
-      seedField != nullptr ? keyFromHex(seedField->asString()) : std::nullopt;
+      seedField != nullptr ? parseHex64(seedField->asString()) : std::nullopt;
   const std::uint64_t bad = ~0ULL;
   const std::uint64_t flipWidth = getUint(record, "flip_width", bad);
   const std::uint64_t experiments = getUint(record, "experiments", bad);
@@ -256,7 +145,7 @@ struct ParsedLease {
 bool parseLeaseRecord(const util::Json& record, ParsedLease& out) {
   const util::Json* keyField = record.find("key");
   const std::optional<std::uint64_t> key =
-      keyField != nullptr ? keyFromHex(keyField->asString()) : std::nullopt;
+      keyField != nullptr ? parseHex64(keyField->asString()) : std::nullopt;
   const util::Json* worker = record.find("worker");
   const std::uint64_t bad = ~0ULL;
   const std::uint64_t first = getUint(record, "first", bad);
@@ -287,7 +176,7 @@ struct ParsedQuarantine {
 bool parseQuarantineRecord(const util::Json& record, ParsedQuarantine& out) {
   const util::Json* keyField = record.find("key");
   const std::optional<std::uint64_t> key =
-      keyField != nullptr ? keyFromHex(keyField->asString()) : std::nullopt;
+      keyField != nullptr ? parseHex64(keyField->asString()) : std::nullopt;
   const std::uint64_t bad = ~0ULL;
   const std::uint64_t first = getUint(record, "first", bad);
   const std::uint64_t count = getUint(record, "count", bad);
@@ -309,14 +198,14 @@ util::Json cellToJson(const CampaignStore::CellRecord& rec) {
   util::Json record = util::Json::object();
   record.set("v", util::Json::number(CampaignStore::kFormatVersion));
   record.set("kind", util::Json::string("cell"));
-  record.set("key", util::Json::string(keyToHex(rec.key)));
+  record.set("key", util::Json::string(hex64(rec.key)));
   record.set("workload", util::Json::string(rec.workload));
   record.set("spec", util::Json::string(rec.spec));
   record.set("flip_width",
              util::Json::number(static_cast<std::uint64_t>(rec.flipWidth)));
   record.set("experiments",
              util::Json::number(static_cast<std::uint64_t>(rec.experiments)));
-  record.set("seed", util::Json::string(keyToHex(rec.seed)));
+  record.set("seed", util::Json::string(hex64(rec.seed)));
   record.set("shard_size",
              util::Json::number(static_cast<std::uint64_t>(rec.shardSize)));
   record.set("hang_factor", util::Json::number(rec.hangFactor));
@@ -329,7 +218,7 @@ util::Json leaseToJson(std::uint64_t key,
   util::Json record = util::Json::object();
   record.set("v", util::Json::number(CampaignStore::kFormatVersion));
   record.set("kind", util::Json::string("lease"));
-  record.set("key", util::Json::string(keyToHex(key)));
+  record.set("key", util::Json::string(hex64(key)));
   record.set("first",
              util::Json::number(static_cast<std::uint64_t>(rec.first)));
   record.set("count",
@@ -348,7 +237,7 @@ util::Json quarantineToJson(std::uint64_t key,
   util::Json record = util::Json::object();
   record.set("v", util::Json::number(CampaignStore::kFormatVersion));
   record.set("kind", util::Json::string("quarantine"));
-  record.set("key", util::Json::string(keyToHex(key)));
+  record.set("key", util::Json::string(hex64(key)));
   record.set("first",
              util::Json::number(static_cast<std::uint64_t>(rec.first)));
   record.set("count",
@@ -399,84 +288,95 @@ void CampaignStore::clearIndex() {
 CampaignStore::LoadStats CampaignStore::readInto(std::uint64_t offset,
                                                  bool consumeTail) {
   LoadStats stats;
-  const util::JsonlReadStats read =
-      util::readJsonlFrom(path_, offset, consumeTail, [&](util::Json&&
-                                                              record) {
+  ParsedShard shard;  // reused across lines: its strings keep their capacity
+  const auto indexParsedShard = [&] {
+    metas_.try_emplace(shard.key, shard.meta);
+    if (indexShard(shard.key, {shard.first, shard.count}, shard.agg)) {
+      ++stats.shardRecords;
+    } else {
+      ++stats.duplicates;
+    }
+  };
+  const util::JsonlReadStats read = util::readLinesFrom(
+      path_, offset, consumeTail, [&](std::string_view line) {
+        // Canonical shard lines — every one this store writes — skip the
+        // tree; the decoder declines everything else.
+        if (detail::decodeShardLine(line, shard)) {
+          indexParsedShard();
+          return true;
+        }
+        const std::optional<util::Json> parsed = util::Json::parse(line);
+        if (!parsed) return false;
+        const util::Json& record = *parsed;
         const std::uint64_t v = getUint(record, "v", 0);
         const util::Json* kind = record.find("kind");
         if (v != kFormatVersion || kind == nullptr) {
           ++stats.malformed;
           ++stats.unknownKinds;  // foreign version: possibly a future format
-          return;
+          return true;
         }
         if (kind->asString() == "shard") {
-          ParsedShard shard;
-          if (!parseShardRecord(record, shard)) {
+          if (!detail::parseShardRecord(record, shard)) {
             ++stats.malformed;
-            return;
+            return true;
           }
-          metas_.try_emplace(shard.key, std::move(shard.meta));
-          if (indexShard(shard.key, {shard.first, shard.count},
-                         std::move(shard.agg))) {
-            ++stats.shardRecords;
-          } else {
-            ++stats.duplicates;
-          }
-          return;
+          indexParsedShard();
+          return true;
         }
         if (kind->asString() == "workload") {
           WorkloadRecord rec;
           if (!parseWorkloadRecord(record, rec)) {
             ++stats.malformed;
-            return;
+            return true;
           }
           workloads_.insert_or_assign(rec.name, std::move(rec));
           ++stats.workloadRecords;
-          return;
+          return true;
         }
         if (kind->asString() == "cell") {
           CellRecord rec;
           if (!parseCellRecord(record, rec)) {
             ++stats.malformed;
-            return;
+            return true;
           }
           if (indexCell(rec)) {
             ++stats.cellRecords;
           } else {
             ++stats.duplicates;
           }
-          return;
+          return true;
         }
         if (kind->asString() == "lease") {
           ParsedLease lease;
           if (!parseLeaseRecord(record, lease)) {
             ++stats.malformed;
-            return;
+            return true;
           }
           if (indexLease(lease.key, lease.rec)) {
             ++stats.leaseRecords;
           } else {
             ++stats.duplicates;
           }
-          return;
+          return true;
         }
         if (kind->asString() == "quarantine") {
           ParsedQuarantine quarantine;
           if (!parseQuarantineRecord(record, quarantine)) {
             ++stats.malformed;
-            return;
+            return true;
           }
           if (indexQuarantine(quarantine.key, quarantine.rec)) {
             ++stats.quarantineRecords;
           } else {
             ++stats.duplicates;
           }
-          return;
+          return true;
         }
         ++stats.malformed;  // unknown record kind
         ++stats.unknownKinds;
+        return true;
       });
-  stats.malformed += read.malformed;
+  stats.malformed += read.malformed;  // unparseable lines
   readOffset_ = read.endOffset;
   return stats;
 }
@@ -517,7 +417,7 @@ std::optional<CampaignStore::CompactStats> CampaignStore::compact(
         }
         if (kind->asString() == "shard") {
           ParsedShard shard;
-          if (!parseShardRecord(record, shard)) {
+          if (!detail::parseShardRecord(record, shard)) {
             ++stats.droppedMalformed;
             return;
           }
@@ -677,33 +577,21 @@ namespace {
 
 /// Raw line split of a store file, preserving bytes exactly (fsck must keep
 /// surviving lines byte-identical, so it cannot round-trip through Json).
+/// Empty lines — the residue of torn-tail healing — are benign and skipped.
 struct RawLines {
   std::vector<std::string> lines;
-  bool lastTerminated = true;  ///< final line ended with '\n'
-  bool missing = false;
+  bool tornTail = false;  ///< the last line has no '\n'
 };
 
 RawLines readRawLines(const std::string& path) {
   RawLines out;
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  if (f == nullptr) {
-    out.missing = true;
-    return out;
+  util::LineReader reader(path, 0);
+  std::string_view line;
+  while (reader.next(line)) out.lines.emplace_back(line);
+  if (!reader.tail().empty()) {
+    out.lines.emplace_back(reader.tail());
+    out.tornTail = true;
   }
-  std::string line;
-  int c = 0;
-  while ((c = std::fgetc(f)) != EOF) {
-    if (c == '\n') {
-      out.lines.push_back(line);
-      line.clear();
-      out.lastTerminated = true;
-    } else {
-      line += static_cast<char>(c);
-      out.lastTerminated = false;
-    }
-  }
-  if (!line.empty()) out.lines.push_back(std::move(line));
-  std::fclose(f);
   return out;
 }
 
@@ -729,8 +617,7 @@ bool writeRawLines(const std::string& path, const char* mode,
 std::optional<CampaignStore::FsckStats> CampaignStore::fsck(
     const std::string& path, bool repair) {
   FsckStats stats;
-  const RawLines raw = readRawLines(path);
-  if (raw.missing) return stats;  // missing file: clean and empty
+  const RawLines raw = readRawLines(path);  // a missing file: clean, empty
 
   // Identity of a shard record — (key, first, count) — the one kind whose
   // bytes the determinism contract fixes given its identity. Scheduling
@@ -742,59 +629,61 @@ std::optional<CampaignStore::FsckStats> CampaignStore::fsck(
   std::vector<std::size_t> kept;            ///< surviving line indices
   std::vector<std::size_t> quarantined;     ///< sidecar-bound line indices
 
+  ParsedShard shard;
   for (std::size_t i = 0; i < raw.lines.size(); ++i) {
     const std::string& line = raw.lines[i];
-    if (line.empty()) continue;  // torn-tail healing residue; benign
-    const bool unterminatedTail =
-        i + 1 == raw.lines.size() && !raw.lastTerminated;
-    const std::optional<util::Json> record = util::Json::parse(line);
-    if (!record) {
-      // Unparseable: the unterminated final line is the classic torn write
-      // of a killed process; anything earlier is real mid-file damage.
-      if (unterminatedTail) {
-        ++stats.tornTail;
-      } else {
-        ++stats.garbage;
-      }
-      quarantined.push_back(i);
-      continue;
-    }
-    const std::uint64_t v = getUint(*record, "v", 0);
-    const util::Json* kind = record->find("kind");
-    if (v != kFormatVersion || kind == nullptr) {
-      ++stats.unknownKinds;  // possibly a future format: preserve verbatim
-      kept.push_back(i);
-      continue;
-    }
     std::optional<Identity> identity;
-    bool valid = false;
-    if (kind->asString() == "shard") {
-      ParsedShard shard;
-      valid = parseShardRecord(*record, shard);
-      if (valid) identity = Identity{shard.key, shard.first, shard.count};
-    } else if (kind->asString() == "workload") {
-      WorkloadRecord rec;
-      valid = parseWorkloadRecord(*record, rec);
-    } else if (kind->asString() == "cell") {
-      CellRecord rec;
-      valid = parseCellRecord(*record, rec);
-    } else if (kind->asString() == "lease") {
-      ParsedLease lease;
-      valid = parseLeaseRecord(*record, lease);
-    } else if (kind->asString() == "quarantine") {
-      ParsedQuarantine quarantine;
-      valid = parseQuarantineRecord(*record, quarantine);
+    if (detail::decodeShardLine(line, shard)) {
+      identity = Identity{shard.key, shard.first, shard.count};
     } else {
-      ++stats.unknownKinds;
-      kept.push_back(i);
-      continue;
-    }
-    if (!valid) {
-      // Parses as JSON but fails the kind's validation — a mangled (e.g.
-      // byte-flipped) record. load() skips it; repair quarantines it.
-      ++stats.integrityFailures;
-      quarantined.push_back(i);
-      continue;
+      const std::optional<util::Json> record = util::Json::parse(line);
+      if (!record) {
+        // Unparseable: the unterminated final line is the classic torn
+        // write of a killed process; anything earlier is real mid-file
+        // damage.
+        if (i + 1 == raw.lines.size() && raw.tornTail) {
+          ++stats.tornTail;
+        } else {
+          ++stats.garbage;
+        }
+        quarantined.push_back(i);
+        continue;
+      }
+      const std::uint64_t v = getUint(*record, "v", 0);
+      const util::Json* kind = record->find("kind");
+      if (v != kFormatVersion || kind == nullptr) {
+        ++stats.unknownKinds;  // possibly a future format: preserve verbatim
+        kept.push_back(i);
+        continue;
+      }
+      bool valid = false;
+      if (kind->asString() == "shard") {
+        valid = detail::parseShardRecord(*record, shard);
+        if (valid) identity = Identity{shard.key, shard.first, shard.count};
+      } else if (kind->asString() == "workload") {
+        WorkloadRecord rec;
+        valid = parseWorkloadRecord(*record, rec);
+      } else if (kind->asString() == "cell") {
+        CellRecord rec;
+        valid = parseCellRecord(*record, rec);
+      } else if (kind->asString() == "lease") {
+        ParsedLease lease;
+        valid = parseLeaseRecord(*record, lease);
+      } else if (kind->asString() == "quarantine") {
+        ParsedQuarantine quarantine;
+        valid = parseQuarantineRecord(*record, quarantine);
+      } else {
+        ++stats.unknownKinds;
+        kept.push_back(i);
+        continue;
+      }
+      if (!valid) {
+        // Parses as JSON but fails the kind's validation — a mangled (e.g.
+        // byte-flipped) record. load() skips it; repair quarantines it.
+        ++stats.integrityFailures;
+        quarantined.push_back(i);
+        continue;
+      }
     }
     if (identity) {
       const auto [it, inserted] = firstAt.try_emplace(*identity, i);
@@ -852,7 +741,7 @@ bool CampaignStore::indexShard(std::uint64_t key, ShardRange range,
   // First record wins: by the determinism contract a duplicate carries the
   // same aggregates, and keep-first makes replays of a partially-resumed
   // store idempotent.
-  return shards_[key].emplace(range, std::move(agg)).second;
+  return shards_[key].try_emplace(range, std::move(agg)).second;
 }
 
 bool CampaignStore::indexCell(const CellRecord& record) {
@@ -895,7 +784,7 @@ bool CampaignStore::indexQuarantine(std::uint64_t key,
   return true;
 }
 
-bool CampaignStore::writeRecord(const util::Json& record) {
+bool CampaignStore::writeLine(std::string_view line) {
   // Callers hold mutex_ (and, in Atomic mode, the file lock — taken first).
   bool ok = false;
   int err = 0;
@@ -903,13 +792,13 @@ bool CampaignStore::writeRecord(const util::Json& record) {
     if (appender_ == nullptr) {
       appender_ = std::make_unique<util::AtomicAppend>(path_);
     }
-    ok = appender_->appendLine(record.dump());
+    ok = appender_->appendLine(line);
     err = appender_->lastErrno();
   } else {
     if (writer_ == nullptr) {
       writer_ = std::make_unique<util::JsonlWriter>(path_);
     }
-    ok = writer_->writeLine(record);
+    ok = writer_->writeLine(line);
     err = writer_->lastErrno();
   }
   lastWriteErrno_.store(ok ? 0 : err, std::memory_order_relaxed);
@@ -930,30 +819,6 @@ bool CampaignStore::appendShard(const CampaignMeta& meta,
                                 std::size_t firstExperiment,
                                 std::size_t experimentCount,
                                 const ShardAggregate& aggregate) {
-  util::Json record = util::Json::object();
-  record.set("v", util::Json::number(kFormatVersion));
-  record.set("kind", util::Json::string("shard"));
-  record.set("key", util::Json::string(keyToHex(meta.key)));
-  if (!meta.workload.empty()) {
-    record.set("workload", util::Json::string(meta.workload));
-  }
-  record.set("spec", util::Json::string(meta.specLabel));
-  // Full-range 64-bit fields go as hex strings (like `key`): a raw JSON
-  // number above 2^53 would be silently rounded by double-based consumers
-  // (jq, JS) the store is meant to feed.
-  record.set("seed", util::Json::string(keyToHex(meta.seed)));
-  record.set("experiments",
-             util::Json::number(static_cast<std::uint64_t>(meta.experiments)));
-  record.set("candidates", util::Json::number(meta.candidates));
-  record.set("shard",
-             util::Json::number(static_cast<std::uint64_t>(shardIndex)));
-  record.set("first",
-             util::Json::number(static_cast<std::uint64_t>(firstExperiment)));
-  record.set("count",
-             util::Json::number(static_cast<std::uint64_t>(experimentCount)));
-  record.set("outcomes", stats::toJson(aggregate.counts));
-  record.set("hist", histToJson(aggregate.hist));
-
   OptionalLockGuard fileGuard(fileLock_.get());
   std::lock_guard lock(mutex_);
   // Known already (loaded from disk or appended via this instance): the
@@ -964,7 +829,10 @@ bool CampaignStore::appendShard(const CampaignMeta& meta,
       campaign->second.count({firstExperiment, experimentCount}) != 0) {
     return true;
   }
-  if (!writeRecord(record)) return false;
+  lineBuffer_.clear();
+  detail::encodeShardLine(lineBuffer_, meta, shardIndex, firstExperiment,
+                          experimentCount, aggregate);
+  if (!writeLine(lineBuffer_)) return false;
   metas_.try_emplace(meta.key, meta);
   indexShard(meta.key, {firstExperiment, experimentCount}, aggregate);
   return true;
@@ -977,7 +845,7 @@ bool CampaignStore::appendWorkload(const WorkloadRecord& rec) {
   record.set("name", util::Json::string(rec.name));
   record.set("suite", util::Json::string(rec.suite));
   record.set("package", util::Json::string(rec.package));
-  record.set("src_hash", util::Json::string(keyToHex(rec.sourceHash)));
+  record.set("src_hash", util::Json::string(hex64(rec.sourceHash)));
   record.set("minic_loc", util::Json::number(rec.minicLoc));
   record.set("ir_instrs", util::Json::number(rec.irInstrs));
   record.set("dyn_instrs", util::Json::number(rec.dynInstrs));
@@ -991,7 +859,7 @@ bool CampaignStore::appendWorkload(const WorkloadRecord& rec) {
   if (existing != workloads_.end() && existing->second == rec) {
     return true;  // identical record already on file
   }
-  if (!writeRecord(record)) return false;
+  if (!writeLine(record.dump())) return false;
   workloads_.insert_or_assign(rec.name, rec);
   return true;
 }
@@ -1008,7 +876,7 @@ bool CampaignStore::appendCell(const CellRecord& rec) {
   if (it != cellIndex_.end() && cellOrder_[it->second] == rec) {
     return true;  // identical submission already on file
   }
-  if (!writeRecord(record)) return false;
+  if (!writeLine(record.dump())) return false;
   indexCell(rec);
   return true;
 }
@@ -1025,7 +893,7 @@ bool CampaignStore::appendLease(std::uint64_t key, const LeaseRecord& rec) {
       return true;  // identical lease already the live one
     }
   }
-  if (!writeRecord(record)) return false;
+  if (!writeLine(record.dump())) return false;
   indexLease(key, rec);
   return true;
 }
@@ -1043,7 +911,7 @@ bool CampaignStore::appendQuarantine(std::uint64_t key,
       return true;  // identical verdict already the live one
     }
   }
-  if (!writeRecord(record)) return false;
+  if (!writeLine(record.dump())) return false;
   indexQuarantine(key, rec);
   return true;
 }

@@ -20,6 +20,13 @@
 //   for the non-zero cells only. Full-range 64-bit fields (key, seed,
 //   src_hash) are hex strings so double-based JSON consumers (jq, JS)
 //   cannot silently round them.
+//   appendShard formats this canonical layout directly, without a JSON
+//   tree (fi/shard_line.hpp owns the format; the bytes equal the tree's
+//   dump()), and load()/refresh()/fsck read it in one pass, also without a
+//   tree. Any other valid JSON layout of the record still loads through the
+//   generic parser, with the same integrity rules. A present `workload`,
+//   `spec` or `seed` must be well formed; analytics selects campaigns by
+//   them.
 //
 //   workload record (kind "workload") — one profiled Table II program:
 //     {"v":1,"kind":"workload","name":"qsort","suite":"MiBench",
@@ -78,10 +85,11 @@
 //
 // Writer concurrency: by default a store instance assumes it is the ONLY
 // writer process (appends are dedup'd against the in-memory index and
-// buffered through stdio — the original single-writer design). Fleet-shared
-// stores must be opened with WriteMode::Atomic: every record is then written
-// with one O_APPEND write() + fdatasync under an advisory sibling ".lock"
-// file (util::FileLock), so concurrent worker processes can never tear or
+// written through stdio, flushed after every line — the original
+// single-writer design). Fleet-shared stores must be opened with
+// WriteMode::Atomic: every record is then written with one O_APPEND
+// write() + fdatasync under an advisory sibling ".lock" file
+// (util::FileLock), so concurrent worker processes can never tear or
 // interleave a line, and a line half-written by a crashed worker is healed
 // (newline-terminated) before the next append instead of swallowing it.
 // Cross-process appends bypass each other's in-memory dedup, so a shared
@@ -545,7 +553,7 @@ class CampaignStore {
   bool indexQuarantine(std::uint64_t key, const QuarantineRecord& record);
   void clearIndex();
   LoadStats readInto(std::uint64_t offset, bool consumeTail);
-  bool writeRecord(const util::Json& record);
+  bool writeLine(std::string_view line);
 
   std::string path_;
   WriteMode mode_ = WriteMode::Buffered;
@@ -553,6 +561,7 @@ class CampaignStore {
   std::unique_ptr<util::JsonlWriter> writer_;  ///< opened on first append
   std::unique_ptr<util::FileLock> fileLock_;   ///< Atomic mode only
   std::unique_ptr<util::AtomicAppend> appender_;  ///< opened on first append
+  std::string lineBuffer_;  ///< appendShard's line, reused under mutex_
   std::uint64_t readOffset_ = 0;  ///< resume point for refresh()
   std::unordered_map<std::uint64_t, std::map<ShardRange, ShardAggregate>>
       shards_;

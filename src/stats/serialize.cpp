@@ -10,22 +10,6 @@ util::Json toJson(const OutcomeCounts& counts) {
   return arr;
 }
 
-bool fromJson(const util::Json& value, OutcomeCounts& out) {
-  if (!value.isArray()) return false;
-  const util::Json::Array& items = value.items();
-  if (items.size() != kOutcomeCount) return false;
-  std::array<std::size_t, kOutcomeCount> raw{};
-  for (std::size_t i = 0; i < kOutcomeCount; ++i) {
-    if (!items[i].isNumber()) return false;
-    const std::uint64_t sentinel = ~0ULL;
-    const std::uint64_t v = items[i].asUint(sentinel);
-    if (v == sentinel) return false;  // negative or non-integral
-    raw[i] = static_cast<std::size_t>(v);
-  }
-  out = OutcomeCounts::fromRaw(raw);
-  return true;
-}
-
 util::Json toJson(const Proportion& p) {
   util::Json obj = util::Json::object();
   obj.set("fraction", util::Json::number(p.fraction));

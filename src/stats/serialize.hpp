@@ -1,6 +1,7 @@
-// JSON (de)serialization of the stats aggregates stored in checkpoint
-// records. Kept in src/stats so the wire order of the outcome counters is
-// defined next to the Outcome enum it depends on.
+// JSON serialization of the stats aggregates for exported reports. Kept in
+// src/stats so the wire order of the outcome counters is defined next to the
+// Outcome enum it depends on (shard records use the same order; see
+// fi/shard_line.hpp).
 #pragma once
 
 #include "stats/outcome_counts.hpp"
@@ -11,10 +12,6 @@ namespace onebit::stats {
 /// Encode as a 5-element array in Outcome declaration order:
 /// [Benign, Detected, Hang, NoOutput, SDC].
 util::Json toJson(const OutcomeCounts& counts);
-
-/// Decode the toJson() form. Returns false (leaving `out` untouched) when
-/// the value is not a kOutcomeCount-element array of non-negative integers.
-bool fromJson(const util::Json& value, OutcomeCounts& out);
 
 /// Encode a proportion with its confidence interval, e.g. for exported
 /// summary records: {"fraction":..,"ci":..,"successes":..,"n":..}.

@@ -15,31 +15,6 @@ namespace {
 const Json::Array kEmptyArray{};
 const Json::Object kEmptyObject{};
 
-void appendEscaped(std::string& out, std::string_view s) {
-  out += '"';
-  for (const char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;  // UTF-8 bytes pass through untouched
-        }
-    }
-  }
-  out += '"';
-}
-
 /// Recursive-descent parser over a string_view. Depth-limited so a
 /// pathological line cannot blow the stack.
 class Parser {
@@ -256,6 +231,31 @@ class Parser {
 
 }  // namespace
 
+void appendJsonString(std::string& out, std::string_view s) {
+  out += '"';
+  for (const char c : s) {
+    switch (c) {
+      case '"': out += "\\\""; break;
+      case '\\': out += "\\\\"; break;
+      case '\b': out += "\\b"; break;
+      case '\f': out += "\\f"; break;
+      case '\n': out += "\\n"; break;
+      case '\r': out += "\\r"; break;
+      case '\t': out += "\\t"; break;
+      default:
+        if (static_cast<unsigned char>(c) < 0x20) {
+          char buf[8];
+          std::snprintf(buf, sizeof buf, "\\u%04x",
+                        static_cast<unsigned>(static_cast<unsigned char>(c)));
+          out += buf;
+        } else {
+          out += c;  // UTF-8 bytes pass through untouched
+        }
+    }
+  }
+  out += '"';
+}
+
 Json Json::boolean(bool v) {
   Json j;
   j.kind_ = Kind::Bool;
@@ -400,7 +400,7 @@ std::string Json::dump() const {
       out = buf;
       break;
     }
-    case Kind::String: appendEscaped(out, string_); break;
+    case Kind::String: appendJsonString(out, string_); break;
     case Kind::Array: {
       out += '[';
       for (std::size_t i = 0; i < array_.size(); ++i) {
@@ -414,7 +414,7 @@ std::string Json::dump() const {
       out += '{';
       for (std::size_t i = 0; i < object_.size(); ++i) {
         if (i != 0) out += ',';
-        appendEscaped(out, object_[i].first);
+        appendJsonString(out, object_[i].first);
         out += ':';
         out += object_[i].second.dump();
       }
@@ -437,11 +437,14 @@ JsonlWriter::~JsonlWriter() {
 }
 
 bool JsonlWriter::writeLine(const Json& record) {
+  return writeLine(record.dump());
+}
+
+bool JsonlWriter::writeLine(std::string_view line) {
   if (file_ == nullptr) {
     errno_ = EBADF;
     return false;
   }
-  const std::string line = record.dump();
   errno = 0;
   if (std::fwrite(line.data(), 1, line.size(), file_) != line.size()) {
     errno_ = errno != 0 ? errno : EIO;
@@ -463,6 +466,81 @@ bool JsonlWriter::writeLine(const Json& record) {
   return true;
 }
 
+LineReader::LineReader(const std::string& path, std::uint64_t offset)
+    : file_(std::fopen(path.c_str(), "rb")), offset_(offset) {
+  if (file_ == nullptr) return;  // missing file == empty
+  if (offset != 0 &&
+      (offset > static_cast<std::uint64_t>(
+                    std::numeric_limits<long>::max()) ||
+       std::fseek(file_, static_cast<long>(offset), SEEK_SET) != 0)) {
+    std::fclose(file_);
+    file_ = nullptr;
+  }
+}
+
+LineReader::~LineReader() {
+  if (file_ != nullptr) std::fclose(file_);
+}
+
+bool LineReader::next(std::string_view& line) {
+  if (file_ == nullptr) return false;
+  while (true) {
+    const void* nl =
+        scanned_ == end_
+            ? nullptr  // nothing unscanned (the buffer may not exist yet)
+            : std::memchr(buf_.get() + scanned_, '\n', end_ - scanned_);
+    if (nl != nullptr) {
+      const std::size_t at =
+          static_cast<std::size_t>(static_cast<const char*>(nl) - buf_.get());
+      const std::size_t start = pos_;
+      offset_ += at + 1 - start;
+      pos_ = scanned_ = at + 1;
+      if (at == start) continue;  // empty line
+      line = std::string_view(buf_.get() + start, at - start);
+      return true;
+    }
+    scanned_ = end_;
+    if (eof_) return false;
+    // Keep the partial line at the front and read a whole block behind it;
+    // a line longer than the buffer grows it.
+    if (pos_ != 0) {
+      std::memmove(buf_.get(), buf_.get() + pos_, end_ - pos_);
+      end_ -= pos_;
+      scanned_ = end_;
+      pos_ = 0;
+    }
+    if (capacity_ - end_ < kBlockBytes) {
+      std::unique_ptr<char[]> grown(new char[end_ + kBlockBytes]);
+      if (end_ != 0) std::memcpy(grown.get(), buf_.get(), end_);
+      buf_ = std::move(grown);
+      capacity_ = end_ + kBlockBytes;
+    }
+    const std::size_t got =
+        std::fread(buf_.get() + end_, 1, capacity_ - end_, file_);
+    if (got == 0) eof_ = true;
+    end_ += got;
+  }
+}
+
+JsonlReadStats readLinesFrom(const std::string& path, std::uint64_t offset,
+                             bool consumeTail,
+                             const std::function<bool(std::string_view)>& fn) {
+  JsonlReadStats stats;
+  LineReader reader(path, offset);
+  std::string_view line;
+  while (reader.next(line)) {
+    ++stats.lines;
+    if (!fn(line)) ++stats.malformed;
+  }
+  stats.endOffset = reader.offset();
+  if (consumeTail && !reader.tail().empty()) {
+    ++stats.lines;
+    if (!fn(reader.tail())) ++stats.malformed;
+    stats.endOffset += reader.tail().size();
+  }
+  return stats;
+}
+
 JsonlReadStats readJsonl(const std::string& path,
                          const std::function<void(Json&&)>& fn) {
   // A final line without '\n' is a torn write from a killed process; it is
@@ -474,44 +552,12 @@ JsonlReadStats readJsonl(const std::string& path,
 JsonlReadStats readJsonlFrom(const std::string& path, std::uint64_t offset,
                              bool consumeTail,
                              const std::function<void(Json&&)>& fn) {
-  JsonlReadStats stats;
-  stats.endOffset = offset;
-  std::FILE* file = std::fopen(path.c_str(), "rb");
-  if (file == nullptr) return stats;  // missing file == empty store
-  if (offset != 0 &&
-      std::fseek(file, static_cast<long>(offset), SEEK_SET) != 0) {
-    std::fclose(file);
-    return stats;
-  }
-
-  std::string line;
-  std::uint64_t consumed = offset;
-  int c = 0;
-  auto flushLine = [&] {
-    if (line.empty()) return;
-    ++stats.lines;
-    if (std::optional<Json> v = Json::parse(line)) {
-      fn(*std::move(v));
-    } else {
-      ++stats.malformed;
-    }
-    line.clear();
-  };
-  while ((c = std::fgetc(file)) != EOF) {
-    ++consumed;
-    if (c == '\n') {
-      flushLine();
-      stats.endOffset = consumed;
-    } else {
-      line += static_cast<char>(c);
-    }
-  }
-  if (consumeTail) {
-    flushLine();
-    stats.endOffset = consumed;
-  }
-  std::fclose(file);
-  return stats;
+  return readLinesFrom(path, offset, consumeTail, [&](std::string_view line) {
+    std::optional<Json> v = Json::parse(line);
+    if (!v) return false;
+    fn(*std::move(v));
+    return true;
+  });
 }
 
 }  // namespace onebit::util

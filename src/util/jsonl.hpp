@@ -7,12 +7,15 @@
 // full range), and a reader that tolerates a truncated final line. Nothing
 // external provides that without a dependency, so this is a small
 // hand-rolled implementation: a value tree (`Json`), a single-line
-// serializer, a recursive-descent parser, and line-oriented file helpers.
+// serializer, a recursive-descent parser, and line-oriented file helpers
+// (a block-buffered line reader, and a writer that also takes lines a
+// caller formatted without a tree).
 #pragma once
 
 #include <cstdint>
 #include <cstdio>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -96,9 +99,15 @@ class Json {
   Object object_;
 };
 
+/// Append `s` to `out` as a JSON string literal: quoted, with `"`, `\` and
+/// control bytes escaped, every other byte (UTF-8 included) verbatim. The
+/// one escape routine of the module: Json::dump() writes strings with it, so
+/// a line formatted field by field with it equals the tree's dump().
+void appendJsonString(std::string& out, std::string_view s);
+
 /// Append-only JSONL file writer. Every record is written as one line and
 /// flushed immediately: a process killed mid-write leaves at most one
-/// truncated final line, which JsonlReader skips.
+/// truncated final line, which the readers below skip or count.
 class JsonlWriter {
  public:
   explicit JsonlWriter(const std::string& path);
@@ -115,6 +124,10 @@ class JsonlWriter {
   /// a full disk (pause and retry later) from a hard error.
   bool writeLine(const Json& record);
 
+  /// Write one already formatted line (which must not contain '\n') plus
+  /// the newline, and flush, exactly like writeLine(const Json&).
+  bool writeLine(std::string_view line);
+
   /// errno of the last writeLine() failure (0 after a success).
   [[nodiscard]] int lastErrno() const noexcept { return errno_; }
 
@@ -123,7 +136,50 @@ class JsonlWriter {
   int errno_ = 0;
 };
 
-/// Whole-file JSONL reader.
+/// Reads the lines of a file from a byte offset, a block (kBlockBytes) at a
+/// time. Lines are split on '\n' and yielded without it; empty lines are
+/// skipped. The bytes after the last '\n' — the torn residue of a killed
+/// writer, or a record another process is still appending — are never
+/// yielded as a line: tail() holds them once next() returns false, and the
+/// caller decides whether they count. A missing file reads as empty, as
+/// does an offset the file cannot be positioned at.
+class LineReader {
+ public:
+  static constexpr std::size_t kBlockBytes = 64 * 1024;
+
+  LineReader(const std::string& path, std::uint64_t offset);
+  ~LineReader();
+
+  LineReader(const LineReader&) = delete;
+  LineReader& operator=(const LineReader&) = delete;
+
+  /// Advance to the next non-empty '\n'-terminated line. `line` views the
+  /// reader's buffer and stays valid until the next call. Returns false at
+  /// the end of the terminated lines.
+  bool next(std::string_view& line);
+
+  /// After next() returned false: the unterminated final bytes (empty when
+  /// the file ends with '\n'). Valid until the reader is destroyed.
+  [[nodiscard]] std::string_view tail() const noexcept {
+    return {buf_.get() + pos_, end_ - pos_};
+  }
+
+  /// Byte offset just past the last '\n' read: the first byte of tail()
+  /// once next() has returned false.
+  [[nodiscard]] std::uint64_t offset() const noexcept { return offset_; }
+
+ private:
+  std::FILE* file_ = nullptr;
+  std::unique_ptr<char[]> buf_;  ///< unread bytes live in [pos_, end_)
+  std::size_t capacity_ = 0;
+  std::size_t pos_ = 0;
+  std::size_t scanned_ = 0;  ///< [pos_, scanned_) holds no '\n'
+  std::size_t end_ = 0;
+  bool eof_ = false;
+  std::uint64_t offset_ = 0;
+};
+
+/// Line statistics of one read.
 struct JsonlReadStats {
   std::size_t lines = 0;      ///< non-empty lines seen
   std::size_t malformed = 0;  ///< lines that failed to parse (incl. a
@@ -132,6 +188,14 @@ struct JsonlReadStats {
   /// incremental re-read of an append-only file (readJsonlFrom).
   std::uint64_t endOffset = 0;
 };
+
+/// The line loop under readJsonlFrom, for callers that decode lines
+/// themselves: invoke `fn` on every non-empty line of `path` from byte
+/// `offset`, with readJsonlFrom's tail and endOffset rules. `fn` returns
+/// false for a line it could not use; those count as malformed.
+JsonlReadStats readLinesFrom(const std::string& path, std::uint64_t offset,
+                             bool consumeTail,
+                             const std::function<bool(std::string_view)>& fn);
 
 /// Invoke `fn` for every parseable line of `path` in file order. A missing
 /// file reads as empty. Malformed lines (e.g. the torn last line of a killed

@@ -17,6 +17,7 @@
 
 #include "fi/campaign.hpp"
 #include "fi/campaign_store.hpp"
+#include "fi/shard_line.hpp"
 #include "lang/compile.hpp"
 
 namespace onebit::fi {
@@ -650,6 +651,68 @@ TEST_F(CampaignStoreFixture, RefreshIndexesOnlyNewRecordsAndLeavesTheTail) {
   EXPECT_FALSE(reader.latestLease(0xab, 0, 4).has_value());  // index rebuilt
 }
 
+TEST_F(CampaignStoreFixture, RefreshFromMidFileReadsAcrossBlockBoundaries) {
+  // Enough shard records that the store spans several read blocks, so the
+  // lines a refresh() reads from a mid-file offset straddle block edges.
+  const auto metaOf = [](std::size_t i) {
+    CampaignStore::CampaignMeta meta;
+    meta.key = 0x1000 + i % 7;
+    meta.workload = "w" + std::to_string(i % 7);
+    meta.specLabel = "read/single";
+    meta.seed = 42;
+    meta.experiments = 1u << 20;
+    meta.candidates = 99;
+    return meta;
+  };
+  const auto aggOf = [](std::size_t i) {
+    CampaignStore::ShardAggregate agg;
+    agg.counts = stats::OutcomeCounts::fromRaw({0, 1, 0, 0, 0});
+    agg.hist[1][i % (kMaxActivationBucket + 1)] = 1;
+    return agg;
+  };
+  constexpr std::size_t kRecords = 800;
+  CampaignStore writer(path_);
+  for (std::size_t i = 0; i < kRecords / 2; ++i) {
+    ASSERT_TRUE(writer.appendShard(metaOf(i), i, i, 1, aggOf(i)));
+  }
+  CampaignStore reader(path_);
+  EXPECT_EQ(reader.load().shardRecords, kRecords / 2);
+  for (std::size_t i = kRecords / 2; i < kRecords; ++i) {
+    ASSERT_TRUE(writer.appendShard(metaOf(i), i, i, 1, aggOf(i)));
+  }
+  std::string last;
+  detail::encodeShardLine(last, metaOf(kRecords), kRecords, kRecords, 1,
+                          aggOf(kRecords));
+  {
+    std::FILE* f = std::fopen(path_.c_str(), "ab");
+    ASSERT_NE(f, nullptr);
+    std::fwrite(last.data(), 1, last.size() / 2, f);  // mid-append
+    std::fclose(f);
+  }
+  const CampaignStore::LoadStats fresh = reader.refresh();
+  EXPECT_EQ(fresh.shardRecords, kRecords / 2);
+  EXPECT_EQ(fresh.malformed, 0u);
+  {
+    std::FILE* f = std::fopen(path_.c_str(), "ab");
+    ASSERT_NE(f, nullptr);
+    std::fputs(last.c_str() + last.size() / 2, f);
+    std::fputc('\n', f);
+    std::fclose(f);
+  }
+  EXPECT_EQ(reader.refresh().shardRecords, 1u);
+  for (std::size_t i = 0; i <= kRecords; ++i) {
+    const CampaignStore::ShardAggregate* agg =
+        reader.findShard(metaOf(i).key, i, 1);
+    ASSERT_NE(agg, nullptr) << i;
+    EXPECT_EQ(agg->hist, aggOf(i).hist) << i;
+  }
+  CampaignStore whole(path_);
+  const CampaignStore::LoadStats all = whole.load();
+  EXPECT_EQ(all.shardRecords, kRecords + 1);
+  EXPECT_EQ(all.malformed, 0u);
+  EXPECT_EQ(whole.snapshot().campaigns.at(metaOf(3).key).meta.workload, "w3");
+}
+
 TEST_F(CampaignStoreFixture, CompactKeepsLiveLeasesDropsExpiredAndSuperseded) {
   {
     CampaignStore store(path_);
@@ -1079,6 +1142,35 @@ TEST_F(CampaignStoreFsckFixture, LegacyOutcomeLinesLoadAsUnknownKinds) {
   EXPECT_TRUE(compacted->rewritten);
   // Loads with nothing malformed left: compact() dropped every legacy line.
   expectRepairedResume(kExperiments / kShardSize);
+}
+
+TEST_F(CampaignStoreFsckFixture, MalformedSeedWorkloadOrSpecFailsTheRecord) {
+  // Analytics matches campaigns by seed, workload and spec, and takes a
+  // campaign's meta from its first record: a present but malformed field
+  // must fail that record, not read as 0 or "" and hide the campaign.
+  recordAndMutate([](std::vector<std::string>& lines) {
+    const std::size_t seed = lines[0].find("\"seed\":\"0x") + 10;
+    lines[0][seed] = static_cast<char>(lines[0][seed] ^ 0x40);  // not hex
+    lines[1].insert(lines[1].find(",\"spec\""), ",\"workload\":7");
+    const std::size_t spec = lines[2].find("\"spec\":") + 7;
+    lines[2].replace(spec, lines[2].find('"', spec + 1) + 1 - spec, "null");
+  });
+  {
+    CampaignStore store(path_);
+    const CampaignStore::LoadStats loaded = store.load();
+    EXPECT_EQ(loaded.shardRecords, kExperiments / kShardSize - 3);
+    EXPECT_EQ(loaded.malformed, 3u);
+    const CampaignStore::Snapshot snap = store.snapshot();
+    ASSERT_EQ(snap.campaigns.size(), 1u);
+    EXPECT_EQ(snap.campaigns.begin()->second.meta.seed, baseConfig().seed);
+  }
+  const auto repaired = CampaignStore::fsck(path_, /*repair=*/true);
+  ASSERT_TRUE(repaired.has_value());
+  EXPECT_EQ(repaired->integrityFailures, 3u);
+  EXPECT_EQ(repaired->quarantinedLines, 3u);
+  EXPECT_TRUE(repaired->corrupt());
+  EXPECT_TRUE(repaired->rewritten);
+  expectRepairedResume(kExperiments / kShardSize - 3);
 }
 
 TEST_F(CampaignStoreFsckFixture, TornTailAndConflictAreToldApart) {

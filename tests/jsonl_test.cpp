@@ -193,5 +193,170 @@ TEST(Jsonl, AppendsAcrossWriterInstances) {
   EXPECT_EQ(records, 2u);
 }
 
+// ------------------------------------------------------ block line reader
+
+/// What a read yields, for comparing two readers.
+struct ReadResult {
+  std::vector<std::string> records;  ///< dump() of each parsed record
+  JsonlReadStats stats;
+};
+
+/// The byte-at-a-time splitter readJsonlFrom used before block reads, over
+/// the file's bytes: the reference the block reader must reproduce.
+ReadResult referenceRead(const std::string& bytes, std::uint64_t offset,
+                         bool consumeTail) {
+  ReadResult out;
+  out.stats.endOffset = offset;
+  std::string line;
+  std::uint64_t consumed = offset;
+  auto flushLine = [&] {
+    if (line.empty()) return;
+    ++out.stats.lines;
+    if (std::optional<Json> v = Json::parse(line)) {
+      out.records.push_back(v->dump());
+    } else {
+      ++out.stats.malformed;
+    }
+    line.clear();
+  };
+  for (std::uint64_t i = offset; i < bytes.size(); ++i) {
+    ++consumed;
+    if (bytes[i] == '\n') {
+      flushLine();
+      out.stats.endOffset = consumed;
+    } else {
+      line += bytes[i];
+    }
+  }
+  if (consumeTail) {
+    flushLine();
+    out.stats.endOffset = consumed;
+  }
+  return out;
+}
+
+ReadResult blockRead(const std::string& path, std::uint64_t offset,
+                     bool consumeTail) {
+  ReadResult out;
+  out.stats = readJsonlFrom(path, offset, consumeTail, [&](Json&& record) {
+    out.records.push_back(record.dump());
+  });
+  return out;
+}
+
+std::string recordLine(std::uint64_t i, std::size_t pad) {
+  return Json::object()
+      .set("i", Json::number(i))
+      .set("pad", Json::string(std::string(pad, 'x')))
+      .dump();
+}
+
+/// Append one record line whose '\n' lands exactly at byte `newlineAt`.
+void appendLineEndingAt(std::string& bytes, std::size_t newlineAt) {
+  const std::size_t base = recordLine(bytes.size(), 0).size();
+  ASSERT_GE(newlineAt, bytes.size() + base);
+  bytes += recordLine(bytes.size(), newlineAt - bytes.size() - base);
+  bytes += '\n';
+  ASSERT_EQ(bytes.size(), newlineAt + 1);
+}
+
+TEST(LineReader, BlockReadsMatchTheByteAtATimeSplitter) {
+  constexpr std::size_t kBlock = LineReader::kBlockBytes;
+  std::string body = "\n";  // an empty first line
+  appendLineEndingAt(body, kBlock - 1);  // a block that ends with '\n'
+  body += "\n\n";                        // empty lines open the next block
+  appendLineEndingAt(body, 2 * kBlock + 10);  // straddles a boundary
+  body += recordLine(7, 150 * 1024) + "\n";  // longer than two blocks
+  body += "not json\n\n";
+  appendLineEndingAt(body, body.size() + 300);
+  const std::vector<std::string> files = {
+      body,                                  // ends with '\n'
+      body + "\n\n",                         // ends with empty lines
+      body + recordLine(8, 3),               // complete but unterminated
+      body + "{\"i\":9,\"pad\":\"xx",          // torn mid-record
+      body.substr(0, kBlock - 40) + recordLine(9, 100),  // tail on a boundary
+      "",
+      "\n\n\n",
+      recordLine(1, 1),  // only a tail
+  };
+  const std::string path = tempPath("jsonl_block_reader.jsonl");
+  for (std::size_t f = 0; f < files.size(); ++f) {
+    const std::string& bytes = files[f];
+    {
+      std::FILE* out = std::fopen(path.c_str(), "wb");
+      ASSERT_NE(out, nullptr);
+      std::fwrite(bytes.data(), 1, bytes.size(), out);
+      std::fclose(out);
+    }
+    // From the start, from every line start (where refresh() resumes), from
+    // mid-line offsets around the block boundaries, and past the end.
+    std::vector<std::uint64_t> offsets = {0, 1, bytes.size(), bytes.size() + 7};
+    for (std::size_t i = 0; i < bytes.size(); ++i) {
+      if (bytes[i] == '\n') offsets.push_back(i + 1);
+    }
+    for (const std::size_t boundary : {kBlock, 2 * kBlock, 3 * kBlock}) {
+      for (const std::size_t d : {boundary - 1, boundary, boundary + 1}) {
+        if (d < bytes.size()) offsets.push_back(d);
+      }
+    }
+    for (const std::uint64_t offset : offsets) {
+      for (const bool consumeTail : {false, true}) {
+        const ReadResult want = referenceRead(bytes, offset, consumeTail);
+        const ReadResult got = blockRead(path, offset, consumeTail);
+        const std::string where = "file " + std::to_string(f) + " offset " +
+                                  std::to_string(offset) + " consumeTail " +
+                                  std::to_string(consumeTail);
+        EXPECT_EQ(got.records, want.records) << where;
+        EXPECT_EQ(got.stats.lines, want.stats.lines) << where;
+        EXPECT_EQ(got.stats.malformed, want.stats.malformed) << where;
+        EXPECT_EQ(got.stats.endOffset, want.stats.endOffset) << where;
+      }
+    }
+    // The reader itself: every non-empty terminated line, then the tail.
+    LineReader reader(path, 0);
+    std::vector<std::string> lines;
+    std::string_view line;
+    while (reader.next(line)) lines.emplace_back(line);
+    std::vector<std::string> wantLines;
+    std::size_t start = 0;
+    for (std::size_t i = 0; i < bytes.size(); ++i) {
+      if (bytes[i] != '\n') continue;
+      if (i > start) wantLines.push_back(bytes.substr(start, i - start));
+      start = i + 1;
+    }
+    EXPECT_EQ(lines, wantLines) << "file " << f;
+    EXPECT_EQ(reader.tail(), bytes.substr(start)) << "file " << f;
+    EXPECT_EQ(reader.offset(), start) << "file " << f;
+  }
+  std::remove(path.c_str());
+}
+
+TEST(LineReader, MissingFileReadsAsEmpty) {
+  LineReader reader(tempPath("jsonl_no_such_file.jsonl"), 5);
+  std::string_view line;
+  EXPECT_FALSE(reader.next(line));
+  EXPECT_TRUE(reader.tail().empty());
+  EXPECT_EQ(reader.offset(), 5u);
+}
+
+TEST(Jsonl, WriterTakesPreformattedLines) {
+  const std::string path = tempPath("jsonl_preformatted.jsonl");
+  std::remove(path.c_str());
+  const Json record = Json::object().set("s", Json::string("a\"b"));
+  {
+    JsonlWriter writer(path);
+    ASSERT_TRUE(writer.writeLine(record));
+    std::string line;
+    line += "{\"s\":";
+    appendJsonString(line, "a\"b");
+    line += '}';
+    ASSERT_TRUE(writer.writeLine(std::string_view(line)));
+  }
+  std::vector<std::string> seen;
+  readJsonl(path, [&](Json&& rec) { seen.push_back(rec.dump()); });
+  EXPECT_EQ(seen, (std::vector<std::string>{record.dump(), record.dump()}));
+  std::remove(path.c_str());
+}
+
 }  // namespace
 }  // namespace onebit::util

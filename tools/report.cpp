@@ -9,6 +9,7 @@
 // the corresponding bench driver's stdout when the store holds every cell
 // (CI diffs them); otherwise affected cells carry explicit
 // "incomplete(recorded/expected)" markers and the exit code is 3.
+#include <chrono>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
@@ -23,6 +24,7 @@
 #include "analytics/knobs.hpp"
 #include "analytics/summary.hpp"
 #include "analytics/trend.hpp"
+#include "fi/fleet.hpp"
 #include "util/file_lock.hpp"
 
 namespace {
@@ -45,7 +47,7 @@ int usage(const char* argv0) {
       "options:\n"
       "  --csv            CSV tables (equivalent to ONEBIT_CSV=1)\n"
       "  --json           JSON output (summary, group, workers, trend)\n"
-      "  --interval MS    watch poll interval (default 2000)\n"
+      "  --interval MS    watch poll interval, 1 or more (default 2000)\n"
       "  --once           render a single watch frame and exit\n"
       "exit status: 0 ok, 2 usage, 3 figure incomplete\n"
       "The ONEBIT_SEED/EXPERIMENTS/PROGRAMS/SPECS/FLIP_WIDTH knobs select\n"
@@ -79,7 +81,7 @@ int main(int argc, char** argv) {
   std::string figureId;
   bool json = false;
   bool once = false;
-  long intervalMs = 2000;
+  std::uint64_t intervalMs = 2000;
   std::vector<std::string> paths;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -98,9 +100,14 @@ int main(int argc, char** argv) {
     } else if (arg == "--once") {
       once = true;
     } else if (arg == "--interval") {
-      if (++i >= argc) return usage(argv[0]);
-      intervalMs = std::strtol(argv[i], nullptr, 10);
-      if (intervalMs <= 0) return usage(argv[0]);
+      // Digits only, as the fleet tools read numbers; the sleep takes a
+      // signed 64-bit millisecond count.
+      if (++i >= argc || !fi::parseCount(argv[i], intervalMs) ||
+          intervalMs == 0 ||
+          intervalMs > static_cast<std::uint64_t>(
+                           std::chrono::milliseconds::max().count())) {
+        return usage(argv[0]);
+      }
     } else if (!arg.empty() && arg[0] == '-') {
       return usage(argv[0]);
     } else {
@@ -136,7 +143,8 @@ int main(int argc, char** argv) {
     for (;;) {
       watchFrame(ds, csv);
       if (once) return 0;
-      std::this_thread::sleep_for(std::chrono::milliseconds(intervalMs));
+      std::this_thread::sleep_for(std::chrono::milliseconds(
+          static_cast<std::chrono::milliseconds::rep>(intervalMs)));
       ds.poll();
       std::printf("\n");
     }
