@@ -13,8 +13,9 @@
 #   4. `report --figure fig1` regenerates the solo CSV byte-identically
 #      from the fleet store's records, and `report --watch --once` renders
 #      a dashboard frame over it,
-#   5. compaction drops every (superseded) lease, and the compacted store
-#      still resumes to the same CSV,
+#   5. compaction drops every (superseded) lease, leaves a store that
+#      fsck_store calls clean, is idempotent (a second pass leaves the file
+#      untouched), and the compacted store still resumes to the same CSV,
 #   6. fleet_worker rejects a negative --lease-ms and a negative --poison
 #      shard with usage (exit 2) instead of wrapping them to huge values,
 #      and fleet_broker --submit rejects a signed, suffixed or overflowing
@@ -25,14 +26,14 @@
 #   scripts/fleet_smoke.sh [BUILD_DIR]
 #
 # BUILD_DIR defaults to ./build; it must contain bench_fig1_single_bit,
-# report, compact_store, fleet_worker and fleet_broker (built by the default
-# CMake configuration).
+# report, compact_store, fsck_store, fleet_worker and fleet_broker (built by
+# the default CMake configuration).
 set -eu
 
 build=${1:-build}
 
-for tool in bench_fig1_single_bit report compact_store fleet_worker \
-    fleet_broker; do
+for tool in bench_fig1_single_bit report compact_store fsck_store \
+    fleet_worker fleet_broker; do
   if [ ! -x "$build/$tool" ]; then
     echo "error: $build/$tool not found or not executable; build first" >&2
     echo "  cmake -B $build -S . && cmake --build $build -j" >&2
@@ -87,6 +88,14 @@ if grep -q '"kind":"lease"' "$tmp/fleet.jsonl"; then
   echo "error: compacted store still contains lease records" >&2
   exit 1
 fi
+
+echo "== the compacted store fscks clean, and compacting it again is a no-op"
+"$build/fsck_store" "$tmp/fleet.jsonl" > "$tmp/fsck.txt" || {
+  cat "$tmp/fsck.txt"; exit 1; }
+cat "$tmp/fsck.txt"
+grep -qx clean "$tmp/fsck.txt"
+"$build/compact_store" "$tmp/fleet.jsonl" | tee "$tmp/compact2.txt"
+grep -q '(already canonical; file untouched)$' "$tmp/compact2.txt"
 
 echo "== resume from the compacted fleet store matches the solo CSV"
 ONEBIT_STORE="$tmp/fleet.jsonl" ONEBIT_RESUME=1 \

@@ -1,7 +1,6 @@
 #include "analytics/aggregate.hpp"
 
 #include <algorithm>
-#include <cinttypes>
 #include <cstdarg>
 #include <cstdio>
 #include <map>
@@ -42,12 +41,6 @@ util::Json sparseHist(const fi::ActivationHistogram& hist) {
 }
 
 }  // namespace
-
-std::string hex64(std::uint64_t value) {
-  char buf[19];
-  std::snprintf(buf, sizeof buf, "0x%016" PRIx64, value);
-  return buf;
-}
 
 void appendf(std::string& out, const char* fmt, ...) {
   va_list args;

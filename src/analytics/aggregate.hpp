@@ -85,9 +85,6 @@ util::TextTable workerTable(const std::vector<WorkerRow>& rows,
                             std::uint64_t nowMs);
 util::Json workerJson(const std::vector<WorkerRow>& rows, std::uint64_t nowMs);
 
-/// "0x<16 hex>" — the store's full-range 64-bit serialization.
-std::string hex64(std::uint64_t value);
-
 /// printf-append onto a std::string (the figure renderers rebuild driver
 /// stdout byte for byte, so they format with the same printf semantics).
 void appendf(std::string& out, const char* fmt, ...)

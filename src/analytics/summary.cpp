@@ -3,6 +3,7 @@
 #include <cinttypes>
 
 #include "analytics/aggregate.hpp"
+#include "fi/shard_line.hpp"
 #include "stats/serialize.hpp"
 
 namespace onebit::analytics {
@@ -145,10 +146,10 @@ util::Json summaryJson(const Dataset& ds, std::uint64_t nowMs) {
   for (const auto& [key, table] : ds.campaigns()) {
     const CampaignProgress progress = progressOf(table, nowMs);
     util::Json obj = util::Json::object();
-    obj.set("key", util::Json::string(hex64(key)));
+    obj.set("key", util::Json::string(fi::detail::hex64(key)));
     obj.set("workload", util::Json::string(table.workload()));
     obj.set("spec", util::Json::string(table.specLabel()));
-    obj.set("seed", util::Json::string(hex64(table.seed())));
+    obj.set("seed", util::Json::string(fi::detail::hex64(table.seed())));
     obj.set("flip_width",
             util::Json::number(static_cast<std::uint64_t>(table.flipWidth())));
     obj.set("recorded",

@@ -7,6 +7,7 @@
 
 #include "analytics/aggregate.hpp"
 #include "analytics/dataset.hpp"
+#include "fi/shard_line.hpp"
 
 namespace onebit::analytics {
 
@@ -125,7 +126,7 @@ util::TextTable storeTrendTable(const std::vector<std::string>& paths) {
   util::TextTable table(header);
   for (const auto& [key, points] : data.cells) {
     const auto& [workload, spec] = data.identity.at(key);
-    std::vector<std::string> row = {hex64(key),
+    std::vector<std::string> row = {fi::detail::hex64(key),
                                     workload.empty() ? "-" : workload,
                                     spec.empty() ? "-" : spec};
     for (const auto& point : points) row.push_back(pointCell(point));
@@ -147,7 +148,7 @@ util::Json storeTrendJson(const std::vector<std::string>& paths) {
   for (const auto& [key, points] : data.cells) {
     const auto& [workload, spec] = data.identity.at(key);
     util::Json cell = util::Json::object();
-    cell.set("key", util::Json::string(hex64(key)));
+    cell.set("key", util::Json::string(fi::detail::hex64(key)));
     cell.set("workload", util::Json::string(workload));
     cell.set("spec", util::Json::string(spec));
     util::Json arr = util::Json::array();

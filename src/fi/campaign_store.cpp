@@ -2,6 +2,7 @@
 
 #include <cerrno>
 #include <cstdio>
+#include <map>
 #include <tuple>
 
 #include "fi/shard_line.hpp"
@@ -14,7 +15,6 @@ namespace {
 using detail::getUint;
 using detail::hex64;
 using detail::parseHex64;
-using detail::ParsedShard;
 
 /// Lock-order note: the cross-process file lock (when present) is always
 /// taken BEFORE the in-memory mutex, matching fleet claim sequences that
@@ -77,21 +77,29 @@ std::uint64_t CampaignStore::campaignKey(
 
 namespace {
 
+/// `record[field]` as a string; empty when absent or not a string.
+std::string_view stringOf(const util::Json& record, std::string_view field) {
+  const util::Json* f = record.find(field);
+  return f != nullptr ? f->asString() : std::string_view();
+}
+
+/// `record[field]` as a hex64() string; nullopt when absent or malformed.
+std::optional<std::uint64_t> hexOf(const util::Json& record,
+                                   std::string_view field) {
+  return parseHex64(stringOf(record, field));
+}
+
+// The record parsers below assign every field of their output, which the
+// line decoder reuses across lines.
+
 /// Decode a "workload" record (only the name is mandatory).
 bool parseWorkloadRecord(const util::Json& record,
                          CampaignStore::WorkloadRecord& rec) {
-  const util::Json* name = record.find("name");
-  if (name == nullptr || name->asString().empty()) return false;
-  rec.name = std::string(name->asString());
-  if (const util::Json* f = record.find("suite")) {
-    rec.suite = std::string(f->asString());
-  }
-  if (const util::Json* f = record.find("package")) {
-    rec.package = std::string(f->asString());
-  }
-  if (const util::Json* f = record.find("src_hash")) {
-    rec.sourceHash = parseHex64(f->asString()).value_or(0);
-  }
+  if (stringOf(record, "name").empty()) return false;
+  rec.name = stringOf(record, "name");
+  rec.suite = stringOf(record, "suite");
+  rec.package = stringOf(record, "package");
+  rec.sourceHash = hexOf(record, "src_hash").value_or(0);
   rec.minicLoc = getUint(record, "minic_loc", 0);
   rec.irInstrs = getUint(record, "ir_instrs", 0);
   rec.dynInstrs = getUint(record, "dyn_instrs", 0);
@@ -106,27 +114,21 @@ bool parseWorkloadRecord(const util::Json& record,
 /// advisory fields (hang_factor, dyn_instrs) is mandatory.
 bool parseCellRecord(const util::Json& record,
                      CampaignStore::CellRecord& rec) {
-  const util::Json* keyField = record.find("key");
-  const std::optional<std::uint64_t> key =
-      keyField != nullptr ? parseHex64(keyField->asString()) : std::nullopt;
-  const util::Json* name = record.find("workload");
-  const util::Json* spec = record.find("spec");
-  const util::Json* seedField = record.find("seed");
-  const std::optional<std::uint64_t> seed =
-      seedField != nullptr ? parseHex64(seedField->asString()) : std::nullopt;
+  const std::optional<std::uint64_t> key = hexOf(record, "key");
+  const std::optional<std::uint64_t> seed = hexOf(record, "seed");
   const std::uint64_t bad = ~0ULL;
   const std::uint64_t flipWidth = getUint(record, "flip_width", bad);
   const std::uint64_t experiments = getUint(record, "experiments", bad);
   const std::uint64_t shardSize = getUint(record, "shard_size", bad);
-  if (!key || !seed || name == nullptr || name->asString().empty() ||
-      spec == nullptr || spec->asString().empty() || flipWidth == 0 ||
-      flipWidth > 64 || experiments == 0 || experiments == bad ||
-      shardSize == 0 || shardSize == bad) {
+  if (!key || !seed || stringOf(record, "workload").empty() ||
+      stringOf(record, "spec").empty() || flipWidth == 0 || flipWidth > 64 ||
+      experiments == 0 || experiments == bad || shardSize == 0 ||
+      shardSize == bad) {
     return false;
   }
   rec.key = *key;
-  rec.workload = std::string(name->asString());
-  rec.spec = std::string(spec->asString());
+  rec.workload = stringOf(record, "workload");
+  rec.spec = stringOf(record, "spec");
   rec.flipWidth = static_cast<unsigned>(flipWidth);
   rec.experiments = static_cast<std::size_t>(experiments);
   rec.seed = *seed;
@@ -136,62 +138,90 @@ bool parseCellRecord(const util::Json& record,
   return true;
 }
 
-/// One decoded-and-validated lease record (shared by load and compact).
-struct ParsedLease {
-  std::uint64_t key = 0;
-  CampaignStore::LeaseRecord rec;
-};
-
-bool parseLeaseRecord(const util::Json& record, ParsedLease& out) {
-  const util::Json* keyField = record.find("key");
-  const std::optional<std::uint64_t> key =
-      keyField != nullptr ? parseHex64(keyField->asString()) : std::nullopt;
-  const util::Json* worker = record.find("worker");
+/// Decode a "lease" record of campaign `key`.
+bool parseLeaseRecord(const util::Json& record, std::uint64_t& key,
+                      CampaignStore::LeaseRecord& rec) {
+  const std::optional<std::uint64_t> parsedKey = hexOf(record, "key");
   const std::uint64_t bad = ~0ULL;
   const std::uint64_t first = getUint(record, "first", bad);
   const std::uint64_t count = getUint(record, "count", bad);
   const std::uint64_t epoch = getUint(record, "epoch", bad);
   const std::uint64_t deadline = getUint(record, "deadline", bad);
-  if (!key || worker == nullptr || worker->asString().empty() ||
-      first == bad || count == 0 || count == bad || epoch == 0 ||
-      epoch == bad || deadline == bad) {
+  if (!parsedKey || stringOf(record, "worker").empty() || first == bad ||
+      count == 0 || count == bad || epoch == 0 || epoch == bad ||
+      deadline == bad) {
     return false;
   }
-  out.key = *key;
-  out.rec.first = static_cast<std::size_t>(first);
-  out.rec.count = static_cast<std::size_t>(count);
-  out.rec.worker = std::string(worker->asString());
-  out.rec.epoch = epoch;
-  out.rec.deadlineMs = deadline;
-  out.rec.costMs = getUint(record, "cost_ms", 0);  // optional: completions
+  key = *parsedKey;
+  rec.first = static_cast<std::size_t>(first);
+  rec.count = static_cast<std::size_t>(count);
+  rec.worker = stringOf(record, "worker");
+  rec.epoch = epoch;
+  rec.deadlineMs = deadline;
+  rec.costMs = getUint(record, "cost_ms", 0);  // optional: completions
   return true;
 }
 
-/// One decoded-and-validated quarantine record (shared by load and compact).
-struct ParsedQuarantine {
-  std::uint64_t key = 0;
-  CampaignStore::QuarantineRecord rec;
-};
-
-bool parseQuarantineRecord(const util::Json& record, ParsedQuarantine& out) {
-  const util::Json* keyField = record.find("key");
-  const std::optional<std::uint64_t> key =
-      keyField != nullptr ? parseHex64(keyField->asString()) : std::nullopt;
+/// Decode a "quarantine" record of campaign `key`.
+bool parseQuarantineRecord(const util::Json& record, std::uint64_t& key,
+                           CampaignStore::QuarantineRecord& rec) {
+  const std::optional<std::uint64_t> parsedKey = hexOf(record, "key");
   const std::uint64_t bad = ~0ULL;
   const std::uint64_t first = getUint(record, "first", bad);
   const std::uint64_t count = getUint(record, "count", bad);
-  if (!key || first == bad || count == 0 || count == bad) return false;
-  out.key = *key;
-  out.rec.first = static_cast<std::size_t>(first);
-  out.rec.count = static_cast<std::size_t>(count);
-  out.rec.crashes = getUint(record, "crashes", 0);
-  if (const util::Json* f = record.find("worker")) {
-    out.rec.worker = std::string(f->asString());
-  }
-  if (const util::Json* f = record.find("reason")) {
-    out.rec.reason = std::string(f->asString());
-  }
+  if (!parsedKey || first == bad || count == 0 || count == bad) return false;
+  key = *parsedKey;
+  rec.first = static_cast<std::size_t>(first);
+  rec.count = static_cast<std::size_t>(count);
+  rec.crashes = getUint(record, "crashes", 0);
+  rec.worker = stringOf(record, "worker");
+  rec.reason = stringOf(record, "reason");
   return true;
+}
+
+// The keep rules, one per record kind: whether a record read after `held`,
+// with the same identity, replaces it. The live index (load, refresh and
+// the appends) and compact() both decide through keep() below, so a
+// compacted store holds exactly the records load() indexes.
+
+/// Shards: the first record wins. By the determinism contract a re-recorded
+/// shard carries the same aggregates, and keep-first makes replays of a
+/// partially resumed store idempotent.
+bool replaces(const CampaignStore::ShardAggregate& /*held*/,
+              const CampaignStore::ShardAggregate& /*incoming*/) {
+  return false;
+}
+
+/// Leases: a newer record replaces the held one unless its epoch is lower —
+/// a higher epoch always, a renewal within the epoch by file order (appends
+/// are time-ordered); a stale epoch ordered late is ignored.
+bool replaces(const CampaignStore::LeaseRecord& held,
+              const CampaignStore::LeaseRecord& incoming) {
+  return incoming.epoch >= held.epoch && !(incoming == held);
+}
+
+/// Workloads, cells and quarantines: a different newer record replaces the
+/// held one (a re-profiled workload, a cell re-submitted with other
+/// scheduling metadata, an escalated verdict).
+template <class Record>
+bool replaces(const Record& held, const Record& incoming) {
+  return !(incoming == held);
+}
+
+/// Apply the keep rule to one held record. True when `incoming` replaced it.
+template <class Record>
+bool supersede(Record& held, const Record& incoming) {
+  if (!replaces(held, incoming)) return false;
+  held = incoming;
+  return true;
+}
+
+/// Index `incoming` under `id` by the keep rule. True when the index took it
+/// (a new identity, or a replacement); false when the held record stays.
+template <class Map, class Id, class Record>
+bool keep(Map& index, const Id& id, const Record& incoming) {
+  const auto [it, inserted] = index.try_emplace(id, incoming);
+  return inserted || supersede(it->second, incoming);
 }
 
 util::Json cellToJson(const CampaignStore::CellRecord& rec) {
@@ -252,332 +282,9 @@ util::Json quarantineToJson(std::uint64_t key,
   return record;
 }
 
-}  // namespace
-
-CampaignStore::LoadStats CampaignStore::load() {
-  OptionalLockGuard fileGuard(fileLock_.get());
-  std::lock_guard lock(mutex_);
-  clearIndex();
-  return readInto(0, /*consumeTail=*/true);
-}
-
-CampaignStore::LoadStats CampaignStore::refresh() {
-  OptionalLockGuard fileGuard(fileLock_.get());
-  std::lock_guard lock(mutex_);
-  // A file smaller than the resume point was rewritten underneath us
-  // (compacted): the offset is meaningless, so re-read from scratch.
-  // Re-indexing is idempotent (first-wins shards, newest-wins the rest).
-  if (fileSizeOf(path_) < readOffset_) {
-    clearIndex();
-    return readInto(0, /*consumeTail=*/false);
-  }
-  return readInto(readOffset_, /*consumeTail=*/false);
-}
-
-void CampaignStore::clearIndex() {
-  shards_.clear();
-  metas_.clear();
-  workloads_.clear();
-  cellOrder_.clear();
-  cellIndex_.clear();
-  leases_.clear();
-  quarantines_.clear();
-  readOffset_ = 0;
-}
-
-CampaignStore::LoadStats CampaignStore::readInto(std::uint64_t offset,
-                                                 bool consumeTail) {
-  LoadStats stats;
-  ParsedShard shard;  // reused across lines: its strings keep their capacity
-  const auto indexParsedShard = [&] {
-    metas_.try_emplace(shard.key, shard.meta);
-    if (indexShard(shard.key, {shard.first, shard.count}, shard.agg)) {
-      ++stats.shardRecords;
-    } else {
-      ++stats.duplicates;
-    }
-  };
-  const util::JsonlReadStats read = util::readLinesFrom(
-      path_, offset, consumeTail, [&](std::string_view line) {
-        // Canonical shard lines — every one this store writes — skip the
-        // tree; the decoder declines everything else.
-        if (detail::decodeShardLine(line, shard)) {
-          indexParsedShard();
-          return true;
-        }
-        const std::optional<util::Json> parsed = util::Json::parse(line);
-        if (!parsed) return false;
-        const util::Json& record = *parsed;
-        const std::uint64_t v = getUint(record, "v", 0);
-        const util::Json* kind = record.find("kind");
-        if (v != kFormatVersion || kind == nullptr) {
-          ++stats.malformed;
-          ++stats.unknownKinds;  // foreign version: possibly a future format
-          return true;
-        }
-        if (kind->asString() == "shard") {
-          if (!detail::parseShardRecord(record, shard)) {
-            ++stats.malformed;
-            return true;
-          }
-          indexParsedShard();
-          return true;
-        }
-        if (kind->asString() == "workload") {
-          WorkloadRecord rec;
-          if (!parseWorkloadRecord(record, rec)) {
-            ++stats.malformed;
-            return true;
-          }
-          workloads_.insert_or_assign(rec.name, std::move(rec));
-          ++stats.workloadRecords;
-          return true;
-        }
-        if (kind->asString() == "cell") {
-          CellRecord rec;
-          if (!parseCellRecord(record, rec)) {
-            ++stats.malformed;
-            return true;
-          }
-          if (indexCell(rec)) {
-            ++stats.cellRecords;
-          } else {
-            ++stats.duplicates;
-          }
-          return true;
-        }
-        if (kind->asString() == "lease") {
-          ParsedLease lease;
-          if (!parseLeaseRecord(record, lease)) {
-            ++stats.malformed;
-            return true;
-          }
-          if (indexLease(lease.key, lease.rec)) {
-            ++stats.leaseRecords;
-          } else {
-            ++stats.duplicates;
-          }
-          return true;
-        }
-        if (kind->asString() == "quarantine") {
-          ParsedQuarantine quarantine;
-          if (!parseQuarantineRecord(record, quarantine)) {
-            ++stats.malformed;
-            return true;
-          }
-          if (indexQuarantine(quarantine.key, quarantine.rec)) {
-            ++stats.quarantineRecords;
-          } else {
-            ++stats.duplicates;
-          }
-          return true;
-        }
-        ++stats.malformed;  // unknown record kind
-        ++stats.unknownKinds;
-        return true;
-      });
-  stats.malformed += read.malformed;  // unparseable lines
-  readOffset_ = read.endOffset;
-  return stats;
-}
-
-std::optional<CampaignStore::CompactStats> CampaignStore::compact(
-    const std::string& path, std::uint64_t nowMs) {
-  CompactStats stats;
-  // Collect the surviving records in first-seen identity order, newest
-  // content winning per identity — duplicates carry identical aggregates by
-  // the determinism contract, so "newest" only matters for records written
-  // by different semantics versions, which hash to different keys anyway.
-  std::vector<util::Json> kept;
-  std::map<std::pair<std::uint64_t, std::pair<std::size_t, std::size_t>>,
-           std::size_t>
-      shardAt;
-  std::map<std::string, std::size_t, std::less<>> workloadAt;
-  std::map<std::uint64_t, std::size_t> cellAt;
-  // Newest lease per (key, range); whether it survives is decided AFTER the
-  // scan, when every shard record is known (a superseding shard may appear
-  // later in the file than the lease it supersedes).
-  std::map<std::pair<std::uint64_t, std::pair<std::size_t, std::size_t>>,
-           std::size_t>
-      leaseAt;
-  std::map<std::size_t, ParsedLease> leaseBody;  ///< kept index → decoded
-  // Newest quarantine per (key, range); like leases, survival is decided
-  // after the scan (a shard record anywhere in the file supersedes it).
-  std::map<std::pair<std::uint64_t, std::pair<std::size_t, std::size_t>>,
-           std::size_t>
-      quarantineAt;
-  std::map<std::size_t, ParsedQuarantine> quarantineBody;
-  const util::JsonlReadStats read =
-      util::readJsonl(path, [&](util::Json&& record) {
-        const std::uint64_t v = getUint(record, "v", 0);
-        const util::Json* kind = record.find("kind");
-        if (v != kFormatVersion || kind == nullptr) {
-          ++stats.droppedMalformed;
-          return;
-        }
-        if (kind->asString() == "shard") {
-          ParsedShard shard;
-          if (!detail::parseShardRecord(record, shard)) {
-            ++stats.droppedMalformed;
-            return;
-          }
-          const auto [it, inserted] = shardAt.try_emplace(
-              {shard.key, {shard.first, shard.count}}, kept.size());
-          if (inserted) {
-            kept.push_back(std::move(record));
-          } else {
-            kept[it->second] = std::move(record);
-            ++stats.droppedDuplicates;
-          }
-          return;
-        }
-        if (kind->asString() == "workload") {
-          WorkloadRecord rec;
-          if (!parseWorkloadRecord(record, rec)) {
-            ++stats.droppedMalformed;
-            return;
-          }
-          const auto [it, inserted] =
-              workloadAt.try_emplace(rec.name, kept.size());
-          if (inserted) {
-            kept.push_back(std::move(record));
-          } else {
-            kept[it->second] = std::move(record);
-            ++stats.droppedDuplicates;
-          }
-          return;
-        }
-        if (kind->asString() == "cell") {
-          CellRecord rec;
-          if (!parseCellRecord(record, rec)) {
-            ++stats.droppedMalformed;
-            return;
-          }
-          const auto [it, inserted] = cellAt.try_emplace(rec.key,
-                                                         kept.size());
-          if (inserted) {
-            kept.push_back(std::move(record));
-          } else {
-            kept[it->second] = std::move(record);
-            ++stats.droppedDuplicates;
-          }
-          return;
-        }
-        if (kind->asString() == "lease") {
-          ParsedLease lease;
-          if (!parseLeaseRecord(record, lease)) {
-            ++stats.droppedMalformed;
-            return;
-          }
-          const auto [it, inserted] = leaseAt.try_emplace(
-              {lease.key, {lease.rec.first, lease.rec.count}}, kept.size());
-          if (inserted) {
-            leaseBody.emplace(kept.size(), std::move(lease));
-            kept.push_back(std::move(record));
-          } else if (lease.rec.epoch >= leaseBody.at(it->second).rec.epoch) {
-            // Newest wins: higher epoch, or a later renewal within one.
-            kept[it->second] = std::move(record);
-            leaseBody.insert_or_assign(it->second, std::move(lease));
-            ++stats.droppedLeases;
-          } else {
-            ++stats.droppedLeases;  // stale epoch ordered late in the file
-          }
-          return;
-        }
-        if (kind->asString() == "quarantine") {
-          ParsedQuarantine quarantine;
-          if (!parseQuarantineRecord(record, quarantine)) {
-            ++stats.droppedMalformed;
-            return;
-          }
-          const auto [it, inserted] = quarantineAt.try_emplace(
-              {quarantine.key,
-               {quarantine.rec.first, quarantine.rec.count}},
-              kept.size());
-          if (inserted) {
-            quarantineBody.emplace(kept.size(), std::move(quarantine));
-            kept.push_back(std::move(record));
-          } else {
-            // Newest wins by file order (re-quarantines bump the count).
-            kept[it->second] = std::move(record);
-            quarantineBody.insert_or_assign(it->second,
-                                            std::move(quarantine));
-            ++stats.droppedQuarantines;
-          }
-          return;
-        }
-        ++stats.droppedMalformed;  // unknown record kind
-      });
-  stats.droppedMalformed += read.malformed;  // torn/unparseable lines
-  // Post-filter the newest leases: one superseded by a shard record for its
-  // range is done, and one past its heartbeat deadline (when the caller
-  // supplied a clock) is abandoned — both drop. A dropped lease's kept slot
-  // is voided in place so identity-order bookkeeping stays intact.
-  for (const auto& [index, lease] : leaseBody) {
-    const bool superseded =
-        shardAt.count(
-            {lease.key, {lease.rec.first, lease.rec.count}}) != 0;
-    const bool expired = nowMs != 0 && lease.rec.deadlineMs <= nowMs;
-    if (superseded || expired) {
-      kept[index] = util::Json();  // null sentinel: skipped when writing
-      leaseAt.erase({lease.key, {lease.rec.first, lease.rec.count}});
-      ++stats.droppedLeases;
-    }
-  }
-  // Same post-filter for quarantines: a shard record for the range proves
-  // the work got finished (a --force pass, or a fixed workload), so the
-  // verdict is moot.
-  for (const auto& [index, quarantine] : quarantineBody) {
-    if (shardAt.count({quarantine.key,
-                       {quarantine.rec.first, quarantine.rec.count}}) != 0) {
-      kept[index] = util::Json();
-      quarantineAt.erase(
-          {quarantine.key, {quarantine.rec.first, quarantine.rec.count}});
-      ++stats.droppedQuarantines;
-    }
-  }
-  stats.shardRecords = shardAt.size();
-  stats.workloadRecords = workloadAt.size();
-  stats.cellRecords = cellAt.size();
-  stats.leaseRecords = leaseAt.size();
-  stats.quarantineRecords = quarantineAt.size();
-  // Already canonical (including the missing-file case): leave the file
-  // byte-identical instead of rewriting it.
-  if (stats.droppedDuplicates == 0 && stats.droppedMalformed == 0 &&
-      stats.droppedLeases == 0 && stats.droppedQuarantines == 0) {
-    return stats;
-  }
-  // Crash-safe rewrite: write a sibling temp file, then rename over the
-  // original — a reader never observes a half-written store. Remove any
-  // stale temp left by a killed compaction first: JsonlWriter opens in
-  // append mode, and renaming stale-lines-plus-fresh-lines over the store
-  // would reintroduce superseded records.
-  const std::string tmp = path + ".compact.tmp";
-  std::remove(tmp.c_str());
-  {
-    util::JsonlWriter writer(tmp);
-    if (!writer.ok()) return std::nullopt;
-    for (const util::Json& record : kept) {
-      if (record.isNull()) continue;  // dropped-lease sentinel
-      if (!writer.writeLine(record)) {
-        std::remove(tmp.c_str());
-        return std::nullopt;
-      }
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return std::nullopt;
-  }
-  stats.rewritten = true;
-  return stats;
-}
-
-namespace {
-
-/// Raw line split of a store file, preserving bytes exactly (fsck must keep
-/// surviving lines byte-identical, so it cannot round-trip through Json).
-/// Empty lines — the residue of torn-tail healing — are benign and skipped.
+/// Raw line split of a store file, preserving bytes exactly: compact() and
+/// fsck copy surviving lines verbatim. Empty lines — the residue of
+/// torn-tail healing — are benign and skipped.
 struct RawLines {
   std::vector<std::string> lines;
   bool tornTail = false;  ///< the last line has no '\n'
@@ -612,176 +319,330 @@ bool writeRawLines(const std::string& path, const char* mode,
   return ok;
 }
 
+/// Crash-safe rewrite of the store at `path` to `lines`: write the sibling
+/// temp `path + suffix`, then rename it over the original, so a reader never
+/// observes a half-written store. The temp is truncated on open, so one left
+/// by a killed rewrite cannot leak stale lines in.
+bool rewriteStore(const std::string& path, const char* suffix,
+                  const std::vector<const std::string*>& lines) {
+  const std::string tmp = path + suffix;
+  if (writeRawLines(tmp, "wb", lines) &&
+      std::rename(tmp.c_str(), path.c_str()) == 0) {
+    return true;
+  }
+  std::remove(tmp.c_str());
+  return false;
+}
+
 }  // namespace
+
+/// One store line, as the store's one line decoder reads it. load(),
+/// refresh(), compact() and fsck() all read lines through decode(), so they
+/// agree on what every line is; the records are reused across lines (the
+/// shard's strings keep their capacity).
+struct CampaignStore::Line {
+  enum class Kind : unsigned char {
+    Unparseable,  ///< not JSON: a torn write or garbage
+    UnknownKind,  ///< JSON of another kind or a foreign `v`
+    Invalid,      ///< a known kind failing its rules
+    Shard,        ///< the rest: a valid record of that kind
+    Workload,
+    Cell,
+    Lease,
+    Quarantine,
+  };
+
+  /// Which records compete under a keep rule: one kind, one campaign key,
+  /// one shard range, one workload name (the fields a kind lacks are 0/"").
+  using Identity =
+      std::tuple<Kind, std::uint64_t, std::size_t, std::size_t, std::string>;
+
+  Kind kind = Kind::Unparseable;
+  detail::ParsedShard shard;
+  WorkloadRecord workload;
+  CellRecord cell;
+  std::uint64_t key = 0;  ///< campaign key of a lease or quarantine
+  LeaseRecord lease;
+  QuarantineRecord quarantine;
+
+  [[nodiscard]] bool isRecord() const noexcept { return kind >= Kind::Shard; }
+
+  /// Decode `text`: the shard decoder first (every shard line this store
+  /// writes is canonical), then the generic parser, `v` and `kind`, and the
+  /// kind's own rules.
+  Kind decode(std::string_view text) {
+    if (detail::decodeShardLine(text, shard)) return kind = Kind::Shard;
+    const std::optional<util::Json> record = util::Json::parse(text);
+    if (!record) return kind = Kind::Unparseable;
+    const util::Json* field = record->find("kind");
+    if (getUint(*record, "v", 0) != kFormatVersion || field == nullptr) {
+      return kind = Kind::UnknownKind;
+    }
+    const std::string_view name = field->asString();
+    bool valid = false;
+    if (name == "shard") {
+      kind = Kind::Shard;
+      valid = detail::parseShardRecord(*record, shard);
+    } else if (name == "workload") {
+      kind = Kind::Workload;
+      valid = parseWorkloadRecord(*record, workload);
+    } else if (name == "cell") {
+      kind = Kind::Cell;
+      valid = parseCellRecord(*record, cell);
+    } else if (name == "lease") {
+      kind = Kind::Lease;
+      valid = parseLeaseRecord(*record, key, lease);
+    } else if (name == "quarantine") {
+      kind = Kind::Quarantine;
+      valid = parseQuarantineRecord(*record, key, quarantine);
+    } else {
+      return kind = Kind::UnknownKind;
+    }
+    if (!valid) kind = Kind::Invalid;
+    return kind;
+  }
+
+  /// The identity of the decoded record (isRecord() only).
+  [[nodiscard]] Identity identity() const {
+    switch (kind) {
+      case Kind::Shard: return {kind, shard.key, shard.first, shard.count, {}};
+      case Kind::Workload: return {kind, 0, 0, 0, workload.name};
+      case Kind::Cell: return {kind, cell.key, 0, 0, {}};
+      case Kind::Lease: return {kind, key, lease.first, lease.count, {}};
+      default: return {kind, key, quarantine.first, quarantine.count, {}};
+    }
+  }
+
+  /// The per-kind record count of a LoadStats or CompactStats.
+  template <class Stats>
+  static std::size_t& records(Stats& stats, Kind kind) {
+    switch (kind) {
+      case Kind::Shard: return stats.shardRecords;
+      case Kind::Workload: return stats.workloadRecords;
+      case Kind::Cell: return stats.cellRecords;
+      case Kind::Lease: return stats.leaseRecords;
+      default: return stats.quarantineRecords;
+    }
+  }
+};
+
+CampaignStore::LoadStats CampaignStore::load() {
+  OptionalLockGuard fileGuard(fileLock_.get());
+  std::lock_guard lock(mutex_);
+  clearIndex();
+  return readInto(0, /*consumeTail=*/true);
+}
+
+CampaignStore::LoadStats CampaignStore::refresh() {
+  OptionalLockGuard fileGuard(fileLock_.get());
+  std::lock_guard lock(mutex_);
+  // A file smaller than the resume point was rewritten underneath us
+  // (compacted): the offset is meaningless, so re-read from scratch.
+  if (fileSizeOf(path_) < readOffset_) {
+    clearIndex();
+    return readInto(0, /*consumeTail=*/false);
+  }
+  return readInto(readOffset_, /*consumeTail=*/false);
+}
+
+void CampaignStore::clearIndex() {
+  shards_.clear();
+  metas_.clear();
+  workloads_.clear();
+  cellOrder_.clear();
+  cellIndex_.clear();
+  leases_.clear();
+  quarantines_.clear();
+  readOffset_ = 0;
+}
+
+CampaignStore::LoadStats CampaignStore::readInto(std::uint64_t offset,
+                                                 bool consumeTail) {
+  LoadStats stats;
+  Line line;
+  const util::JsonlReadStats read = util::readLinesFrom(
+      path_, offset, consumeTail, [&](std::string_view text) {
+        switch (line.decode(text)) {
+          case Line::Kind::Unparseable: return false;  // counted below
+          case Line::Kind::UnknownKind:
+            ++stats.unknownKinds;  // possibly a future format
+            [[fallthrough]];
+          case Line::Kind::Invalid: ++stats.malformed; return true;
+          default: break;
+        }
+        if (index(line)) {
+          ++Line::records(stats, line.kind);
+        } else {
+          ++stats.duplicates;
+        }
+        return true;
+      });
+  stats.malformed += read.malformed;  // unparseable lines
+  readOffset_ = read.endOffset;
+  return stats;
+}
+
+bool CampaignStore::index(const Line& line) {
+  switch (line.kind) {
+    case Line::Kind::Shard:
+      metas_.try_emplace(line.shard.key, line.shard.meta);
+      return keep(shards_[line.shard.key],
+                  ShardRange{line.shard.first, line.shard.count},
+                  line.shard.agg);
+    case Line::Kind::Workload:
+      return keep(workloads_, line.workload.name, line.workload);
+    case Line::Kind::Cell: return indexCell(line.cell);
+    case Line::Kind::Lease:
+      return keep(leases_[line.key],
+                  ShardRange{line.lease.first, line.lease.count}, line.lease);
+    case Line::Kind::Quarantine:
+      return keep(quarantines_[line.key],
+                  ShardRange{line.quarantine.first, line.quarantine.count},
+                  line.quarantine);
+    default: return false;
+  }
+}
+
+bool CampaignStore::indexCell(const CellRecord& record) {
+  const auto [it, inserted] =
+      cellIndex_.try_emplace(record.key, cellOrder_.size());
+  if (inserted) cellOrder_.push_back(record);
+  return inserted || supersede(cellOrder_[it->second], record);
+}
+
+std::optional<CampaignStore::CompactStats> CampaignStore::compact(
+    const std::string& path, std::uint64_t nowMs) {
+  const RawLines raw = readRawLines(path);  // a missing file: empty
+  // `live` indexes every line by the keep rules, as load() does. Each
+  // identity keeps the slot of its first line, and the slot holds the line
+  // of the record `live` holds for it.
+  constexpr std::size_t kDropped = ~std::size_t{0};
+  CampaignStore live(path);
+  Line line;
+  std::map<Line::Identity, std::size_t> slotOf;
+  std::vector<std::size_t> slots;  ///< line index per slot, or kDropped
+  CompactStats seen;               ///< valid record lines per kind
+  CompactStats stats;
+  for (std::size_t i = 0; i < raw.lines.size(); ++i) {
+    line.decode(raw.lines[i]);
+    if (!line.isRecord()) {
+      ++stats.droppedMalformed;  // torn, unparseable, invalid, unknown
+      continue;
+    }
+    ++Line::records(seen, line.kind);
+    if (!live.index(line)) continue;  // the held record stays
+    const auto [it, inserted] =
+        slotOf.try_emplace(line.identity(), slots.size());
+    if (inserted) {
+      slots.push_back(i);
+    } else {
+      slots[it->second] = i;
+    }
+  }
+  // A lease is done once a shard record covers its range, and abandoned
+  // once past its heartbeat deadline (when the caller supplied a clock); a
+  // quarantine is moot once a shard record covers its range (a --force
+  // pass, or a fixed workload). Such survivors drop too.
+  for (const auto& [id, slot] : slotOf) {
+    const auto& [kind, key, first, count, name] = id;
+    const bool ranged = kind == Line::Kind::Lease ||
+                        kind == Line::Kind::Quarantine;
+    const bool done = ranged && live.findShard(key, first, count) != nullptr;
+    const bool expired = kind == Line::Kind::Lease && nowMs != 0 &&
+                         live.latestLease(key, first, count)->deadlineMs <=
+                             nowMs;
+    if (done || expired) {
+      slots[slot] = kDropped;
+    } else {
+      ++Line::records(stats, kind);
+    }
+  }
+  stats.droppedDuplicates = seen.shardRecords - stats.shardRecords +
+                            seen.workloadRecords - stats.workloadRecords +
+                            seen.cellRecords - stats.cellRecords;
+  stats.droppedLeases = seen.leaseRecords - stats.leaseRecords;
+  stats.droppedQuarantines = seen.quarantineRecords - stats.quarantineRecords;
+  // Already compact (including the missing-file case): leave the file
+  // byte-identical instead of rewriting it.
+  if (stats.droppedDuplicates == 0 && stats.droppedMalformed == 0 &&
+      stats.droppedLeases == 0 && stats.droppedQuarantines == 0) {
+    return stats;
+  }
+  std::vector<const std::string*> survivors;
+  for (const std::size_t i : slots) {
+    if (i != kDropped) survivors.push_back(&raw.lines[i]);
+  }
+  if (!rewriteStore(path, ".compact.tmp", survivors)) return std::nullopt;
+  stats.rewritten = true;
+  return stats;
+}
 
 std::optional<CampaignStore::FsckStats> CampaignStore::fsck(
     const std::string& path, bool repair) {
   FsckStats stats;
   const RawLines raw = readRawLines(path);  // a missing file: clean, empty
-
-  // Identity of a shard record — (key, first, count) — the one kind whose
-  // bytes the determinism contract fixes given its identity. Scheduling
-  // kinds (cell/lease/quarantine/workload) are legitimately re-appended
-  // with new content — newest wins at load — so every one of their lines
-  // is kept and none can "conflict".
-  using Identity = std::tuple<std::uint64_t, std::size_t, std::size_t>;
-  std::map<Identity, std::size_t> firstAt;  ///< identity → index in `kept`
-  std::vector<std::size_t> kept;            ///< surviving line indices
-  std::vector<std::size_t> quarantined;     ///< sidecar-bound line indices
-
-  ParsedShard shard;
+  // Only a shard identity must be unique: its bytes are fixed by the
+  // determinism contract. Scheduling kinds (cell/lease/quarantine/workload)
+  // are legitimately re-appended with new content, so every one of their
+  // lines is kept and none can "conflict".
+  CampaignStore live(path);
+  Line line;
+  std::map<Line::Identity, std::size_t> heldAt;  ///< shard → its held line
+  std::vector<const std::string*> kept;
+  std::vector<const std::string*> quarantined;  ///< sidecar-bound
   for (std::size_t i = 0; i < raw.lines.size(); ++i) {
-    const std::string& line = raw.lines[i];
-    std::optional<Identity> identity;
-    if (detail::decodeShardLine(line, shard)) {
-      identity = Identity{shard.key, shard.first, shard.count};
-    } else {
-      const std::optional<util::Json> record = util::Json::parse(line);
-      if (!record) {
-        // Unparseable: the unterminated final line is the classic torn
-        // write of a killed process; anything earlier is real mid-file
-        // damage.
-        if (i + 1 == raw.lines.size() && raw.tornTail) {
-          ++stats.tornTail;
-        } else {
-          ++stats.garbage;
-        }
-        quarantined.push_back(i);
+    const std::string& text = raw.lines[i];
+    switch (line.decode(text)) {
+      case Line::Kind::Unparseable:
+        // The unterminated final line is the classic torn write of a killed
+        // process; anything earlier is real mid-file damage.
+        ++(i + 1 == raw.lines.size() && raw.tornTail ? stats.tornTail
+                                                     : stats.garbage);
+        quarantined.push_back(&text);
         continue;
-      }
-      const std::uint64_t v = getUint(*record, "v", 0);
-      const util::Json* kind = record->find("kind");
-      if (v != kFormatVersion || kind == nullptr) {
+      case Line::Kind::UnknownKind:
         ++stats.unknownKinds;  // possibly a future format: preserve verbatim
-        kept.push_back(i);
+        kept.push_back(&text);
         continue;
-      }
-      bool valid = false;
-      if (kind->asString() == "shard") {
-        valid = detail::parseShardRecord(*record, shard);
-        if (valid) identity = Identity{shard.key, shard.first, shard.count};
-      } else if (kind->asString() == "workload") {
-        WorkloadRecord rec;
-        valid = parseWorkloadRecord(*record, rec);
-      } else if (kind->asString() == "cell") {
-        CellRecord rec;
-        valid = parseCellRecord(*record, rec);
-      } else if (kind->asString() == "lease") {
-        ParsedLease lease;
-        valid = parseLeaseRecord(*record, lease);
-      } else if (kind->asString() == "quarantine") {
-        ParsedQuarantine quarantine;
-        valid = parseQuarantineRecord(*record, quarantine);
-      } else {
-        ++stats.unknownKinds;
-        kept.push_back(i);
-        continue;
-      }
-      if (!valid) {
-        // Parses as JSON but fails the kind's validation — a mangled (e.g.
+      case Line::Kind::Invalid:
+        // Parses as JSON but fails the kind's rules — a mangled (e.g.
         // byte-flipped) record. load() skips it; repair quarantines it.
         ++stats.integrityFailures;
-        quarantined.push_back(i);
+        quarantined.push_back(&text);
         continue;
-      }
+      default: break;
     }
-    if (identity) {
-      const auto [it, inserted] = firstAt.try_emplace(*identity, i);
-      if (!inserted) {
-        if (raw.lines[it->second] == line) {
-          ++stats.duplicateLines;  // benign cross-process re-record
-        } else {
-          // Same identity, different bytes: the determinism contract says
-          // this cannot happen to an intact store. Keep the first record
-          // (what load() indexes) and quarantine the imposter.
-          ++stats.conflicts;
-          quarantined.push_back(i);
-        }
+    if (line.kind == Line::Kind::Shard) {
+      if (live.index(line)) {
+        heldAt.emplace(line.identity(), i);
+      } else if (raw.lines[heldAt.at(line.identity())] == text) {
+        ++stats.duplicateLines;  // benign cross-process re-record
+        continue;
+      } else {
+        // Same identity, different bytes: the determinism contract says
+        // this cannot happen to an intact store. The keep rule holds the
+        // first record (what load() indexes); the imposter is quarantined.
+        ++stats.conflicts;
+        quarantined.push_back(&text);
         continue;
       }
     }
     ++stats.validRecords;
-    kept.push_back(i);
+    kept.push_back(&text);
   }
   stats.quarantinedLines = quarantined.size();
 
   if (!repair || stats.clean()) return stats;
 
   // Quarantine sidecar first (append — successive fscks accumulate), then
-  // the crash-safe rewrite: surviving lines byte-identical, temp + rename.
-  if (!quarantined.empty()) {
-    std::vector<const std::string*> lines;
-    lines.reserve(quarantined.size());
-    for (const std::size_t i : quarantined) lines.push_back(&raw.lines[i]);
-    if (!writeRawLines(path + ".quarantined", "ab", lines)) {
-      return std::nullopt;
-    }
-  }
-  const std::string tmp = path + ".fsck.tmp";
-  std::remove(tmp.c_str());
-  {
-    std::vector<const std::string*> lines;
-    lines.reserve(kept.size());
-    for (const std::size_t i : kept) lines.push_back(&raw.lines[i]);
-    if (!writeRawLines(tmp, "wb", lines)) {
-      std::remove(tmp.c_str());
-      return std::nullopt;
-    }
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
+  // the crash-safe rewrite, surviving lines byte-identical.
+  if (!quarantined.empty() &&
+      !writeRawLines(path + ".quarantined", "ab", quarantined)) {
     return std::nullopt;
   }
+  if (!rewriteStore(path, ".fsck.tmp", kept)) return std::nullopt;
   stats.rewritten = true;
   return stats;
-}
-
-bool CampaignStore::indexShard(std::uint64_t key, ShardRange range,
-                               ShardAggregate agg) {
-  // First record wins: by the determinism contract a duplicate carries the
-  // same aggregates, and keep-first makes replays of a partially-resumed
-  // store idempotent.
-  return shards_[key].try_emplace(range, std::move(agg)).second;
-}
-
-bool CampaignStore::indexCell(const CellRecord& record) {
-  const auto [it, inserted] =
-      cellIndex_.try_emplace(record.key, cellOrder_.size());
-  if (inserted) {
-    cellOrder_.push_back(record);
-    return true;
-  }
-  if (cellOrder_[it->second] == record) return false;  // exact duplicate
-  cellOrder_[it->second] = record;  // newest wins (scheduling metadata only)
-  return true;
-}
-
-bool CampaignStore::indexLease(std::uint64_t key, const LeaseRecord& record) {
-  auto& ranges = leases_[key];
-  const auto it = ranges.find(ShardRange{record.first, record.count});
-  if (it == ranges.end()) {
-    ranges.emplace(ShardRange{record.first, record.count}, record);
-    return true;
-  }
-  // Newest wins: a higher epoch always, a renewal within the current epoch
-  // by file order (appends are time-ordered). A stale epoch is ignored.
-  if (record.epoch < it->second.epoch || it->second == record) return false;
-  it->second = record;
-  return true;
-}
-
-bool CampaignStore::indexQuarantine(std::uint64_t key,
-                                    const QuarantineRecord& record) {
-  auto& ranges = quarantines_[key];
-  const auto it = ranges.find(ShardRange{record.first, record.count});
-  if (it == ranges.end()) {
-    ranges.emplace(ShardRange{record.first, record.count}, record);
-    return true;
-  }
-  // Newest wins by append order: a re-quarantine bumps the crash count.
-  if (it->second == record) return false;
-  it->second = record;
-  return true;
 }
 
 bool CampaignStore::writeLine(std::string_view line) {
@@ -834,7 +695,8 @@ bool CampaignStore::appendShard(const CampaignMeta& meta,
                           experimentCount, aggregate);
   if (!writeLine(lineBuffer_)) return false;
   metas_.try_emplace(meta.key, meta);
-  indexShard(meta.key, {firstExperiment, experimentCount}, aggregate);
+  keep(shards_[meta.key], ShardRange{firstExperiment, experimentCount},
+       aggregate);
   return true;
 }
 
@@ -860,7 +722,7 @@ bool CampaignStore::appendWorkload(const WorkloadRecord& rec) {
     return true;  // identical record already on file
   }
   if (!writeLine(record.dump())) return false;
-  workloads_.insert_or_assign(rec.name, rec);
+  keep(workloads_, rec.name, rec);
   return true;
 }
 
@@ -894,7 +756,7 @@ bool CampaignStore::appendLease(std::uint64_t key, const LeaseRecord& rec) {
     }
   }
   if (!writeLine(record.dump())) return false;
-  indexLease(key, rec);
+  keep(leases_[key], ShardRange{rec.first, rec.count}, rec);
   return true;
 }
 
@@ -912,7 +774,7 @@ bool CampaignStore::appendQuarantine(std::uint64_t key,
     }
   }
   if (!writeLine(record.dump())) return false;
-  indexQuarantine(key, rec);
+  keep(quarantines_[key], ShardRange{rec.first, rec.count}, rec);
   return true;
 }
 

@@ -22,11 +22,11 @@
 //   cannot silently round them.
 //   appendShard formats this canonical layout directly, without a JSON
 //   tree (fi/shard_line.hpp owns the format; the bytes equal the tree's
-//   dump()), and load()/refresh()/fsck read it in one pass, also without a
-//   tree. Any other valid JSON layout of the record still loads through the
-//   generic parser, with the same integrity rules. A present `workload`,
-//   `spec` or `seed` must be well formed; analytics selects campaigns by
-//   them.
+//   dump()), and load()/refresh()/compact()/fsck read it in one pass, also
+//   without a tree. Any other valid JSON layout of the record still loads
+//   through the generic parser, with the same integrity rules. A present
+//   `workload`, `spec` or `seed` must be well formed; analytics selects
+//   campaigns by them.
 //
 //   workload record (kind "workload") — one profiled Table II program:
 //     {"v":1,"kind":"workload","name":"qsort","suite":"MiBench",
@@ -262,7 +262,9 @@ class CampaignStore {
     std::size_t quarantineRecords = 0;  ///< accepted quarantine records
     std::size_t malformed = 0;  ///< unparseable or integrity-failing lines
                                 ///< (incl. a torn final line)
-    std::size_t duplicates = 0;  ///< re-recorded shards (first one wins)
+    /// Records the keep rule did not take: re-recorded shards (the first
+    /// wins), identical re-appends, leases of a lower epoch.
+    std::size_t duplicates = 0;
     /// Of `malformed`: lines that parsed as JSON but carried an unknown
     /// record kind or a foreign format version — possibly a future format or
     /// a retired kind such as "outcome" (fsck preserves them), as opposed to
@@ -373,30 +375,34 @@ class CampaignStore {
   /// (a record mid-append, or a crashed writer's residue) is left for the
   /// next refresh rather than counted malformed. Falls back to a full
   /// re-read when the file shrank (someone compacted it) — safe because
-  /// indexing is idempotent and first-wins. In Atomic mode the file lock is
-  /// held for the read, so a refresh under fileLock() observes every record
-  /// of every completed claim sequence.
+  /// compaction keeps exactly the records the index holds. In Atomic mode
+  /// the file lock is held for the read, so a refresh under fileLock()
+  /// observes every record of every completed claim sequence.
   LoadStats refresh();
 
-  /// Rewrite the JSONL store at `path` in place, keeping only the newest
-  /// record per (campaign key, shard range) and per workload name, and
-  /// dropping torn or integrity-failing lines — the maintenance pass for a
-  /// store grown by interrupted runs or by several concurrent writer
-  /// processes (whose appends bypass each other's in-memory dedup index).
-  /// Resuming from a compacted store is identical to resuming from the
-  /// original: the surviving records are exactly the ones load() would
-  /// index. Crash-safe (temp file + rename); a file that is already
-  /// canonical is left untouched byte for byte. Returns nullopt on I/O
+  /// Rewrite the JSONL store at `path` in place, keeping one line per record
+  /// identity — the line of the record load() indexes for it — and dropping
+  /// torn, unparseable, integrity-failing and unknown-kind lines: the
+  /// maintenance pass for a store grown by interrupted runs or by several
+  /// concurrent writer processes (whose appends bypass each other's
+  /// in-memory dedup index). The identities are (campaign key, shard range)
+  /// for shards, leases and quarantines, the key for cells and the name for
+  /// workloads; load() and compact() pick the record by the same keep rule
+  /// per kind: the first shard record, the newest workload, cell and
+  /// quarantine, and the newest lease unless its epoch is lower. Surviving
+  /// lines are copied byte for byte, each at its identity's first-seen
+  /// position, so resuming from a compacted store is identical to resuming
+  /// from the original. Crash-safe (temp file + rename); a file that is
+  /// already compact is left untouched byte for byte. Returns nullopt on I/O
   /// failure (the original file is preserved). Do not run it on a store an
   /// open CampaignStore instance is appending to.
   ///
-  /// Fleet records: cells keep the newest per key; leases keep the newest
-  /// per (key, range) UNLESS superseded by a shard record for that range
-  /// or — when `nowMs` is nonzero (pass util::wallClockMs()) — expired
-  /// (deadline <= nowMs). Pass nowMs = 0 to keep every unsuperseded lease
-  /// regardless of age (time-independent compaction, e.g. in tests).
-  /// Quarantine records keep the newest per (key, range) unless a shard
-  /// record for the range exists (the shard got finished after all).
+  /// Beyond the keep rule, a lease drops once a shard record for its range
+  /// exists or — when `nowMs` is nonzero (pass util::wallClockMs()) — once
+  /// expired (deadline <= nowMs). Pass nowMs = 0 to keep every unsuperseded
+  /// lease regardless of age (time-independent compaction, e.g. in tests).
+  /// A quarantine drops once a shard record for its range exists (the shard
+  /// got finished after all).
   static std::optional<CompactStats> compact(const std::string& path,
                                              std::uint64_t nowMs = 0);
 
@@ -547,10 +553,12 @@ class CampaignStore {
  private:
   using ShardRange = Range;  ///< (first, count)
 
-  bool indexShard(std::uint64_t key, ShardRange range, ShardAggregate agg);
+  struct Line;  ///< one decoded store line (campaign_store.cpp)
+
+  /// Index a decoded record by its kind's keep rule. True when the index
+  /// took it (a new identity, or a replacement of the held record).
+  bool index(const Line& line);
   bool indexCell(const CellRecord& record);
-  bool indexLease(std::uint64_t key, const LeaseRecord& record);
-  bool indexQuarantine(std::uint64_t key, const QuarantineRecord& record);
   void clearIndex();
   LoadStats readInto(std::uint64_t offset, bool consumeTail);
   bool writeLine(std::string_view line);

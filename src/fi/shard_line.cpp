@@ -15,15 +15,16 @@ constexpr std::uint64_t kBad = ~0ULL;
 
 using RawOutcomes = std::array<std::uint64_t, stats::kOutcomeCount>;
 
-/// Hist cell rule: outcome and bucket in range, count below 2^32. A repeated
-/// cell adds to the earlier one.
+/// Hist cell rule: outcome and bucket in range, count in 1..2^32 - 1, and
+/// each cell listed once — the encoder writes every nonzero cell once, and
+/// a repeated cell would wrap the 32-bit count it adds to.
 bool addHistCell(ActivationHistogram& hist, std::uint64_t o, std::uint64_t k,
                  std::uint64_t c) {
-  if (o >= stats::kOutcomeCount || k > kMaxActivationBucket || c == kBad ||
-      c > 0xffffffffULL) {
+  if (o >= stats::kOutcomeCount || k > kMaxActivationBucket || c == 0 ||
+      c > 0xffffffffULL || hist[o][k] != 0) {
     return false;
   }
-  hist[o][k] += static_cast<std::uint32_t>(c);
+  hist[o][k] = static_cast<std::uint32_t>(c);
   return true;
 }
 
@@ -47,15 +48,17 @@ bool checkShard(std::uint64_t first, std::uint64_t count,
       first > experiments - count) {  // first + count could wrap 2^64
     return false;
   }
+  // Each outcome takes at most what is left of `count`, so the sum cannot
+  // wrap 2^64 into a false match (and kBad, above any count, fails).
   std::array<std::size_t, stats::kOutcomeCount> raw{};
+  std::uint64_t left = count;
   for (std::size_t i = 0; i < raw.size(); ++i) {
-    if (outcomes[i] == kBad) return false;
+    if (outcomes[i] > left) return false;
+    left -= outcomes[i];
     raw[i] = static_cast<std::size_t>(outcomes[i]);
   }
+  if (left != 0 || histTotal(out.agg.hist) != count) return false;
   out.agg.counts = stats::OutcomeCounts::fromRaw(raw);
-  if (out.agg.counts.total() != count || histTotal(out.agg.hist) != count) {
-    return false;
-  }
   out.first = static_cast<std::size_t>(first);
   out.count = static_cast<std::size_t>(count);
   out.meta.experiments = static_cast<std::size_t>(experiments);

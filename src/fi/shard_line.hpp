@@ -64,9 +64,10 @@ bool decodeShardLine(std::string_view line, ParsedShard& out);
 
 /// Decode a parsed "shard" record of any JSON layout (the generic path).
 /// Integrity: the shard range lies inside the campaign, `outcomes` and
-/// `hist` each tally exactly `count`, hist cells are in range with counts
-/// below 2^32, and a present `workload`, `spec` or `seed` is well formed (a
-/// string; for `seed`, hex64()). Returns false when any rule fails.
+/// `hist` each tally exactly `count` (without wrapping 2^64), hist cells are
+/// in range, listed once each, with counts in 1..2^32 - 1, and a present
+/// `workload`, `spec` or `seed` is well formed (a string; for `seed`,
+/// hex64()). Returns false when any rule fails.
 bool parseShardRecord(const util::Json& record, ParsedShard& out);
 
 }  // namespace onebit::fi::detail

@@ -436,10 +436,6 @@ JsonlWriter::~JsonlWriter() {
   if (file_ != nullptr) std::fclose(file_);
 }
 
-bool JsonlWriter::writeLine(const Json& record) {
-  return writeLine(record.dump());
-}
-
 bool JsonlWriter::writeLine(std::string_view line) {
   if (file_ == nullptr) {
     errno_ = EBADF;
@@ -539,25 +535,6 @@ JsonlReadStats readLinesFrom(const std::string& path, std::uint64_t offset,
     stats.endOffset += reader.tail().size();
   }
   return stats;
-}
-
-JsonlReadStats readJsonl(const std::string& path,
-                         const std::function<void(Json&&)>& fn) {
-  // A final line without '\n' is a torn write from a killed process; it is
-  // parsed anyway (it may be complete if only the newline was lost) and
-  // counted as malformed when it is not.
-  return readJsonlFrom(path, 0, /*consumeTail=*/true, fn);
-}
-
-JsonlReadStats readJsonlFrom(const std::string& path, std::uint64_t offset,
-                             bool consumeTail,
-                             const std::function<void(Json&&)>& fn) {
-  return readLinesFrom(path, offset, consumeTail, [&](std::string_view line) {
-    std::optional<Json> v = Json::parse(line);
-    if (!v) return false;
-    fn(*std::move(v));
-    return true;
-  });
 }
 
 }  // namespace onebit::util

@@ -8,8 +8,7 @@
 // external provides that without a dependency, so this is a small
 // hand-rolled implementation: a value tree (`Json`), a single-line
 // serializer, a recursive-descent parser, and line-oriented file helpers
-// (a block-buffered line reader, and a writer that also takes lines a
-// caller formatted without a tree).
+// (a block-buffered line reader, and a writer of formatted lines).
 #pragma once
 
 #include <cstdint>
@@ -118,14 +117,12 @@ class JsonlWriter {
 
   [[nodiscard]] bool ok() const noexcept { return file_ != nullptr; }
 
-  /// Write one record + newline and flush. Returns false on I/O failure.
-  /// Transient interruptions (EINTR during the flush) are retried; on a
-  /// real failure lastErrno() reports the cause so callers can distinguish
-  /// a full disk (pause and retry later) from a hard error.
-  bool writeLine(const Json& record);
-
-  /// Write one already formatted line (which must not contain '\n') plus
-  /// the newline, and flush, exactly like writeLine(const Json&).
+  /// Write one formatted line (which must not contain '\n'; a record's
+  /// dump(), or a line formatted field by field) plus the newline, and
+  /// flush. Returns false on I/O failure. Transient interruptions (EINTR
+  /// during the flush) are retried; on a real failure lastErrno() reports
+  /// the cause so callers can distinguish a full disk (pause and retry
+  /// later) from a hard error.
   bool writeLine(std::string_view line);
 
   /// errno of the last writeLine() failure (0 after a success).
@@ -182,36 +179,24 @@ class LineReader {
 /// Line statistics of one read.
 struct JsonlReadStats {
   std::size_t lines = 0;      ///< non-empty lines seen
-  std::size_t malformed = 0;  ///< lines that failed to parse (incl. a
+  std::size_t malformed = 0;  ///< lines the caller could not use (incl. a
                               ///< truncated final line when consumed)
   /// Byte offset just past the last line consumed — the resume point for an
-  /// incremental re-read of an append-only file (readJsonlFrom).
+  /// incremental re-read of an append-only file.
   std::uint64_t endOffset = 0;
 };
 
-/// The line loop under readJsonlFrom, for callers that decode lines
-/// themselves: invoke `fn` on every non-empty line of `path` from byte
-/// `offset`, with readJsonlFrom's tail and endOffset rules. `fn` returns
-/// false for a line it could not use; those count as malformed.
+/// Invoke `fn` on every non-empty line of `path` from byte `offset` (a
+/// previous read's endOffset, or 0), in file order; `fn` returns false for a
+/// line it could not use, and those count as malformed. A missing file
+/// reads as empty. When `consumeTail` is false, a final line NOT terminated
+/// by '\n' is neither passed on nor counted and endOffset stops at its first
+/// byte, so a record another process is still appending (or the torn
+/// residue of a crashed one) is simply retried by the next read; when true,
+/// the tail is passed on like any line (it may be a complete record that
+/// merely lost its newline) and endOffset reaches EOF.
 JsonlReadStats readLinesFrom(const std::string& path, std::uint64_t offset,
                              bool consumeTail,
                              const std::function<bool(std::string_view)>& fn);
-
-/// Invoke `fn` for every parseable line of `path` in file order. A missing
-/// file reads as empty. Malformed lines (e.g. the torn last line of a killed
-/// writer) are counted, not fatal.
-JsonlReadStats readJsonl(const std::string& path,
-                         const std::function<void(Json&&)>& fn);
-
-/// Incremental variant for append-only files: read from byte `offset`
-/// (a previous read's endOffset, or 0). When `consumeTail` is false, a final
-/// line NOT terminated by '\n' is neither parsed nor counted and endOffset
-/// stops at its first byte, so a record another process is still appending
-/// (or the torn residue of a crashed one) is simply retried by the next
-/// read; when true, the tail is parsed like readJsonl does (it may be a
-/// complete record that merely lost its newline) and endOffset reaches EOF.
-JsonlReadStats readJsonlFrom(const std::string& path, std::uint64_t offset,
-                             bool consumeTail,
-                             const std::function<void(Json&&)>& fn);
 
 }  // namespace onebit::util

@@ -38,6 +38,24 @@ int main() {
 }
 )MC";
 
+void writeFile(const std::string& path, const std::string& bytes) {
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  std::fwrite(bytes.data(), 1, bytes.size(), f);
+  std::fclose(f);
+}
+
+std::string readFile(const std::string& path) {
+  std::string bytes;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return bytes;
+  char buf[4096];
+  std::size_t n;
+  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) bytes.append(buf, n);
+  std::fclose(f);
+  return bytes;
+}
+
 constexpr std::size_t kExperiments = 240;
 constexpr std::size_t kShardSize = 24;  // 10 shards
 
@@ -454,36 +472,172 @@ TEST_F(CampaignStoreFixture, CompactLeavesCanonicalFilesUntouched) {
   EXPECT_EQ(before, after);  // byte-identical: no gratuitous rewrite
 }
 
-TEST_F(CampaignStoreFixture, CompactKeepsTheNewestRecordPerShard) {
-  {
-    // Two hand-written records for the SAME (key, shard range) with
-    // different (both integrity-valid) aggregates: the newest must win.
-    std::FILE* f = std::fopen(path_.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fputs(
-        "{\"v\":1,\"kind\":\"shard\",\"key\":\"0x00000000000000ab\","
-        "\"spec\":\"read/single\",\"seed\":\"0x0000000000000001\","
-        "\"experiments\":8,\"candidates\":10,\"shard\":0,\"first\":0,"
-        "\"count\":4,\"outcomes\":[4,0,0,0,0],\"hist\":[[0,0,4]]}\n",
-        f);
-    std::fputs(
-        "{\"v\":1,\"kind\":\"shard\",\"key\":\"0x00000000000000ab\","
-        "\"spec\":\"read/single\",\"seed\":\"0x0000000000000001\","
-        "\"experiments\":8,\"candidates\":10,\"shard\":0,\"first\":0,"
-        "\"count\":4,\"outcomes\":[0,4,0,0,0],\"hist\":[[1,0,4]]}\n",
-        f);
-    std::fclose(f);
-  }
+TEST_F(CampaignStoreFixture, CompactKeepsTheFirstRecordPerShardAsLoadDoes) {
+  // Two hand-written records for the SAME (key, shard range) with
+  // different (both integrity-valid) aggregates: load() indexes the first,
+  // so compaction must keep the first too, or compacting would change the
+  // tally the store reports.
+  const std::string first =
+      "{\"v\":1,\"kind\":\"shard\",\"key\":\"0x00000000000000ab\","
+      "\"spec\":\"read/single\",\"seed\":\"0x0000000000000001\","
+      "\"experiments\":8,\"candidates\":10,\"shard\":0,\"first\":0,"
+      "\"count\":4,\"outcomes\":[4,0,0,0,0],\"hist\":[[0,0,4]]}";
+  const std::string second =
+      "{\"v\":1,\"kind\":\"shard\",\"key\":\"0x00000000000000ab\","
+      "\"spec\":\"read/single\",\"seed\":\"0x0000000000000001\","
+      "\"experiments\":8,\"candidates\":10,\"shard\":0,\"first\":0,"
+      "\"count\":4,\"outcomes\":[0,4,0,0,0],\"hist\":[[1,0,4]]}";
+  writeFile(path_, first + "\n" + second + "\n");
+  const auto expectBenign = [&](std::size_t duplicates) {
+    CampaignStore store(path_);
+    const CampaignStore::LoadStats loaded = store.load();
+    EXPECT_EQ(loaded.shardRecords, 1u);
+    EXPECT_EQ(loaded.duplicates, duplicates);
+    const CampaignStore::ShardAggregate* agg = store.findShard(0xab, 0, 4);
+    ASSERT_NE(agg, nullptr);
+    EXPECT_EQ(agg->counts.count(stats::Outcome::Benign), 4u);
+    EXPECT_EQ(agg->counts.count(stats::Outcome::Detected), 0u);
+  };
+  expectBenign(1);
   const auto stats = CampaignStore::compact(path_);
   ASSERT_TRUE(stats.has_value());
   EXPECT_EQ(stats->shardRecords, 1u);
   EXPECT_EQ(stats->droppedDuplicates, 1u);
-  CampaignStore store(path_);
-  EXPECT_EQ(store.load().shardRecords, 1u);
-  const CampaignStore::ShardAggregate* agg = store.findShard(0xab, 0, 4);
-  ASSERT_NE(agg, nullptr);
-  EXPECT_EQ(agg->counts.count(stats::Outcome::Detected), 4u);
-  EXPECT_EQ(agg->counts.count(stats::Outcome::Benign), 0u);
+  EXPECT_TRUE(stats->rewritten);
+  EXPECT_EQ(readFile(path_), first + "\n");
+  expectBenign(0);
+}
+
+/// Every record a snapshot indexes, compared field by field.
+void expectSameIndex(const CampaignStore::Snapshot& want,
+                     const CampaignStore::Snapshot& got) {
+  EXPECT_EQ(got.workloads, want.workloads);
+  ASSERT_EQ(got.campaigns.size(), want.campaigns.size());
+  for (const auto& [key, w] : want.campaigns) {
+    ASSERT_EQ(got.campaigns.count(key), 1u) << key;
+    const CampaignStore::Snapshot::Campaign& g = got.campaigns.at(key);
+    EXPECT_EQ(g.meta.workload, w.meta.workload) << key;
+    EXPECT_EQ(g.meta.specLabel, w.meta.specLabel) << key;
+    EXPECT_EQ(g.meta.seed, w.meta.seed) << key;
+    EXPECT_EQ(g.meta.experiments, w.meta.experiments) << key;
+    EXPECT_EQ(g.meta.candidates, w.meta.candidates) << key;
+    EXPECT_EQ(g.cell, w.cell) << key;
+    EXPECT_EQ(g.leases, w.leases) << key;
+    EXPECT_EQ(g.quarantines, w.quarantines) << key;
+    ASSERT_EQ(g.shards.size(), w.shards.size()) << key;
+    for (const auto& [range, agg] : w.shards) {
+      ASSERT_EQ(g.shards.count(range), 1u) << key;
+      EXPECT_EQ(g.shards.at(range).counts, agg.counts) << key;
+      EXPECT_EQ(g.shards.at(range).hist, agg.hist) << key;
+    }
+  }
+}
+
+TEST_F(CampaignStoreFixture, CompactKeepsWhatLoadIndexesForEveryKind) {
+  const auto shard = [](std::size_t first, const char* outcomes,
+                        const char* hist) {
+    return "{\"v\":1,\"kind\":\"shard\",\"key\":\"0x00000000000000a1\","
+           "\"spec\":\"read/single\",\"seed\":\"0x0000000000000001\","
+           "\"experiments\":16,\"candidates\":10,\"shard\":" +
+           std::to_string(first / 4) + ",\"first\":" + std::to_string(first) +
+           ",\"count\":4,\"outcomes\":[" + outcomes + "],\"hist\":[" + hist +
+           "]}";
+  };
+  const auto lease = [](const char* key, std::size_t first,
+                        const char* worker, int epoch, int deadline) {
+    return std::string("{\"v\":1,\"kind\":\"lease\",\"key\":\"") + key +
+           "\",\"first\":" + std::to_string(first) +
+           ",\"count\":4,\"worker\":\"" + worker +
+           "\",\"epoch\":" + std::to_string(epoch) +
+           ",\"deadline\":" + std::to_string(deadline) + "}";
+  };
+  const auto cell = [](int shardSize) {
+    return "{\"v\":1,\"kind\":\"cell\",\"key\":\"0x00000000000000a1\","
+           "\"workload\":\"w\",\"spec\":\"read/single\",\"flip_width\":32,"
+           "\"experiments\":16,\"seed\":\"0x0000000000000001\","
+           "\"shard_size\":" +
+           std::to_string(shardSize) + ",\"hang_factor\":50,\"dyn_instrs\":0}";
+  };
+  const auto workload = [](int dynInstrs) {
+    return "{\"v\":1,\"kind\":\"workload\",\"name\":\"qsort\","
+           "\"suite\":\"MiBench\",\"dyn_instrs\":" +
+           std::to_string(dynInstrs) + "}";
+  };
+  const auto quarantine = [](std::size_t first, int crashes) {
+    return "{\"v\":1,\"kind\":\"quarantine\",\"key\":\"0x00000000000000a1\","
+           "\"first\":" +
+           std::to_string(first) + ",\"count\":4,\"crashes\":" +
+           std::to_string(crashes) + ",\"worker\":\"1:aa\",\"reason\":\"x\"}";
+  };
+  const char* const a1 = "0x00000000000000a1";
+  const std::vector<std::string> lines = {
+      cell(4),                                         // 0: re-submitted by 9
+      workload(100),                                   // 1: re-recorded by 12
+      shard(0, "4,0,0,0,0", "[0,0,4]"),                // 2: kept
+      shard(0, "4,0,0,0,0", "[0,0,4]"),                // 3: byte-identical
+      shard(4, "0,4,0,0,0", "[1,2,4]"),                // 4: kept, held
+      lease(a1, 8, "2:bb", 2, 5000),                   // 5: kept, held
+      lease(a1, 12, "1:aa", 1, 1000),                  // 6: renewed by 8
+      lease(a1, 8, "1:aa", 1, 9000),                   // 7: lower epoch
+      lease(a1, 12, "1:aa", 1, 6000),                  // 8: kept
+      cell(8),                                         // 9: kept
+      shard(4, "0,0,0,0,4", "[4,2,4]"),                // 10: conflicts with 4
+      lease(a1, 0, "1:aa", 1, 9999),                   // 11: shard 2 is done
+      workload(200),                                   // 12: kept
+      lease("0x00000000000000a2", 0, "3:cc", 1, 1500),  // 13: expired
+      quarantine(12, 2),                               // 14: escalated by 15
+      quarantine(12, 3),                               // 15: kept
+      quarantine(4, 2),                                // 16: shard 4 is done
+      "{\"v\":1,\"kind\":\"outcome\",\"key\":\"0x0000000000000001\"}",
+      "{\"v\":2,\"kind\":\"shard\",\"key\":\"0x00000000000000a1\"}",
+  };
+  std::string bytes;
+  for (const std::string& line : lines) bytes += line + "\n";
+  bytes += "{\"v\":1,\"kind\":\"lease\",\"key\":\"0x00";  // torn tail
+  writeFile(path_, bytes);
+
+  CampaignStore original(path_);
+  original.load();
+  CampaignStore::Snapshot want = original.snapshot();
+  ASSERT_EQ(want.campaigns.at(0xa1).shards.at({4, 4}).counts.count(
+                stats::Outcome::Detected),
+            4u);  // the held record of the conflicting pair
+  const auto stats = CampaignStore::compact(path_, /*nowMs=*/2000);
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_EQ(stats->shardRecords, 2u);
+  EXPECT_EQ(stats->workloadRecords, 1u);
+  EXPECT_EQ(stats->cellRecords, 1u);
+  EXPECT_EQ(stats->leaseRecords, 2u);
+  EXPECT_EQ(stats->quarantineRecords, 1u);
+  EXPECT_EQ(stats->droppedDuplicates, 4u);   // lines 0, 1, 3, 10
+  EXPECT_EQ(stats->droppedLeases, 4u);       // lines 6, 7, 11, 13
+  EXPECT_EQ(stats->droppedQuarantines, 2u);  // lines 14, 16
+  EXPECT_EQ(stats->droppedMalformed, 3u);    // outcome, v2, torn tail
+  EXPECT_TRUE(stats->rewritten);
+  // Survivors verbatim, each at its identity's first-seen position.
+  std::string survivors;
+  for (const std::size_t i : {9, 12, 2, 4, 5, 8, 15}) {
+    survivors += lines[i] + "\n";
+  }
+  EXPECT_EQ(readFile(path_), survivors);
+
+  // load() indexes the same record for every kept identity; only the
+  // superseded and expired scheduling records are gone.
+  CampaignStore compacted(path_);
+  const CampaignStore::LoadStats loaded = compacted.load();
+  EXPECT_EQ(loaded.malformed, 0u);
+  EXPECT_EQ(loaded.duplicates, 0u);
+  want.campaigns.at(0xa1).leases.erase({0, 4});
+  want.campaigns.at(0xa1).quarantines.erase({4, 4});
+  want.campaigns.erase(0xa2);
+  expectSameIndex(want, compacted.snapshot());
+
+  const auto again = CampaignStore::compact(path_, /*nowMs=*/2000);
+  ASSERT_TRUE(again.has_value());
+  EXPECT_FALSE(again->rewritten);  // compaction is idempotent
+  const auto fsck = CampaignStore::fsck(path_, /*repair=*/false);
+  ASSERT_TRUE(fsck.has_value());
+  EXPECT_TRUE(fsck->clean());
 }
 
 TEST_F(CampaignStoreFixture, CompactIgnoresAStaleTempFromAKilledRun) {

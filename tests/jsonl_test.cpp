@@ -4,7 +4,9 @@
 // checkpoint store's durability contract depends on.
 #include <cstdio>
 #include <limits>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -16,6 +18,27 @@ namespace {
 
 std::string tempPath(const char* name) {
   return ::testing::TempDir() + name;
+}
+
+/// What a read of a JSONL file yields: every line parsed as a record.
+struct Records {
+  std::vector<Json> records;
+  JsonlReadStats stats;
+};
+
+/// Read `path` from `offset` through readLinesFrom, parsing each line; a
+/// line that does not parse counts as malformed.
+Records readRecords(const std::string& path, std::uint64_t offset = 0,
+                    bool consumeTail = true) {
+  Records out;
+  out.stats = readLinesFrom(path, offset, consumeTail,
+                            [&](std::string_view line) {
+                              std::optional<Json> v = Json::parse(line);
+                              if (!v) return false;
+                              out.records.push_back(*std::move(v));
+                              return true;
+                            });
+  return out;
 }
 
 TEST(Json, ScalarRoundTrips) {
@@ -138,23 +161,22 @@ TEST(Jsonl, WriteThenReadBack) {
     for (std::uint64_t i = 0; i < 5; ++i) {
       Json rec = Json::object();
       rec.set("i", Json::number(i));
-      ASSERT_TRUE(writer.writeLine(rec));
+      ASSERT_TRUE(writer.writeLine(rec.dump()));
     }
   }
+  const Records read = readRecords(path);
   std::vector<std::uint64_t> seen;
-  const JsonlReadStats stats = readJsonl(
-      path, [&](Json&& rec) { seen.push_back(rec.find("i")->asUint()); });
-  EXPECT_EQ(stats.lines, 5u);
-  EXPECT_EQ(stats.malformed, 0u);
+  for (const Json& rec : read.records) seen.push_back(rec.find("i")->asUint());
+  EXPECT_EQ(read.stats.lines, 5u);
+  EXPECT_EQ(read.stats.malformed, 0u);
   EXPECT_EQ(seen, (std::vector<std::uint64_t>{0, 1, 2, 3, 4}));
 }
 
 TEST(Jsonl, MissingFileReadsAsEmpty) {
-  const JsonlReadStats stats = readJsonl(
-      tempPath("jsonl_does_not_exist.jsonl"),
-      [](Json&&) { FAIL() << "no records expected"; });
-  EXPECT_EQ(stats.lines, 0u);
-  EXPECT_EQ(stats.malformed, 0u);
+  const Records read = readRecords(tempPath("jsonl_does_not_exist.jsonl"));
+  EXPECT_TRUE(read.records.empty());
+  EXPECT_EQ(read.stats.lines, 0u);
+  EXPECT_EQ(read.stats.malformed, 0u);
 }
 
 TEST(Jsonl, TruncatedLastLineIsSkippedNotFatal) {
@@ -163,7 +185,7 @@ TEST(Jsonl, TruncatedLastLineIsSkippedNotFatal) {
   {
     JsonlWriter writer(path);
     ASSERT_TRUE(writer.writeLine(
-        Json::object().set("i", Json::number(std::uint64_t{1}))));
+        Json::object().set("i", Json::number(std::uint64_t{1})).dump()));
   }
   {
     // Simulate a writer killed mid-record: an unterminated trailing line.
@@ -172,12 +194,10 @@ TEST(Jsonl, TruncatedLastLineIsSkippedNotFatal) {
     std::fputs("{\"i\":2,\"outco", f);
     std::fclose(f);
   }
-  std::size_t records = 0;
-  const JsonlReadStats stats =
-      readJsonl(path, [&](Json&&) { ++records; });
-  EXPECT_EQ(records, 1u);
-  EXPECT_EQ(stats.lines, 2u);
-  EXPECT_EQ(stats.malformed, 1u);
+  const Records read = readRecords(path);
+  EXPECT_EQ(read.records.size(), 1u);
+  EXPECT_EQ(read.stats.lines, 2u);
+  EXPECT_EQ(read.stats.malformed, 1u);
 }
 
 TEST(Jsonl, AppendsAcrossWriterInstances) {
@@ -186,11 +206,9 @@ TEST(Jsonl, AppendsAcrossWriterInstances) {
   for (std::uint64_t i = 0; i < 2; ++i) {
     JsonlWriter writer(path);  // reopening must append, not truncate
     ASSERT_TRUE(
-        writer.writeLine(Json::object().set("i", Json::number(i))));
+        writer.writeLine(Json::object().set("i", Json::number(i)).dump()));
   }
-  std::size_t records = 0;
-  readJsonl(path, [&](Json&&) { ++records; });
-  EXPECT_EQ(records, 2u);
+  EXPECT_EQ(readRecords(path).records.size(), 2u);
 }
 
 // ------------------------------------------------------ block line reader
@@ -201,8 +219,8 @@ struct ReadResult {
   JsonlReadStats stats;
 };
 
-/// The byte-at-a-time splitter readJsonlFrom used before block reads, over
-/// the file's bytes: the reference the block reader must reproduce.
+/// The byte-at-a-time splitter the store read with before block reads,
+/// over the file's bytes: the reference the block reader must reproduce.
 ReadResult referenceRead(const std::string& bytes, std::uint64_t offset,
                          bool consumeTail) {
   ReadResult out;
@@ -237,10 +255,10 @@ ReadResult referenceRead(const std::string& bytes, std::uint64_t offset,
 
 ReadResult blockRead(const std::string& path, std::uint64_t offset,
                      bool consumeTail) {
+  const Records read = readRecords(path, offset, consumeTail);
   ReadResult out;
-  out.stats = readJsonlFrom(path, offset, consumeTail, [&](Json&& record) {
-    out.records.push_back(record.dump());
-  });
+  for (const Json& record : read.records) out.records.push_back(record.dump());
+  out.stats = read.stats;
   return out;
 }
 
@@ -339,21 +357,21 @@ TEST(LineReader, MissingFileReadsAsEmpty) {
   EXPECT_EQ(reader.offset(), 5u);
 }
 
-TEST(Jsonl, WriterTakesPreformattedLines) {
+TEST(Jsonl, WriterTakesLinesFormattedWithoutATree) {
   const std::string path = tempPath("jsonl_preformatted.jsonl");
   std::remove(path.c_str());
   const Json record = Json::object().set("s", Json::string("a\"b"));
   {
     JsonlWriter writer(path);
-    ASSERT_TRUE(writer.writeLine(record));
+    ASSERT_TRUE(writer.writeLine(record.dump()));
     std::string line;
     line += "{\"s\":";
     appendJsonString(line, "a\"b");
     line += '}';
-    ASSERT_TRUE(writer.writeLine(std::string_view(line)));
+    ASSERT_TRUE(writer.writeLine(line));
   }
   std::vector<std::string> seen;
-  readJsonl(path, [&](Json&& rec) { seen.push_back(rec.dump()); });
+  for (const Json& rec : readRecords(path).records) seen.push_back(rec.dump());
   EXPECT_EQ(seen, (std::vector<std::string>{record.dump(), record.dump()}));
   std::remove(path.c_str());
 }

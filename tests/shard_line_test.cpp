@@ -2,7 +2,8 @@
 // shortcuts: the encoder's bytes equal the record tree's dump(), the decoder
 // returns exactly what util::Json::parse + parseShardRecord return or
 // declines, and under a deterministic mutation fuzz (AFL's deterministic
-// stages) load() and fsck() classify every mutant line the same way.
+// stages) load() and fsck() classify every mutant line the same way, and
+// compact() keeps it iff load() accepts it.
 #include <unistd.h>
 
 #include <algorithm>
@@ -287,13 +288,86 @@ TEST(ShardLine, IntegrityFailuresFailBothPaths) {
   // Hist cells out of range or above 32 bits, by hand.
   const std::string line = encode(base);
   const std::size_t hist = line.find("\"hist\":[") + 8;
-  for (const char* cell : {"[5,0,1],", "[0,32,1],", "[0,0,4294967296],"}) {
+  for (const char* cell :
+       {"[5,0,1],", "[0,32,1],", "[0,0,4294967296],", "[0,0,0],"}) {
     std::string mutant = line;
     mutant.insert(hist, cell);
     ParsedShard out;
     EXPECT_FALSE(detail::decodeShardLine(mutant, out)) << mutant;
     EXPECT_FALSE(genericDecode(mutant, out)) << mutant;
   }
+}
+
+std::string slurp(const std::string& path) {
+  std::string bytes;
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) return bytes;
+  char buf[4096];
+  std::size_t n;
+  while ((n = std::fread(buf, 1, sizeof buf, f)) > 0) bytes.append(buf, n);
+  std::fclose(f);
+  return bytes;
+}
+
+/// `line` is not a record on any path: the decoder and the generic path
+/// reject it, load() counts it malformed, and fsck an integrity failure.
+void expectIntegrityFailureEverywhere(const std::string& line) {
+  ParsedShard out;
+  EXPECT_FALSE(detail::decodeShardLine(line, out)) << line;
+  EXPECT_FALSE(genericDecode(line, out)) << line;
+  const std::string path = ::testing::TempDir() + "shard_line_integrity_" +
+                           std::to_string(::getpid()) + ".jsonl";
+  std::FILE* f = std::fopen(path.c_str(), "wb");
+  ASSERT_NE(f, nullptr);
+  std::fputs((line + "\n").c_str(), f);
+  std::fclose(f);
+  CampaignStore store(path);
+  const CampaignStore::LoadStats load = store.load();
+  EXPECT_EQ(load.shardRecords, 0u);
+  EXPECT_EQ(load.malformed, 1u);
+  EXPECT_EQ(load.unknownKinds, 0u);
+  const std::optional<CampaignStore::FsckStats> fsck =
+      CampaignStore::fsck(path, /*repair=*/false);
+  ASSERT_TRUE(fsck.has_value());
+  EXPECT_EQ(fsck->integrityFailures, 1u);
+  EXPECT_EQ(fsck->validRecords, 0u);
+  EXPECT_TRUE(fsck->corrupt());
+  std::remove(path.c_str());
+}
+
+TEST(ShardLine, OutcomesSummingToCountOnlyModulo2To64FailEveryPath) {
+  // 2^64 - 2 + 3 wraps to 1, the count: each outcome must fit in what is
+  // left of the count, or a resume would merge a Benign count of 2^64 - 2.
+  Record r = validRecord("w", "read/single", 1, 1);
+  r.agg.counts = stats::OutcomeCounts::fromRaw({kMax64 - 1, 3, 0, 0, 0});
+  r.agg.hist = {};
+  r.agg.hist[0][1] = 1;
+  const std::string line = encode(r);
+  ASSERT_NE(line.find("\"count\":1,\"outcomes\":[18446744073709551614,3,0,"
+                      "0,0],\"hist\":[[0,1,1]]"),
+            std::string::npos)
+      << line;
+  expectIntegrityFailureEverywhere(line);
+}
+
+TEST(ShardLine, RepeatedHistCellFailsEveryPath) {
+  // A repeated (outcome, bucket) cell would add into one 32-bit count:
+  // 4294967295 + 2 wraps to 1, and the histogram then tallies `count`.
+  Record r = validRecord("w", "read/single", 1, 16);
+  r.agg.counts = stats::OutcomeCounts::fromRaw({1, 11, 0, 0, 4});
+  r.agg.hist = {};
+  r.agg.hist[0][1] = 1;
+  r.agg.hist[1][1] = 11;
+  r.agg.hist[4][1] = 4;
+  const std::string valid = encode(r);
+  ParsedShard out;
+  ASSERT_TRUE(detail::decodeShardLine(valid, out)) << valid;
+  std::string line = valid;
+  const std::string cells = "\"hist\":[[0,1,1],[1,1,11],[4,1,4]]";
+  ASSERT_NE(line.find(cells), std::string::npos) << line;
+  line.replace(line.find(cells), cells.size(),
+               "\"hist\":[[0,1,4294967295],[0,1,2],[1,1,11],[4,1,4]]");
+  expectIntegrityFailureEverywhere(line);
 }
 
 // ------------------------------------------------ deterministic mutation fuzz
@@ -317,8 +391,13 @@ class ShardLineFuzz : public ::testing::Test {
   }
   void TearDown() override { std::remove(path_.c_str()); }
 
-  /// One mutant: the decoder declines or agrees with the generic path, and
-  /// load() and fsck() classify the store holding it alike.
+  /// compact() runs on every kCompactEvery-th mutant's store (it rewrites
+  /// the file, so a deterministic sample keeps the sanitizer lane fast).
+  static constexpr std::size_t kCompactEvery = 64;
+
+  /// One mutant: the decoder declines or agrees with the generic path,
+  /// load() and fsck() classify the store holding it alike, and compact()
+  /// keeps exactly the lines load() accepts.
   void exec(const std::string& mutant, Stage& stage) {
     ++stage.execs;
     ParsedShard fast;
@@ -346,16 +425,20 @@ class ShardLineFuzz : public ::testing::Test {
     const std::optional<CampaignStore::FsckStats> fsck =
         CampaignStore::fsck(path_, /*repair=*/false);
     ASSERT_TRUE(fsck.has_value());
-    // On disk a '\n' the mutation wrote splits the line in two.
-    std::size_t validLines = valid ? 1 : 0;
+    // On disk a '\n' the mutation wrote splits the line in two: `accepted`
+    // holds the lines a record loads from, as the file holds them.
+    std::string accepted = valid ? mutant + '\n' : std::string();
     if (mutant.find('\n') != std::string::npos) {
-      validLines = 0;
+      accepted.clear();
       for (std::size_t at = 0; at <= mutant.size();) {
         const std::size_t nl = std::min(mutant.find('\n', at), mutant.size());
-        validLines += genericDecode(mutant.substr(at, nl - at), slow) ? 1 : 0;
+        const std::string line = mutant.substr(at, nl - at);
+        if (genericDecode(line, slow)) accepted += line + '\n';
         at = nl + 1;
       }
     }
+    const auto validLines = static_cast<std::size_t>(
+        std::count(accepted.begin(), accepted.end(), '\n'));
     const std::size_t loadAccepted = load.shardRecords +
                                      load.workloadRecords + load.cellRecords +
                                      load.leaseRecords +
@@ -368,9 +451,16 @@ class ShardLineFuzz : public ::testing::Test {
         << mutant;
     ASSERT_EQ(load.duplicates, fsck->duplicateLines + fsck->conflicts)
         << mutant;
+    if (++execs_ % kCompactEvery != 0) return;
+    const std::optional<CampaignStore::CompactStats> compacted =
+        CampaignStore::compact(path_);
+    ASSERT_TRUE(compacted.has_value());
+    ASSERT_EQ(compacted->shardRecords, load.shardRecords) << mutant;
+    ASSERT_EQ(slurp(path_), accepted) << mutant;
   }
 
   std::string path_;
+  std::size_t execs_ = 0;
 };
 
 TEST_F(ShardLineFuzz, DeterministicStagesKeepDecoderLoadAndFsckAgreeing) {

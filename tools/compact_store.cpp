@@ -1,7 +1,10 @@
-// Compact a campaign-results store in place: keep the newest record per
-// (campaign key, shard range) / workload name / cell key, drop torn lines
-// and fleet leases that are superseded by a shard record or past their
-// heartbeat deadline. See CampaignStore::compact.
+// Compact a campaign-results store in place: keep, per record identity,
+// the line of the record load() indexes (the first shard record; the newest
+// workload, cell and quarantine; the newest lease unless its epoch is
+// lower), copied byte for byte; drop torn, invalid and unknown-kind lines,
+// fleet leases superseded by a shard record or past their heartbeat
+// deadline, and quarantines superseded by a shard record. See
+// CampaignStore::compact.
 #include <cstdio>
 #include <cstring>
 
@@ -22,11 +25,13 @@ int main(int argc, char** argv) {
     return 1;
   }
   std::printf("%s: %zu shard, %zu workload, %zu cell record(s), %zu live "
-              "lease(s) kept; %zu duplicate(s), %zu dead lease(s), "
-              "%zu malformed line(s) dropped%s\n",
+              "lease(s), %zu quarantine(s) kept; %zu duplicate(s), %zu dead "
+              "lease(s), %zu superseded quarantine(s), %zu malformed "
+              "line(s) dropped%s\n",
               path.c_str(), stats->shardRecords, stats->workloadRecords,
               stats->cellRecords, stats->leaseRecords,
-              stats->droppedDuplicates, stats->droppedLeases,
+              stats->quarantineRecords, stats->droppedDuplicates,
+              stats->droppedLeases, stats->droppedQuarantines,
               stats->droppedMalformed,
               stats->rewritten ? "" : " (already canonical; file untouched)");
   return 0;
