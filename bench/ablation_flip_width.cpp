@@ -15,6 +15,7 @@
 
 int main() {
   using namespace onebit;
+  analytics::checkKnobs();
   const std::size_t n = bench::experimentsPerCampaign(300);
   bench::printHeaderNote("Ablation: flip width (64 vs 32 vs 16 bits)", n);
 

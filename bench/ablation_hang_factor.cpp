@@ -15,6 +15,7 @@
 
 int main() {
   using namespace onebit;
+  analytics::checkKnobs();
   const std::size_t n = bench::experimentsPerCampaign(300);
   bench::printHeaderNote("Ablation: hang-detection budget factor", n);
 

@@ -19,6 +19,7 @@
 
 int main() {
   using namespace onebit;
+  analytics::checkKnobs();
   const std::size_t n = bench::experimentsPerCampaign(300);
   bench::printHeaderNote("Ablation: -O0 vs -O1 IR under single-bit injection",
                          n);

@@ -1,86 +1,9 @@
 // Shared helpers for the paper-artifact bench harnesses.
 //
 // Every binary prints the rows/series of one table or figure from the paper.
-// Scale knobs (all optional):
-//   ONEBIT_EXPERIMENTS  experiments per campaign (default varies per bench)
-//   ONEBIT_SEED         master seed (default 2017, the paper's year)
-//   ONEBIT_PROGRAMS     comma-separated subset of Table II program names
-//   ONEBIT_SPECS        semicolon-separated subset of fault-spec labels,
-//                       e.g. "read/single;write/m=3,w=1" (semicolons
-//                       because multi-bit labels contain commas); matches
-//                       whole FaultModel::label() strings
-//   ONEBIT_CSV          1 = emit tables as CSV (for plotting scripts)
-//   ONEBIT_FLIP_WIDTH   integer-register width of the flip model
-//                       (default 32 = paper-faithful; 64 = raw VM width)
-//   ONEBIT_THREADS      worker threads shared by the whole sweep
-//                       (default: all cores)
-//   ONEBIT_SHARD_SIZE   experiments per shard (default: auto)
-//   ONEBIT_PROGRESS     1 = per-campaign suite progress lines on stderr,
-//                       plus one [prune] line with the golden-snapshot
-//                       matches; 2 = per-shard lines as well
-//
-// Golden-prefix fast-forward knobs (see docs/ARCHITECTURE.md). The golden
-// snapshots also drive outcome-equivalence pruning, which every driver
-// runs: a faulty run whose state matches a snapshot ends there with the
-// golden outcome. Both are pure speedups: outputs are bit-identical
-// whatever these knobs say.
-//   ONEBIT_SNAPSHOT_INTERVAL  dynamic instructions between golden-run
-//                       snapshot captures (coarsened on the fly by the
-//                       budget); 0 = no snapshots and no pruning (every
-//                       experiment interprets from scratch to its end),
-//                       unset/negative = the default of 1024
-//   ONEBIT_SNAPSHOT_BUDGET    per-workload byte budget for kept snapshots
-//                       (default 16 MiB); 0 = same as interval 0
-//
-// Every driver runs its hook-free segments (golden runs with their
-// snapshot captures, and each experiment's suffix once its faults are
-// spent) on the direct-threaded loop, which the differential fuzzer and
-// the DispatchEquivalence suite hold bit-identical to the reference loop
-// (see "Dispatch backends" in docs/ARCHITECTURE.md).
-//
-// Results-store knobs (checkpoint/resume; see docs/ARCHITECTURE.md):
-//   ONEBIT_STORE        path of a JSONL campaign store; every completed
-//                       shard is appended (and flushed) there
-//   ONEBIT_RESUME       1 = skip shards already recorded in ONEBIT_STORE
-//                       and merge their stored aggregates instead
-//   ONEBIT_MAX_SHARDS   stop each campaign after this many fresh shards
-//                       (checkpoint cap; partial results, for testing
-//                       interruption without killing the process)
-//
-// Campaign-fleet knobs (multi-process execution; see fi/fleet.hpp,
-// fi/supervisor.hpp and the "Campaign fleet" and "Self-healing fleet"
-// sections of docs/ARCHITECTURE.md):
-//   ONEBIT_FLEET_WORKERS      fork this many fleet worker processes under a
-//                       FleetSupervisor and run the sweep through the lease
-//                       broker instead of the in-process thread pool
-//                       (0/unset = off). Crashed workers are respawned with
-//                       capped exponential backoff, shards that repeatedly
-//                       kill their workers are quarantined, and a final
-//                       in-process pass finishes whatever remains, so output
-//                       is bit-identical to the in-process run. Uses
-//                       ONEBIT_STORE when set (the store doubles as the
-//                       fleet's work queue and makes the run resumable);
-//                       otherwise a temporary store is created and removed.
-//                       ONEBIT_MAX_SHARDS caps only that final pass.
-//   ONEBIT_FLEET_LEASE_MS     shard lease duration (default 30000)
-//   ONEBIT_FLEET_HEARTBEAT_MS lease heartbeat period (default lease/3)
-//   ONEBIT_FLEET_KILL_AFTER   crash injection: the first worker SIGKILLs
-//                       itself right after its Nth lease claim, once (its
-//                       respawn does not); the others re-lease its shard
-//                       (tests fault tolerance without changing any output;
-//                       0/unset = off)
-//   ONEBIT_POISON_RETRIES     mid-lease worker deaths on one shard range
-//                       before the supervisor quarantines it (default 3)
-//   ONEBIT_LEASE_QUANTILE     adaptive lease deadlines: quantile of
-//                       observed per-shard cost the deadline tracks
-//                       (default 0.9; 0 = fixed deadlines)
-//   ONEBIT_FLEET_POISON       test hook "NAME[:SHARD]": a worker SIGKILLs
-//                       itself right after claiming that shard (any shard
-//                       of NAME when :SHARD is omitted) — the fleet
-//                       quarantines it and still converges
-//   ONEBIT_FLEET_CHAOS_KILL_MS  chaos hook: the supervisor SIGKILLs one
-//                       random live worker roughly this often (never
-//                       counted toward poison detection; 0/unset = off)
+// Its main() calls analytics::checkKnobs() first; the ONEBIT_* knobs, their
+// ranges and defaults are the one table in src/analytics/knobs.cpp (listed
+// in docs/REPRODUCING.md). The helpers below apply them.
 //
 // Drivers that sweep several campaigns should not loop over campaign();
 // they should declare every (workload × spec) cell on a SweepBuilder and
@@ -109,7 +32,6 @@
 #include "fi/suite.hpp"
 #include "fi/supervisor.hpp"
 #include "progs/registry.hpp"
-#include "util/env.hpp"
 #include "util/file_lock.hpp"
 #include "util/table.hpp"
 
@@ -128,17 +50,14 @@ using analytics::masterSeed;
 using analytics::experimentsPerCampaign;
 using analytics::programSelected;
 using analytics::specSelected;
+using analytics::Knob;
+using analytics::knobs;
 
-/// The golden-prefix snapshot policy selected by the environment knobs.
-/// ONEBIT_SNAPSHOT_INTERVAL: 0 disables the cache, a positive value sets the
-/// initial capture spacing in instructions, unset/negative keeps the default.
-/// ONEBIT_SNAPSHOT_BUDGET: per-workload byte budget (0 disables).
+/// The golden-prefix snapshot policy: ONEBIT_SNAPSHOT_INTERVAL sets the
+/// initial capture spacing in instructions, and 0 disables the cache.
 inline fi::SnapshotPolicy snapshotPolicyFromEnv() {
   fi::SnapshotPolicy policy;
-  const std::int64_t interval = util::envInt("ONEBIT_SNAPSHOT_INTERVAL", -1);
-  if (interval >= 0) policy.interval = static_cast<std::uint64_t>(interval);
-  policy.budgetBytes = util::envSize("ONEBIT_SNAPSHOT_BUDGET",
-                                     policy.budgetBytes);
+  policy.interval = knobs().count(Knob::SnapshotInterval);
   return policy;
 }
 
@@ -171,7 +90,7 @@ using analytics::flipWidth;
 /// first use; nullptr when the knob is unset.
 inline fi::CampaignStore* sharedStore() {
   static const std::unique_ptr<fi::CampaignStore> store = [] {
-    const std::string path = util::envStr("ONEBIT_STORE", "");
+    const std::string& path = knobs().text(Knob::Store);
     if (path.empty()) return std::unique_ptr<fi::CampaignStore>();
     auto s = std::make_unique<fi::CampaignStore>(path);
     const fi::CampaignStore::LoadStats stats = s->load();
@@ -195,7 +114,7 @@ inline fi::CampaignStore* sharedStore() {
 }
 
 inline bool resumeEnabled() {
-  const bool enabled = util::envInt("ONEBIT_RESUME", 0) != 0;
+  const bool enabled = knobs().flag(Knob::Resume);
   if (enabled && sharedStore() == nullptr) {
     static const bool warned = [] {
       std::fprintf(stderr,
@@ -221,40 +140,25 @@ inline fi::StoreBinding storeBinding(std::string workloadName) {
 
 /// Worker processes requested by ONEBIT_FLEET_WORKERS (0 = run in-process).
 inline std::size_t fleetWorkers() {
-  return util::envSize("ONEBIT_FLEET_WORKERS");
+  return static_cast<std::size_t>(knobs().count(Knob::FleetWorkers));
 }
 
-/// The fleet options the ONEBIT_FLEET_* knobs select: workers, poison
-/// retries, chaos kills, the crash hook, lease, heartbeat, the
-/// adaptive-deadline quantile (ONEBIT_LEASE_QUANTILE; 0 disables
-/// adaptation), and the ONEBIT_FLEET_POISON "NAME[:SHARD]" test hook (a
-/// malformed spec is ignored, as every env knob ignores garbage).
+/// The fleet options the ONEBIT_FLEET_* and ONEBIT_POISON_RETRIES knobs
+/// select. The heartbeat stays lease/3 and lease deadlines adapt at the
+/// library's quantile; fleet_worker's flags tune both for real fleets.
 inline fi::FleetSupervisorConfig supervisorOptionsFromEnv() {
+  const analytics::Knobs& k = knobs();
   fi::FleetSupervisorConfig opts;
   opts.workers = fleetWorkers();
-  opts.poisonRetries = util::envSize("ONEBIT_POISON_RETRIES",
-                                     opts.poisonRetries);
-  opts.chaosKillMs = static_cast<std::uint64_t>(
-      util::envSize("ONEBIT_FLEET_CHAOS_KILL_MS"));
-  opts.killFirstWorkerAfterClaims = util::envSize("ONEBIT_FLEET_KILL_AFTER");
-  fi::FleetConfig& config = opts.fleet;
-  config.leaseMs = static_cast<std::uint64_t>(
-      util::envSize("ONEBIT_FLEET_LEASE_MS", config.leaseMs));
-  config.heartbeatMs = static_cast<std::uint64_t>(
-      util::envSize("ONEBIT_FLEET_HEARTBEAT_MS", config.heartbeatMs));
-  const std::string quantile = util::envStr("ONEBIT_LEASE_QUANTILE", "");
-  if (!quantile.empty()) {
-    char* end = nullptr;
-    const double q = std::strtod(quantile.c_str(), &end);
-    if (end != quantile.c_str() && *end == '\0') {
-      if (q > 0.0 && q <= 1.0) {
-        config.leaseQuantile = q;
-      } else {
-        config.adaptiveLease = false;
-      }
-    }
+  opts.poisonRetries = static_cast<std::size_t>(k.count(Knob::PoisonRetries));
+  opts.chaosKillMs = k.count(Knob::FleetChaosKillMs);
+  opts.killFirstWorkerAfterClaims =
+      static_cast<std::size_t>(k.count(Knob::FleetKillAfter));
+  opts.fleet.leaseMs = k.count(Knob::FleetLeaseMs);
+  // The table accepted the spec through the same parser.
+  if (k.set(Knob::FleetPoison)) {
+    fi::parsePoison(k.text(Knob::FleetPoison), opts.fleet);
   }
-  (void)fi::parsePoison(util::envStr("ONEBIT_FLEET_POISON", ""), config);
   return opts;
 }
 
@@ -262,9 +166,10 @@ inline fi::FleetSupervisorConfig supervisorOptionsFromEnv() {
 /// environment knobs once per builder.
 inline fi::SuiteConfig suiteConfigFromEnv() {
   fi::SuiteConfig cfg;
-  cfg.threads = util::envSize("ONEBIT_THREADS");
-  cfg.shardSize = util::envSize("ONEBIT_SHARD_SIZE");
-  cfg.maxShards = util::envSize("ONEBIT_MAX_SHARDS");
+  const analytics::Knobs& k = knobs();
+  cfg.threads = static_cast<std::size_t>(k.count(Knob::Threads));
+  cfg.shardSize = static_cast<std::size_t>(k.count(Knob::ShardSize));
+  cfg.maxShards = static_cast<std::size_t>(k.count(Knob::MaxShards));
   cfg.withStore(storeBinding({}));
   return cfg;
 }
@@ -277,7 +182,7 @@ inline fi::SuiteConfig suiteConfigFromEnv() {
 class SweepBuilder {
  public:
   SweepBuilder() : suite_(suiteConfigFromEnv()) {
-    const std::int64_t level = util::envInt("ONEBIT_PROGRESS", 0);
+    const std::uint64_t level = knobs().count(Knob::Progress);
     if (level >= 1) {
       suite_.onProgress([](const fi::SuiteProgress& p) {
         std::fprintf(stderr,
@@ -350,7 +255,7 @@ class SweepBuilder {
       }
       // Pruning summary. Stderr, not stdout: bench stdout must not depend
       // on whether a run prunes.
-      if (util::envInt("ONEBIT_PROGRESS", 0) >= 1) {
+      if (knobs().count(Knob::Progress) >= 1) {
         fi::PruneStats total;
         for (const fi::CampaignResult& r : results_) total += r.prune;
         std::fprintf(stderr,
@@ -371,11 +276,14 @@ class SweepBuilder {
   /// fleet over ONEBIT_STORE (or a temporary store, removed afterwards).
   /// Bit-identical to suite_.run() by the fleet's determinism contract.
   std::vector<fi::CampaignResult> runAsFleet() {
-    std::string storePath = util::envStr("ONEBIT_STORE", "");
+    std::string storePath = knobs().text(Knob::Store);
     const bool temporary = storePath.empty();
     if (temporary) {
-      storePath = util::envStr("TMPDIR", "/tmp") + "/onebit_fleet_" +
-                  std::to_string(util::currentPid()) + ".jsonl";
+      const char* tmpdir = std::getenv("TMPDIR");
+      storePath = std::string(tmpdir != nullptr && *tmpdir != '\0' ? tmpdir
+                                                                   : "/tmp") +
+                  "/onebit_fleet_" + std::to_string(util::currentPid()) +
+                  ".jsonl";
     }
     fi::FleetSupervisor::Report report;
     std::vector<fi::CampaignResult> results = fi::runSupervisedFleet(
@@ -453,7 +361,10 @@ inline int runFigure(std::string_view id) {
     }
     return out;
   };
-  std::fputs(analytics::runFigure(id, runBatch).value().text.c_str(), stdout);
+  std::fputs(analytics::runFigure(id, runBatch, analytics::csvEnabled())
+                 .value()
+                 .text.c_str(),
+             stdout);
   return 0;
 }
 

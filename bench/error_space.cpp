@@ -10,6 +10,7 @@
 
 int main() {
   using namespace onebit;
+  analytics::checkKnobs();
   const std::size_t n = bench::experimentsPerCampaign(400);
   bench::printHeaderNote("Error-space accounting (§II-D) and pruning layers",
                          n);

@@ -6,4 +6,7 @@
 // from a store. All 2×15 campaigns run as one fi::CampaignSuite.
 #include "bench_common.hpp"
 
-int main() { return onebit::bench::runFigure("fig1"); }
+int main() {
+  onebit::analytics::checkKnobs();
+  return onebit::bench::runFigure("fig1");
+}

@@ -7,4 +7,7 @@
 // by default) runs as one fi::CampaignSuite.
 #include "bench_common.hpp"
 
-int main() { return onebit::bench::runFigure("fig2"); }
+int main() {
+  onebit::analytics::checkKnobs();
+  return onebit::bench::runFigure("fig2");
+}

@@ -8,4 +8,7 @@
 // win-sizes) runs as one fi::CampaignSuite.
 #include "bench_common.hpp"
 
-int main() { return onebit::bench::runFigure("fig3"); }
+int main() {
+  onebit::analytics::checkKnobs();
+  return onebit::bench::runFigure("fig3");
+}

@@ -12,4 +12,7 @@
 // the serial pruning::findPessimisticPair path (same specs, same seeds).
 #include "bench_common.hpp"
 
-int main() { return onebit::bench::runFigure("fig4"); }
+int main() {
+  onebit::analytics::checkKnobs();
+  return onebit::bench::runFigure("fig4");
+}

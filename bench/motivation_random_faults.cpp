@@ -13,6 +13,7 @@
 
 int main() {
   using namespace onebit;
+  analytics::checkKnobs();
   const std::size_t n = bench::experimentsPerCampaign(400);
   bench::printHeaderNote(
       "Motivation (§III-A): blind random-register faults vs inject-on-read",

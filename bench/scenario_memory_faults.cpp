@@ -19,6 +19,7 @@
 
 int main() {
   using namespace onebit;
+  analytics::checkKnobs();
   const std::size_t n = bench::experimentsPerCampaign(400);
   bench::printHeaderNote(
       "Memory-fault scenario: MemoryData domain x bit patterns", n);

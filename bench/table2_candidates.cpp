@@ -11,6 +11,7 @@
 
 int main() {
   using namespace onebit;
+  analytics::checkKnobs();
   std::printf("== Table II: selected benchmark programs ==\n\n");
   fi::CampaignStore* store = bench::sharedStore();
   const bool resume = bench::resumeEnabled();

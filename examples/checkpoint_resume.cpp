@@ -47,6 +47,7 @@ int main() {
 
 int main() {
   using namespace onebit;
+  analytics::checkKnobs();
 
   const fi::Workload workload(lang::compileMiniC(kProgram));
 

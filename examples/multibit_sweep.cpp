@@ -3,21 +3,24 @@
 //
 //   ./multibit_sweep [program] [win-size]
 //   ONEBIT_EXPERIMENTS=1000 ./multibit_sweep crc32 1
-#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 
 #include "analytics/knobs.hpp"
 #include "fi/campaign.hpp"
+#include "fi/fleet.hpp"
 #include "fi/grid.hpp"
 #include "progs/registry.hpp"
-#include "util/env.hpp"
 
 int main(int argc, char** argv) {
   using namespace onebit;
+  analytics::checkKnobs();
   const char* progName = argc > 1 ? argv[1] : "crc32";
-  const std::uint64_t win =
-      argc > 2 ? static_cast<std::uint64_t>(std::atoll(argv[2])) : 1;
+  std::uint64_t win = 1;
+  if (argc > 2 && !fi::parseCount(argv[2], win)) {
+    std::fprintf(stderr, "win-size '%s' is not a count of instructions\n",
+                 argv[2]);
+    return 2;
+  }
 
   const progs::ProgramInfo* info = progs::findProgram(progName);
   if (info == nullptr) {
@@ -43,7 +46,7 @@ int main(int argc, char** argv) {
       config.experiments = n;
       config.seed = 0xace0fba5eULL + m;
       config.shardSize = static_cast<std::size_t>(
-          std::max<std::int64_t>(0, util::envInt("ONEBIT_SHARD_SIZE", 0)));
+          analytics::knobs().count(analytics::Knob::ShardSize));
       const fi::CampaignResult r = fi::CampaignEngine(config).run(workload);
       const auto sdc = r.sdc();
       std::printf("%-16s %-8u %9.2f%% %9.2f%%\n",

@@ -12,6 +12,7 @@
 
 int main(int argc, char** argv) {
   using namespace onebit;
+  analytics::checkKnobs();
   const char* progName = argc > 1 ? argv[1] : "qsort";
   const progs::ProgramInfo* info = progs::findProgram(progName);
   if (info == nullptr) {

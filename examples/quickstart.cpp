@@ -53,6 +53,7 @@ void report(const char* title, const onebit::fi::CampaignResult& r) {
 
 int main() {
   using namespace onebit;
+  analytics::checkKnobs();
 
   // 1. Compile MiniC to verified IR.
   const ir::Module mod = lang::compileMiniC(kProgram);

@@ -42,13 +42,14 @@ now_ms() {
 run_driver() {
   _bin="$1"; _n="$2"; _mode="$3"; _out="$4"
   if [ "$_mode" = off ]; then
-    _interval=0
+    _snapshots="ONEBIT_SNAPSHOT_INTERVAL=0"
   else
-    _interval=-1  # negative = auto
+    _snapshots="-u ONEBIT_SNAPSHOT_INTERVAL"  # unset = the default interval
   fi
   _start="$(now_ms)"
-  env ONEBIT_EXPERIMENTS="$_n" ONEBIT_CSV=1 ONEBIT_THREADS="$THREADS" \
-      ONEBIT_PROGRAMS="$PROGRAMS" ONEBIT_SNAPSHOT_INTERVAL="$_interval" \
+  # shellcheck disable=SC2086 # $_snapshots is two words or one
+  env $_snapshots ONEBIT_EXPERIMENTS="$_n" ONEBIT_CSV=1 \
+      ONEBIT_THREADS="$THREADS" ONEBIT_PROGRAMS="$PROGRAMS" \
       "$_bin" > "$_out" 2> /dev/null
   _end="$(now_ms)"
   echo "$(( _end - _start ))"

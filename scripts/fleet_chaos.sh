@@ -2,7 +2,7 @@
 # Fleet chaos smoke: the self-healing fleet must converge under fire and
 # still be a pure scheduling change. Run a paper figure solo, then as a
 # supervised 3-worker fleet where the supervisor SIGKILLs a random worker
-# every ONEBIT_CHAOS_MS (default 100 ms; raise it for slow sanitized
+# every CHAOS_MS (default 100 ms; raise it for slow sanitized
 # builds — if kills outpace shard completion the fleet starves instead of
 # converging) AND shard 1 of every 'qsort' cell is poisoned (the worker
 # that claims it dies mid-shard every time). Require:
@@ -44,7 +44,7 @@ echo "== solo run (reference)"
 ONEBIT_STORE="$tmp/solo.jsonl" \
   "$build/bench_fig1_single_bit" > "$tmp/fig1_solo.csv"
 
-chaos_ms=${ONEBIT_CHAOS_MS:-100}
+chaos_ms=${CHAOS_MS:-100}
 echo "== supervised fleet: chaos kills every $chaos_ms ms, 'qsort' shard 1 poisoned"
 ONEBIT_STORE="$tmp/fleet.jsonl" \
   ONEBIT_FLEET_WORKERS=3 \

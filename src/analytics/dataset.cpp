@@ -163,6 +163,7 @@ std::vector<const CampaignTable*> Dataset::match(
 }
 
 void Dataset::ingest(const fi::CampaignStore::Snapshot& snap) {
+  using Store = fi::CampaignStore;
   for (const auto& [key, campaign] : snap.campaigns) {
     CampaignTable& table = campaigns_[key];
     table.meta.key = key;
@@ -171,40 +172,26 @@ void Dataset::ingest(const fi::CampaignStore::Snapshot& snap) {
     if (table.meta.experiments == 0 && campaign.meta.experiments != 0) {
       table.meta = campaign.meta;
     }
-    if (campaign.cell && !table.submitted) {
+    // Every record by the store's own keep rule: a snapshot holds what the
+    // store kept, so re-ingesting a polled source keeps what a fresh load
+    // of the same file does.
+    if (campaign.cell && (!table.submitted ||
+                          Store::replaces(table.cell, *campaign.cell))) {
       table.submitted = true;
       table.cell = *campaign.cell;
     }
-    // Shards: first-wins per range — the store's own load() rule, so a
-    // compacted store, a re-polled store, and N shard-overlapping stores
-    // all merge to the same table.
     for (const auto& [range, agg] : campaign.shards) {
-      table.shards.try_emplace(range, agg);
+      Store::keep(table.shards, range, agg);
     }
-    // Leases: newest-wins per range by (epoch, deadline); on a full tie
-    // prefer the record carrying an observed cost. Idempotent: re-ingesting
-    // an identical record changes nothing.
     for (const auto& [range, lease] : campaign.leases) {
-      auto [it, inserted] = table.leases.try_emplace(range, lease);
-      if (inserted) continue;
-      fi::CampaignStore::LeaseRecord& cur = it->second;
-      if (lease.epoch > cur.epoch ||
-          (lease.epoch == cur.epoch && lease.deadlineMs > cur.deadlineMs) ||
-          (lease.epoch == cur.epoch && lease.deadlineMs == cur.deadlineMs &&
-           cur.costMs == 0 && lease.costMs != 0)) {
-        cur = lease;
-      }
+      Store::keep(table.leases, range, lease);
     }
-    // Quarantines: the higher cumulative crash count is the newer verdict.
     for (const auto& [range, quarantine] : campaign.quarantines) {
-      auto [it, inserted] = table.quarantines.try_emplace(range, quarantine);
-      if (!inserted && quarantine.crashes > it->second.crashes) {
-        it->second = quarantine;
-      }
+      Store::keep(table.quarantines, range, quarantine);
     }
   }
   for (const auto& [name, record] : snap.workloads) {
-    workloads_.try_emplace(name, record);
+    Store::keep(workloads_, name, record);
   }
 }
 

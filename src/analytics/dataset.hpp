@@ -18,10 +18,12 @@
 //     last load (CampaignStore::refresh), so a live dashboard polling a
 //     large fleet store pays for the new records, not the whole file.
 //
-// Merging is idempotent and mirrors the store's own index rules — shards
-// first-wins per (key, range), leases/quarantines newest-wins — so
-// re-ingesting a source after poll(), loading a compacted store, or loading
-// the same records from two shard stores all produce identical tables.
+// Merging uses the store's own keep rules (CampaignStore::keep) — shards
+// first-wins per (key, range); workloads, cells, quarantines and
+// same-or-higher-epoch leases newest-wins, a later source counting as newer
+// — so re-ingesting a source after poll(), loading a compacted store, or
+// loading the same records from two shard stores all produce identical
+// tables.
 #pragma once
 
 #include <cstdint>
@@ -111,7 +113,7 @@ class Dataset {
     return campaigns_;
   }
 
-  /// Merged workload profiles (first source wins per name).
+  /// Merged workload profiles (newest per name, by the keep rule).
   [[nodiscard]] const std::map<std::string, fi::CampaignStore::WorkloadRecord,
                                std::less<>>&
   workloads() const noexcept {

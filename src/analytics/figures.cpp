@@ -58,6 +58,7 @@ using CellSource = std::function<CellResolution(const CellKey&)>;
 /// One render: the source it asks and the output it builds.
 struct Ctx {
   const CellSource& source;
+  bool csv;
   FigureOutput out;
 
   CellResolution resolve(const CellKey& cell) {
@@ -68,7 +69,7 @@ struct Ctx {
   }
 
   void emit(const util::TextTable& table) {
-    out.text += renderTable(table, csvEnabled());
+    out.text += renderTable(table, csv);
   }
 };
 
@@ -482,8 +483,8 @@ void renderFig4(Ctx& ctx) {
 }
 
 std::optional<FigureOutput> render(std::string_view id,
-                                   const CellSource& source) {
-  Ctx ctx{source, {}};
+                                   const CellSource& source, bool csv) {
+  Ctx ctx{source, csv, {}};
   if (id == "fig1") {
     renderFig1(ctx);
   } else if (id == "fig2") {
@@ -532,14 +533,13 @@ CellResolution resolveCell(const Dataset& ds, const CellKey& cell) {
 }
 
 std::optional<FigureOutput> renderFigure(std::string_view id,
-                                         const Dataset& ds) {
-  return render(id, [&ds](const CellKey& cell) {
-    return resolveCell(ds, cell);
-  });
+                                         const Dataset& ds, bool csv) {
+  return render(
+      id, [&ds](const CellKey& cell) { return resolveCell(ds, cell); }, csv);
 }
 
 std::optional<FigureOutput> runFigure(std::string_view id,
-                                      const BatchRunner& runBatch) {
+                                      const BatchRunner& runBatch, bool csv) {
   // The label carries every model field but the flip width.
   using CellId = std::tuple<std::string, std::string, unsigned,
                             std::uint64_t, std::size_t>;
@@ -559,7 +559,7 @@ std::optional<FigureOutput> runFigure(std::string_view id,
     return missing;
   };
   for (;;) {
-    std::optional<FigureOutput> out = render(id, source);
+    std::optional<FigureOutput> out = render(id, source, csv);
     if (!out || pending.empty()) return out;
     const std::vector<CellResolution> results = runBatch(pending);
     if (results.size() != pending.size()) {

@@ -89,10 +89,10 @@ struct FigureOutput {
 
 /// Render figure `id` ("fig1".."fig4"; "fig5" and "table3" alias "fig4",
 /// which prints all three artifacts like the driver does) from the Dataset
-/// under the current ONEBIT_* selection knobs. Returns nullopt for an
-/// unknown id.
+/// under the current ONEBIT_* selection knobs, its tables as CSV when `csv`.
+/// Returns nullopt for an unknown id.
 std::optional<FigureOutput> renderFigure(std::string_view id,
-                                         const Dataset& ds);
+                                         const Dataset& ds, bool csv);
 
 /// Runs a batch of cells and answers each, in order (one resolution per
 /// cell). A cell the runner leaves Partial is never handed to it again.
@@ -102,9 +102,10 @@ using BatchRunner =
 /// Render figure `id`, handing every cell a render asks for that has not
 /// been run yet to `runBatch` (one call per round, cells in the order the
 /// render first asked for them), until a render asks for nothing new.
-/// Returns the last render; nullopt for an unknown id.
+/// Tables are CSV when `csv`. Returns the last render; nullopt for an
+/// unknown id.
 std::optional<FigureOutput> runFigure(std::string_view id,
-                                      const BatchRunner& runBatch);
+                                      const BatchRunner& runBatch, bool csv);
 
 /// The known figure ids, for usage text: "fig1 fig2 fig3 fig4 (aliases:
 /// fig5, table3)".

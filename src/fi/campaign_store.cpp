@@ -179,51 +179,6 @@ bool parseQuarantineRecord(const util::Json& record, std::uint64_t& key,
   return true;
 }
 
-// The keep rules, one per record kind: whether a record read after `held`,
-// with the same identity, replaces it. The live index (load, refresh and
-// the appends) and compact() both decide through keep() below, so a
-// compacted store holds exactly the records load() indexes.
-
-/// Shards: the first record wins. By the determinism contract a re-recorded
-/// shard carries the same aggregates, and keep-first makes replays of a
-/// partially resumed store idempotent.
-bool replaces(const CampaignStore::ShardAggregate& /*held*/,
-              const CampaignStore::ShardAggregate& /*incoming*/) {
-  return false;
-}
-
-/// Leases: a newer record replaces the held one unless its epoch is lower —
-/// a higher epoch always, a renewal within the epoch by file order (appends
-/// are time-ordered); a stale epoch ordered late is ignored.
-bool replaces(const CampaignStore::LeaseRecord& held,
-              const CampaignStore::LeaseRecord& incoming) {
-  return incoming.epoch >= held.epoch && !(incoming == held);
-}
-
-/// Workloads, cells and quarantines: a different newer record replaces the
-/// held one (a re-profiled workload, a cell re-submitted with other
-/// scheduling metadata, an escalated verdict).
-template <class Record>
-bool replaces(const Record& held, const Record& incoming) {
-  return !(incoming == held);
-}
-
-/// Apply the keep rule to one held record. True when `incoming` replaced it.
-template <class Record>
-bool supersede(Record& held, const Record& incoming) {
-  if (!replaces(held, incoming)) return false;
-  held = incoming;
-  return true;
-}
-
-/// Index `incoming` under `id` by the keep rule. True when the index took it
-/// (a new identity, or a replacement); false when the held record stays.
-template <class Map, class Id, class Record>
-bool keep(Map& index, const Id& id, const Record& incoming) {
-  const auto [it, inserted] = index.try_emplace(id, incoming);
-  return inserted || supersede(it->second, incoming);
-}
-
 util::Json cellToJson(const CampaignStore::CellRecord& rec) {
   util::Json record = util::Json::object();
   record.set("v", util::Json::number(CampaignStore::kFormatVersion));

@@ -254,6 +254,45 @@ class CampaignStore {
     bool operator==(const QuarantineRecord&) const = default;
   };
 
+  // The keep rules, one per record kind: whether a record read after
+  // `held`, with the same identity, replaces it. The live index (load,
+  // refresh and the appends), compact() and analytics::Dataset all decide
+  // through keep(), so a compacted store holds exactly the records load()
+  // indexes, and a Dataset polling a live store holds what a fresh one does.
+
+  /// Shards: the first record wins. By the determinism contract a
+  /// re-recorded shard carries the same aggregates, and keep-first makes
+  /// replays of a partially resumed store idempotent.
+  static bool replaces(const ShardAggregate& /*held*/,
+                       const ShardAggregate& /*incoming*/) noexcept {
+    return false;
+  }
+
+  /// Leases: a newer record replaces the held one unless its epoch is
+  /// lower — a higher epoch always, a renewal within the epoch by file
+  /// order (appends are time-ordered); a stale epoch ordered late is
+  /// ignored.
+  static bool replaces(const LeaseRecord& held, const LeaseRecord& incoming) {
+    return incoming.epoch >= held.epoch && !(incoming == held);
+  }
+
+  /// Workloads, cells and quarantines: a different newer record replaces
+  /// the held one (a re-profiled workload, a cell re-submitted with other
+  /// scheduling metadata, an escalated verdict).
+  template <class Record>
+  static bool replaces(const Record& held, const Record& incoming) {
+    return !(incoming == held);
+  }
+
+  /// Index `incoming` under `id` by the keep rule. True when the index took
+  /// it (a new identity, or a replacement); false when the held record
+  /// stays.
+  template <class Map, class Id, class Record>
+  static bool keep(Map& index, const Id& id, const Record& incoming) {
+    const auto [it, inserted] = index.try_emplace(id, incoming);
+    return inserted || supersede(it->second, incoming);
+  }
+
   struct LoadStats {
     std::size_t shardRecords = 0;     ///< accepted shard records
     std::size_t workloadRecords = 0;  ///< accepted workload records
@@ -552,6 +591,15 @@ class CampaignStore {
 
  private:
   using ShardRange = Range;  ///< (first, count)
+
+  /// Apply the keep rule to one held record. True when `incoming` replaced
+  /// it.
+  template <class Record>
+  static bool supersede(Record& held, const Record& incoming) {
+    if (!replaces(held, incoming)) return false;
+    held = incoming;
+    return true;
+  }
 
   struct Line;  ///< one decoded store line (campaign_store.cpp)
 

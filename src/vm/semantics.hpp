@@ -2,7 +2,7 @@
 //
 // The direct-threaded loop (vm/machine_threaded.cpp) builds every generic,
 // per-form and fused handler from these functions, and the hang prover
-// (vm/machine_hang.cpp) folds constant operands with them, so the two
+// (vm/hang_proof.cpp) folds constant operands with them, so the two
 // cannot disagree. The reference loop in vm/machine.cpp keeps its own
 // switch: it is the oracle both are held to.
 #pragma once

@@ -31,6 +31,7 @@
 #include "analytics/summary.hpp"
 #include "analytics/trend.hpp"
 #include "fi/campaign_store.hpp"
+#include "fi/grid.hpp"
 
 namespace onebit::analytics {
 namespace {
@@ -344,6 +345,40 @@ TEST_F(AnalyticsFixture, PollPicksUpRecordsALiveWriterAppends) {
   EXPECT_EQ(::access((path_ + ".lock").c_str(), F_OK), -1);
 }
 
+// A worker's completion renewal carries deadline = now, below the deadline
+// of the heartbeat before it. A Dataset that polled the shard while it ran
+// must take the renewal as the store's keep rule does, or `report --watch`
+// never sees the shard's cost.
+TEST_F(AnalyticsFixture, PolledDatasetKeepsTheCompletionRenewal) {
+  constexpr std::uint64_t kNowMs = 60'000;
+  CampaignStore writer(path_);
+  writer.load();
+  CampaignStore::LeaseRecord claim;
+  claim.first = 0;
+  claim.count = kShardSize;
+  claim.worker = "4242:9f";
+  claim.epoch = 1;
+  claim.deadlineMs = kNowMs + 30'000;
+  ASSERT_TRUE(writer.appendLease(kKey, claim));
+  Dataset polled;
+  polled.addStore(path_);
+  writeShards(writer, 1);
+  CampaignStore::LeaseRecord done = claim;
+  done.deadlineMs = kNowMs;
+  done.costMs = 321;
+  ASSERT_TRUE(writer.appendLease(kKey, done));
+  polled.poll();
+
+  Dataset fresh;
+  fresh.addStore(path_);
+  const std::vector<WorkerRow> rows = workerRollup(fresh, kNowMs);
+  ASSERT_EQ(rows.size(), 1u);
+  EXPECT_EQ(rows[0].shards, 1u);
+  EXPECT_EQ(rows[0].costMs, 321u);
+  EXPECT_EQ(workerJson(workerRollup(polled, kNowMs), kNowMs).dump(),
+            workerJson(rows, kNowMs).dump());
+}
+
 TEST_F(AnalyticsFixture, SnapshotMatchesVisitorWalk) {
   CampaignStore store(path_);
   store.load();
@@ -399,7 +434,8 @@ TEST_F(AnalyticsFixture, StoreTrendMarksPartialSnapshotsExplicitly) {
 // variables in-process, so each restores them before the subprocess-based
 // tests below inherit the environment.
 
-/// Sets (or, for a null value, unsets) environment variables for one scope.
+/// Sets (or, for a null value, unsets) environment variables for one scope,
+/// re-reading knobs() on entry and on exit.
 class ScopedEnv {
  public:
   ScopedEnv(std::initializer_list<std::pair<const char*, const char*>> vars) {
@@ -409,15 +445,18 @@ class ScopedEnv {
       if (old != nullptr) saved_.back().second = old;
       set(name, value);
     }
+    reload();
   }
   ~ScopedEnv() {
     for (auto it = saved_.rbegin(); it != saved_.rend(); ++it) {
       set(it->first.c_str(), it->second ? it->second->c_str() : nullptr);
     }
+    reload();
   }
   ScopedEnv(const ScopedEnv&) = delete;
   ScopedEnv& operator=(const ScopedEnv&) = delete;
 
+ private:
   static void set(const char* name, const char* value) {
     if (value == nullptr) {
       ::unsetenv(name);
@@ -425,29 +464,14 @@ class ScopedEnv {
       ::setenv(name, value, 1);
     }
   }
+  static void reload() {
+    if (const std::optional<std::string> error = reloadKnobs()) {
+      ADD_FAILURE() << *error;
+    }
+  }
 
- private:
   std::vector<std::pair<std::string, std::optional<std::string>>> saved_;
 };
-
-TEST(Knobs, FlipWidthOutsideOneToSixtyFourFallsBackToDefault) {
-  ScopedEnv env({{"ONEBIT_FLIP_WIDTH", nullptr}});
-  const std::pair<const char*, unsigned> cases[] = {
-      {"0", 32}, {"65", 32}, {"-1", 32}, {"1", 1}, {"64", 64}};
-  ::testing::internal::CaptureStderr();
-  for (const auto& [value, want] : cases) {
-    ScopedEnv::set("ONEBIT_FLIP_WIDTH", value);
-    EXPECT_EQ(flipWidth(), want) << "ONEBIT_FLIP_WIDTH=" << value;
-  }
-  const std::string err = ::testing::internal::GetCapturedStderr();
-  // Warned at most once per process (an earlier test may have used it up).
-  std::size_t warnings = 0;
-  for (std::size_t at = err.find("outside 1..64"); at != std::string::npos;
-       at = err.find("outside 1..64", at + 1)) {
-    ++warnings;
-  }
-  EXPECT_LE(warnings, 1u) << err;
-}
 
 /// A batch runner that fabricates tallies instead of running workloads.
 /// Cells `capped` selects come back Partial (one experiment recorded).
@@ -505,7 +529,7 @@ TEST(FigureLoop, RunsEachCellOnceInOneBatchPerPhase) {
     SCOPED_TRACE(id);
     FakeRunner runner;
     const std::optional<FigureOutput> out =
-        runFigure(id, std::ref(runner));
+        runFigure(id, std::ref(runner), false);
     ASSERT_TRUE(out.has_value());
     EXPECT_TRUE(out->complete());
     EXPECT_EQ(out->text.find("incomplete("), std::string::npos);
@@ -532,7 +556,8 @@ TEST(FigureLoop, Fig4ValidatesOnlyCompleteGrids) {
     if (!partial) partial = idOf(cell);
     return idOf(cell) == *partial;
   };
-  const std::optional<FigureOutput> out = runFigure("fig4", std::ref(runner));
+  const std::optional<FigureOutput> out =
+      runFigure("fig4", std::ref(runner), false);
   ASSERT_TRUE(out.has_value());
   ASSERT_EQ(runner.batches.size(), 2u);
   const CellKey& first = runner.batches[0].front();
@@ -560,7 +585,7 @@ TEST(FigureLoop, CappedRunEndsWithIncompleteMarkers) {
     FakeRunner runner;
     runner.capped = [](const CellKey&) { return true; };
     const std::optional<FigureOutput> out =
-        runFigure(id, std::ref(runner));
+        runFigure(id, std::ref(runner), false);
     ASSERT_TRUE(out.has_value());
     // No grid completes, so fig4 asks for no validation either.
     EXPECT_EQ(runner.batches.size(), 1u);
@@ -578,8 +603,59 @@ TEST(FigureLoop, CappedRunEndsWithIncompleteMarkers) {
 
 TEST(FigureLoop, UnknownFigureRunsNothing) {
   FakeRunner runner;
-  EXPECT_FALSE(runFigure("fig9", std::ref(runner)).has_value());
+  EXPECT_FALSE(runFigure("fig9", std::ref(runner), false).has_value());
   EXPECT_TRUE(runner.batches.empty());
+}
+
+// ONEBIT_SPECS items match as models, with no fallback to comparing label
+// strings, so every label a driver can put under the filter must parse back
+// to its own model and select it. The figures' cells come from the render
+// loop; the other drivers' models are their fixed lists.
+TEST(Knobs, EveryDriverLabelSelectsItsOwnModel) {
+  using fi::FaultDomain;
+  using fi::FaultModel;
+  using fi::WinSize;
+  std::vector<FaultModel> models;
+  {
+    const ScopedEnv env = smallFigureEnv();
+    for (const char* id : {"fig1", "fig2", "fig3", "fig4"}) {
+      FakeRunner runner;
+      ASSERT_TRUE(runFigure(id, std::ref(runner), false).has_value());
+      for (const std::vector<CellKey>& batch : runner.batches) {
+        for (const CellKey& cell : batch) models.push_back(cell.model);
+      }
+    }
+  }
+  for (const FaultModel& model : fi::memoryScenarioModels()) {
+    models.push_back(model);
+  }
+  for (const FaultDomain d :
+       {FaultDomain::RegisterRead, FaultDomain::RegisterWrite}) {
+    models.push_back(FaultModel::singleBit(d));  // ablations, error space
+    models.push_back(FaultModel::multiBitTemporal(d, 3, WinSize::fixed(1)));
+  }
+  // Table IV's two replayed pairs.
+  models.push_back(FaultModel::multiBitTemporal(FaultDomain::RegisterRead, 2,
+                                                WinSize::fixed(100)));
+  std::set<std::string> labels;
+  for (FaultModel model : models) {
+    for (const unsigned width : {16u, 32u, 64u}) {
+      model.flipWidth = width;
+      const std::string label = model.label();
+      const std::optional<FaultModel> parsed = FaultModel::parse(label);
+      ASSERT_TRUE(parsed.has_value()) << label;
+      EXPECT_TRUE(parsed->matches(model)) << label;
+      labels.insert(label);
+    }
+  }
+  EXPECT_GT(labels.size(), 40u);
+  for (const std::string& label : labels) {
+    const ScopedEnv env({{"ONEBIT_SPECS", label.c_str()}});
+    for (FaultModel model : models) {
+      if (model.label() != label) continue;
+      EXPECT_TRUE(specSelected(model)) << label;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -700,6 +776,37 @@ TEST_F(FigureIdentityFixture, MissingCampaignRendersMissingMarker) {
                      path_ + " > " + out_ + " 2>/dev/null"),
             3);
   EXPECT_NE(readFile(out_).find("missing"), std::string::npos);
+}
+
+// A bad knob ends the driver with status 2 before any work: one stderr line
+// naming the knob, nothing on stdout, no store written.
+TEST_F(FigureIdentityFixture, BadKnobExitsTwoBeforeAnyWork) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"ONEBIT_EXPERIMENTS=5x", "ONEBIT_EXPERIMENTS"},
+      {"ONEBIT_EXPERIMENTS=-3", "ONEBIT_EXPERIMENTS"},
+      {"ONEBIT_PROGRAMS=qsrot", "ONEBIT_PROGRAMS"},
+      {"ONEBIT_SNAPSHOT_INTERVAL=abc", "ONEBIT_SNAPSHOT_INTERVAL"},
+      {"ONEBIT_RESUME=yes", "ONEBIT_RESUME"},
+      {"ONEBIT_FLIP_WIDTH=65", "ONEBIT_FLIP_WIDTH"},
+      {"ONEBIT_SEED=-1", "ONEBIT_SEED"},
+      {"ONEBIT_EXPERIMENT=5", "ONEBIT_EXPERIMENT"},
+      {"ONEBIT_SNAPSHOT_BUDGET=0", "ONEBIT_SNAPSHOT_BUDGET"},
+      {"ONEBIT_T4_MBF_READ=2", "ONEBIT_T4_MBF_READ"},
+  };
+  const std::string err = out_ + ".2";
+  for (const auto& [setting, knob] : cases) {
+    SCOPED_TRACE(setting);
+    std::remove(path_.c_str());
+    EXPECT_EQ(runShell("env " + env_ + setting + " ONEBIT_STORE=" + path_ +
+                       " " + dir_ + "/" + driver() + " > " + out_ + " 2> " +
+                       err),
+              2);
+    EXPECT_EQ(readFile(out_), "");
+    const std::string text = readFile(err);
+    EXPECT_NE(text.find(knob), std::string::npos) << text;
+    EXPECT_EQ(std::count(text.begin(), text.end(), '\n'), 1) << text;
+    EXPECT_EQ(::access(path_.c_str(), F_OK), -1) << "a store was written";
+  }
 }
 
 }  // namespace

@@ -1,4 +1,4 @@
-// Unit tests for src/util: RNG, bit ops, tables, env, thread pool.
+// Unit tests for src/util: RNG, bit ops, tables, thread pool.
 #include <atomic>
 #include <set>
 #include <thread>
@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include "util/bitops.hpp"
-#include "util/env.hpp"
 #include "util/rng.hpp"
 #include "util/table.hpp"
 #include "util/thread_pool.hpp"
@@ -209,86 +208,6 @@ TEST(Format, Percent) {
 
 TEST(Format, Double) {
   EXPECT_EQ(fmtDouble(3.14159, 2), "3.14");
-}
-
-// --- env --------------------------------------------------------------------
-
-TEST(Env, IntFallbackWhenUnset) {
-  ::unsetenv("ONEBIT_TEST_UNSET");
-  EXPECT_EQ(envInt("ONEBIT_TEST_UNSET", 77), 77);
-}
-
-TEST(Env, IntParsesValue) {
-  ::setenv("ONEBIT_TEST_INT", "123", 1);
-  EXPECT_EQ(envInt("ONEBIT_TEST_INT", 0), 123);
-  ::unsetenv("ONEBIT_TEST_INT");
-}
-
-TEST(Env, IntFallbackOnGarbage) {
-  // Out-of-range input is garbage too, never a value clamped to the int64
-  // extremes.
-  for (const char* bad : {"12abc", "99999999999999999999999",
-                          "-99999999999999999999999"}) {
-    ::setenv("ONEBIT_TEST_BAD", bad, 1);
-    EXPECT_EQ(envInt("ONEBIT_TEST_BAD", 5), 5) << bad;
-  }
-  ::unsetenv("ONEBIT_TEST_BAD");
-}
-
-TEST(Env, SizeFallbackWhenUnset) {
-  ::unsetenv("ONEBIT_TEST_SIZE");
-  EXPECT_EQ(envSize("ONEBIT_TEST_SIZE", 42), 42u);
-  EXPECT_EQ(envSize("ONEBIT_TEST_SIZE"), 0u);
-}
-
-TEST(Env, SizeParsesValue) {
-  ::setenv("ONEBIT_TEST_SIZE", "123", 1);
-  EXPECT_EQ(envSize("ONEBIT_TEST_SIZE", 7), 123u);
-  ::unsetenv("ONEBIT_TEST_SIZE");
-}
-
-TEST(Env, SizeClampsNegativeToAuto) {
-  // A stray -1 must become "auto" (0), never a 2^64-scale cast.
-  ::setenv("ONEBIT_TEST_SIZE", "-1", 1);
-  EXPECT_EQ(envSize("ONEBIT_TEST_SIZE", 99), 0u);
-  ::setenv("ONEBIT_TEST_SIZE", "-123456789", 1);
-  EXPECT_EQ(envSize("ONEBIT_TEST_SIZE", 99), 0u);
-  ::unsetenv("ONEBIT_TEST_SIZE");
-}
-
-TEST(Env, SizeFallbackOnGarbage) {
-  for (const char* bad : {"12abc", "99999999999999999999999",
-                          "-99999999999999999999999"}) {
-    ::setenv("ONEBIT_TEST_SIZE", bad, 1);
-    EXPECT_EQ(envSize("ONEBIT_TEST_SIZE", 5), 5u) << bad;
-  }
-  ::unsetenv("ONEBIT_TEST_SIZE");
-}
-
-TEST(Env, SplitListBasics) {
-  EXPECT_EQ(splitList("a,b,c"),
-            (std::vector<std::string>{"a", "b", "c"}));
-  EXPECT_EQ(splitList("qsort"), (std::vector<std::string>{"qsort"}));
-  EXPECT_TRUE(splitList("").empty());
-}
-
-TEST(Env, SplitListPreservesEmptyItems) {
-  EXPECT_EQ(splitList("a,,b"), (std::vector<std::string>{"a", "", "b"}));
-  EXPECT_EQ(splitList("a,"), (std::vector<std::string>{"a", ""}));
-  EXPECT_EQ(splitList(","), (std::vector<std::string>{"", ""}));
-}
-
-TEST(Env, SplitListCustomSeparator) {
-  EXPECT_EQ(splitList("x:y:z", ':'),
-            (std::vector<std::string>{"x", "y", "z"}));
-  EXPECT_EQ(splitList("a,b", ':'), (std::vector<std::string>{"a,b"}));
-}
-
-TEST(Env, StrRoundTrip) {
-  ::setenv("ONEBIT_TEST_STR", "hello", 1);
-  EXPECT_EQ(envStr("ONEBIT_TEST_STR", "x"), "hello");
-  ::unsetenv("ONEBIT_TEST_STR");
-  EXPECT_EQ(envStr("ONEBIT_TEST_STR", "x"), "x");
 }
 
 // --- thread pool -------------------------------------------------------------

@@ -12,7 +12,6 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -49,7 +48,7 @@ int usage(const char* argv0) {
       "  --json           JSON output (summary, group, workers, trend)\n"
       "  --interval MS    watch poll interval, 1 or more (default 2000)\n"
       "  --once           render a single watch frame and exit\n"
-      "exit status: 0 ok, 2 usage, 3 figure incomplete\n"
+      "exit status: 0 ok, 2 usage or bad ONEBIT_* knob, 3 figure incomplete\n"
       "The ONEBIT_SEED/EXPERIMENTS/PROGRAMS/SPECS/FLIP_WIDTH knobs select\n"
       "which campaign cells --figure resolves; set them to what the bench\n"
       "driver ran under.\n",
@@ -77,8 +76,10 @@ void watchFrame(analytics::Dataset& ds, bool csv) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  analytics::checkKnobs();
   std::string mode = "--summary";
   std::string figureId;
+  bool csv = analytics::csvEnabled();
   bool json = false;
   bool once = false;
   std::uint64_t intervalMs = 2000;
@@ -94,7 +95,7 @@ int main(int argc, char** argv) {
       mode = arg;
       figureId = argv[i];
     } else if (arg == "--csv") {
-      setenv("ONEBIT_CSV", "1", 1);
+      csv = true;
     } else if (arg == "--json") {
       json = true;
     } else if (arg == "--once") {
@@ -115,7 +116,6 @@ int main(int argc, char** argv) {
     }
   }
   if (paths.empty()) return usage(argv[0]);
-  const bool csv = analytics::csvEnabled();
 
   if (mode == "--bench-trend") {
     std::fputs(
@@ -150,7 +150,7 @@ int main(int argc, char** argv) {
     }
   }
   if (mode == "--figure") {
-    const auto figure = analytics::renderFigure(figureId, ds);
+    const auto figure = analytics::renderFigure(figureId, ds, csv);
     if (!figure) {
       std::fprintf(stderr, "%s: unknown figure id '%s' (known: %.*s)\n",
                    argv[0], figureId.c_str(),
