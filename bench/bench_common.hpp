@@ -17,6 +17,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <string>
 #include <string_view>
@@ -34,6 +35,7 @@
 #include "progs/registry.hpp"
 #include "util/file_lock.hpp"
 #include "util/table.hpp"
+#include "util/thread_pool.hpp"
 
 namespace onebit::bench {
 
@@ -174,6 +176,19 @@ inline fi::SuiteConfig suiteConfigFromEnv() {
   return cfg;
 }
 
+/// Run fn(i) for every i in [0, n) on a util::ThreadPool of ONEBIT_THREADS
+/// workers (0: one per core), for the driver loops that run experiments
+/// outside a campaign suite. fn(i) must depend on i alone and write only
+/// its own slot, so the output does not depend on the thread count. Such
+/// loops record nothing in ONEBIT_STORE.
+inline void parallelFor(std::size_t n,
+                        const std::function<void(std::size_t)>& fn) {
+  const std::size_t threads = fi::resolveThreads(
+      static_cast<std::size_t>(knobs().count(Knob::Threads)));
+  util::ThreadPool pool(std::min(threads, std::max<std::size_t>(n, 1)));
+  pool.parallelFor(n, fn);
+}
+
 /// Declarative bench sweep: queue (workload × spec) campaign cells with
 /// add(), then run() once — the whole sweep executes as ONE
 /// fi::CampaignSuite honoring every env knob campaign() honors. Results come
@@ -259,8 +274,10 @@ class SweepBuilder {
         fi::PruneStats total;
         for (const fi::CampaignResult& r : results_) total += r.prune;
         std::fprintf(stderr,
-                     "[prune] golden_hits=%zu misses=%zu hang_proofs=%zu\n",
-                     total.goldenHits, total.misses, total.hangProofs);
+                     "[prune] golden_hits=%zu misses=%zu hang_proofs=%zu "
+                     "hangs_unproven=%zu\n",
+                     total.goldenHits, total.misses, total.hangProofs,
+                     total.hangsUnproven);
       }
     }
     return results_;

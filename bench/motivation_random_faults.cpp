@@ -7,7 +7,8 @@
 // sweep. The blind loop pins each fault's landing time itself — it draws
 // (target instruction, plan seed) pairs from one per-program stream, the
 // historical sampling scheme of this driver — so it builds RandomValue
-// FaultPlans directly instead of going through a campaign.
+// FaultPlans directly instead of going through a campaign. It draws every
+// plan first, in that order, and then runs them on ONEBIT_THREADS workers.
 #include "bench_common.hpp"
 #include "util/table.hpp"
 
@@ -33,19 +34,33 @@ int main() {
   }
   sweep.run();
 
-  util::TextTable table({"program", "not activated", "activated", "SDC%",
-                         "Detected%", "read-model SDC%"});
+  // The blind plans, drawn in order from each program's one stream, then
+  // run on ONEBIT_THREADS workers.
+  std::vector<fi::FaultPlan> plans;
+  plans.reserve(workloads.size() * n);
   for (std::size_t i = 0; i < workloads.size(); ++i) {
-    const auto& [name, w] = workloads[i];
-    std::size_t activated = 0;
-    stats::OutcomeCounts counts;
     util::Rng rng(blindSeeds[i]);
     for (std::size_t e = 0; e < n; ++e) {
       fi::FaultPlan plan;
       plan.domain = fi::FaultDomain::RandomValue;
-      plan.firstIndex = rng.below(w.golden().instructions);
+      plan.firstIndex = rng.below(workloads[i].workload.golden().instructions);
       plan.seed = rng.next();
-      const fi::ExperimentResult r = fi::runExperiment(w, plan);
+      plans.push_back(plan);
+    }
+  }
+  std::vector<fi::ExperimentResult> results(plans.size());
+  bench::parallelFor(plans.size(), [&](std::size_t j) {
+    results[j] = fi::runExperiment(workloads[j / n].workload, plans[j]);
+  });
+
+  util::TextTable table({"program", "not activated", "activated", "SDC%",
+                         "Detected%", "read-model SDC%"});
+  for (std::size_t i = 0; i < workloads.size(); ++i) {
+    const std::string& name = workloads[i].name;
+    std::size_t activated = 0;
+    stats::OutcomeCounts counts;
+    for (std::size_t e = 0; e < n; ++e) {
+      const fi::ExperimentResult& r = results[i * n + e];
       activated += r.activations > 0 ? 1 : 0;
       counts.add(r.outcome);
     }

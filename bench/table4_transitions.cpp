@@ -27,16 +27,24 @@ int main() {
               bench::flipWidth());
 
   const auto workloads = bench::loadWorkloads();
+  // One study per (program, spec), each seeded by its place in the table
+  // (salts 70000, 70001, ... in row order, read before write), run on
+  // ONEBIT_THREADS workers.
+  const fi::FaultModel* const specs[] = {&readSpec, &writeSpec};
+  std::vector<pruning::TransitionStudyResult> studies(2 * workloads.size());
+  bench::parallelFor(studies.size(), [&](std::size_t i) {
+    studies[i] = pruning::transitionStudy(
+        workloads[i / 2].workload, *specs[i % 2], n,
+        util::hashCombine(bench::masterSeed(), 70000 + i));
+  });
   util::TextTable table({"program", "read Tran. I", "read Tran. II",
                          "write Tran. I", "write Tran. II"});
   double maxTranIRead = 0;
   double maxTranIWrite = 0;
-  std::uint64_t salt = 70000;
-  for (const auto& [name, w] : workloads) {
-    const pruning::TransitionStudyResult r = pruning::transitionStudy(
-        w, readSpec, n, util::hashCombine(bench::masterSeed(), salt++));
-    const pruning::TransitionStudyResult wr = pruning::transitionStudy(
-        w, writeSpec, n, util::hashCombine(bench::masterSeed(), salt++));
+  for (std::size_t p = 0; p < workloads.size(); ++p) {
+    const std::string& name = workloads[p].name;
+    const pruning::TransitionStudyResult& r = studies[2 * p];
+    const pruning::TransitionStudyResult& wr = studies[2 * p + 1];
     maxTranIRead = std::max(maxTranIRead, r.transitionI());
     maxTranIWrite = std::max(maxTranIWrite, wr.transitionI());
     table.addRow({name, util::fmtPercent(r.transitionI()),

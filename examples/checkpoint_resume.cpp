@@ -5,6 +5,9 @@
 //
 //   ./example_checkpoint_resume   # demo store under /tmp, recreated each run
 //
+// ONEBIT_EXPERIMENTS sets the campaign size (default 400); a campaign of
+// one experiment cannot be interrupted, so the demo exits 2 on it.
+//
 // The demo deliberately ignores ONEBIT_STORE — it deletes and rewrites its
 // store file, and must never do that to a real campaign store.
 //
@@ -56,7 +59,16 @@ int main() {
                                         fi::WinSize::fixed(2));
   config.experiments = analytics::experimentsPerCampaign(400);
   config.seed = 0xc8ec9017ULL;
-  config.shardSize = 32;
+  if (config.experiments < 2) {
+    std::fprintf(stderr,
+                 "error: ONEBIT_EXPERIMENTS=%zu: one experiment cannot be "
+                 "interrupted; the demo needs at least 2\n",
+                 config.experiments);
+    return 2;
+  }
+  // Shards of up to 32 experiments, and always at least two of them, so
+  // the capped run below stops before the campaign is complete.
+  config.shardSize = std::min<std::size_t>(32, (config.experiments + 1) / 2);
 
   const std::string path = "/tmp/onebit_checkpoint_example.jsonl";
   std::remove(path.c_str());  // fresh demo store (never a user's store)

@@ -84,10 +84,14 @@ struct PruneStats {
   /// without pruning: a run that reaches a proof checkpoint was never
   /// pruned.
   std::size_t hangProofs = 0;
+  /// Ended FuelExhausted (a Hang) without a proof: the run interpreted its
+  /// whole budget.
+  std::size_t hangsUnproven = 0;
   PruneStats& operator+=(const PruneStats& o) noexcept {
     goldenHits += o.goldenHits;
     misses += o.misses;
     hangProofs += o.hangProofs;
+    hangsUnproven += o.hangsUnproven;
     return *this;
   }
   bool operator==(const PruneStats&) const = default;

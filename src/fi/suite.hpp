@@ -71,7 +71,11 @@ struct ShardTally {
       case PruneEvent::GoldenMatch: ++prune.goldenHits; break;
       case PruneEvent::Miss: ++prune.misses; break;
     }
-    if (r.hangProof) ++prune.hangProofs;
+    if (r.hangProof) {
+      ++prune.hangProofs;
+    } else if (r.outcome == stats::Outcome::Hang) {
+      ++prune.hangsUnproven;
+    }
   }
 };
 

@@ -6,42 +6,56 @@
 // shows, exactly, that the fuel runs out first:
 //
 //  1. Find the loop. Step kHangWindow (2,048) instructions on the reference
-//     loop, recording each one's (depth, function, block, ip). If that
-//     trace has a period p <= kHangWindow / 2, anchor at the shallowest
-//     frame within one period (the loop frame). Step on to the anchor and read the loop
-//     frame's registers R0 there, step p more and read R1: iteration 0
-//     starts here, and the hypothesis is that register r holds
-//     R1[r] + i·(R1[r] − R0[r]) at the start of iteration i.
-//  2. Run one symbolic iteration of p instructions from the current state.
-//     A value is affine in i (hang::Affine) or unknown. Add and Sub, and
-//     Mul and Shl by a constant, stay affine; any other op whose operands
-//     are all constant is computed with the VM's own semantics
-//     (vm/semantics.hpp, Machine::applyIntrinsic); anything else is unknown.
-//     Each fact the path depends on bounds K, the last iteration it
-//     provably holds at:
+//     loop, recording each one's (depth, function, block, ip). The trace's
+//     shallowest frame is the loop frame, and the blocks it starts more than
+//     once are the anchor candidates, fewest visits first (the outermost
+//     loop), at most kMaxAnchors (3) of them. For each candidate in turn,
+//     step on to its next visit and read the loop frame's registers R0
+//     there, then to the visit after and read R1, each within kHangWindow
+//     steps: iteration 0 starts here, and the hypothesis is that register r
+//     holds R1[r] + i·(R1[r] − R0[r]) at the start of iteration i.
+//  2. Run one symbolic iteration from the current state: every path from
+//     the anchor back to it. A value is affine in i (hang::Affine) or
+//     unknown. Add and Sub, and Mul and Shl by a constant, stay affine; any
+//     other op whose operands are all constant is computed with the VM's
+//     own semantics (vm/semantics.hpp, Machine::applyIntrinsic); anything
+//     else is unknown. Each fact a path depends on bounds K, the last
+//     iteration it provably holds at:
 //       * an ICmp of affine values keeps its i = 0 result, without either
 //         operand wrapping (hang::compareBound); CondBr compares with 0;
 //       * an affine load address stays inside the segment it starts in,
 //         8-aligned at width 8 (hang::segmentBound); the value is unknown;
 //       * an affine divisor stays nonzero.
-//     An unknown value may not reach a branch condition, a load or store
-//     address or a divisor. A store needs a constant address; one that
-//     changes memory (its value is not a constant equal to the bytes there)
-//     marks those bytes dirty, and loads of dirty bytes are unknown. Calls
-//     are followed with pushFrame's depth and stack checks; a Ret out of
-//     the loop frame, Alloc or Abort ends the attempt. Print is harmless:
-//     output truncation never traps.
-//  3. After p instructions the iteration must be back at the anchor, and
-//     every live-in register of the loop frame (read before it is written)
-//     must hold a + b·(i + 1). One that does not becomes unknown, and so
-//     does memory a store dirtied; the pass is then redone, to a fixpoint.
+//     A CondBr on an unknown value forks: the true side goes on, and the
+//     false side later, each with its own copy of the path (frames, values,
+//     the loop registers it wrote, stack pointer, length). An unknown value
+//     may not reach a load or store address or a divisor. A store needs a
+//     constant address; one that changes memory (its value is not a
+//     constant equal to the bytes there) marks those bytes dirty, and loads
+//     of dirty bytes are unknown. Calls are followed with pushFrame's depth
+//     and stack checks; a Ret out of the loop frame, Alloc or Abort ends the
+//     attempt. Print is harmless: output truncation never traps.
+//  3. Every path must come back to the anchor in the loop frame, and every
+//     live-in register of the loop frame (read before it is written, on any
+//     path) must hold a + b·(i + 1) at the end of every path. One that does
+//     not becomes unknown, and so does memory a store on any path dirtied;
+//     the pass is then redone, to a fixpoint.
 //
-// By induction, iterations 0..K then take the same path with no trap and
-// no halt: the frames below the loop frame and the bytes no store dirties
-// never change, and every value the path depends on is what the symbolic
-// iteration computed. So if instructions + (K + 1)·p >= maxInstructions,
-// the run reaches its fuel limit on that path and ends FuelExhausted. A
-// failed attempt leaves the run valid, just further along.
+// By induction, each of iterations 0..K takes one of those paths with no
+// trap and no halt: the frames below the loop frame and the bytes no store
+// dirties never change, every known value a path depends on is what the
+// symbolic iteration computed, and a branch on an unknown value went either
+// way there. So if instructions + (K + 1)·p_min >= maxInstructions, where
+// p_min is the shortest path, the run reaches its fuel limit inside the loop
+// and ends FuelExhausted.
+//
+// An attempt does bounded work: at most 7 · kHangWindow reference steps
+// (the trace, and two visits per candidate), and over all candidates,
+// passes and paths at most kMaxWork (65,536) symbolic instructions and
+// kMaxForks (4,096) forks. Per candidate it makes at most kMaxPasses (16)
+// passes; no path is longer than kMaxPathLength (8,192), and at most
+// kMaxPending (256) false sides wait at once. A failed attempt leaves the
+// run valid, just further along.
 #include "vm/hang_proof.hpp"
 
 #include <algorithm>
@@ -128,8 +142,20 @@ namespace detail {
 namespace {
 
 /// Instructions stepped, each one's place recorded, before the proof looks
-/// for a loop in that trace.
+/// for a loop in that trace; also the most steps to each anchor visit.
 constexpr std::size_t kHangWindow = 2048;
+/// Anchor candidates tried per attempt.
+constexpr std::size_t kMaxAnchors = 3;
+/// Passes (the first and its redos) per anchor candidate.
+constexpr std::size_t kMaxPasses = 16;
+/// Symbolic instructions per attempt, over every candidate, pass and path.
+constexpr std::size_t kMaxWork = 65536;
+/// Symbolic instructions on one path from the anchor back to it.
+constexpr std::size_t kMaxPathLength = 8192;
+/// Forks per attempt, over every candidate and pass.
+constexpr std::size_t kMaxForks = 4096;
+/// False sides waiting at once.
+constexpr std::size_t kMaxPending = 256;
 
 }  // namespace
 
@@ -139,15 +165,27 @@ class HangProof {
   explicit HangProof(Machine& m) : m_(m) {}
 
   bool run() {
-    if (!findLoop()) return false;
-    Pass pass = Pass::Redo;
-    while (pass == Pass::Redo) pass = iterate();
-    if (pass == Pass::Fail) return false;
-    // Iterations 0..K take one path of p instructions each.
-    using U128 = unsigned __int128;
-    const U128 end = static_cast<U128>(m_.instructions_) +
-                     (static_cast<U128>(k_) + 1) * period_;
-    return end >= m_.limits_.maxInstructions;
+    for (const std::uint32_t block : findAnchors()) {
+      anchor_.block = block;
+      if (!enterLoop()) {
+        if (!m_.running()) return false;
+        continue;
+      }
+      Pass pass = Pass::Redo;
+      for (std::size_t n = 0; n < kMaxPasses && pass == Pass::Redo; ++n) {
+        pass = iterate();
+      }
+      if (pass != Pass::Done) continue;
+      // Iterations 0..K each take one of the paths, of p_min or more
+      // instructions. A bound short of the budget ends the attempt rather
+      // than trying the next candidate: the loop may change its paths after
+      // iteration K, and a later checkpoint tries again.
+      using U128 = unsigned __int128;
+      const U128 end = static_cast<U128>(m_.instructions_) +
+                       (static_cast<U128>(k_) + 1) * pMin_;
+      return end >= m_.limits_.maxInstructions;
+    }
+    return false;
   }
 
  private:
@@ -172,9 +210,18 @@ class HangProof {
     const ir::Function* fn = nullptr;
     std::uint32_t block = 0;
     std::uint32_t ip = 0;
-    std::size_t regBase = 0;  ///< into vals_
+    std::size_t regBase = 0;  ///< into Path::vals
     std::uint64_t frameBase = 0;
     const ir::Instr* pendingCall = nullptr;
+  };
+
+  /// One path of the symbolic iteration, from the anchor on.
+  struct Path {
+    std::vector<Frame> frames;
+    std::vector<Val> vals;
+    std::vector<bool> written;  ///< loop frame registers written so far
+    std::uint64_t sp = 0;
+    std::size_t length = 0;
   };
 
   enum class Pass { Done, Redo, Fail };
@@ -186,12 +233,9 @@ class HangProof {
             f.block, f.ip};
   }
 
-  /// Step n instructions; false when the run ends first.
-  bool stepN(std::size_t n) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!m_.running()) return false;
-      m_.step();
-    }
+  /// Step once; false when the run has ended.
+  bool step() {
+    if (m_.running()) m_.step();
     return m_.running();
   }
 
@@ -200,35 +244,64 @@ class HangProof {
     return {m_.regs_.data() + f.regBase, f.fn->numRegs};
   }
 
-  /// Step 1 of the file comment: the period, the anchor, R0 and R1.
-  bool findLoop() {
-    constexpr std::size_t kW = kHangWindow;
-    std::vector<Where> trace(kW);
+  /// Step 1 of the file comment: trace the run, and return the blocks the
+  /// trace's shallowest frame starts more than once, fewest visits first
+  /// (ties in trace order), at most kMaxAnchors of them. Sets anchor_'s
+  /// frame.
+  std::vector<std::uint32_t> findAnchors() {
+    std::vector<Where> trace(kHangWindow);
     for (Where& w : trace) {
-      if (!m_.running()) return false;
+      if (!m_.running()) return {};
       w = where();
       m_.step();
     }
-    // The trace's smallest period, from its prefix function.
-    std::vector<std::size_t> border(kW, 0);
-    for (std::size_t i = 1; i < kW; ++i) {
-      std::size_t k = border[i - 1];
-      while (k > 0 && !(trace[i] == trace[k])) k = border[k - 1];
-      if (trace[i] == trace[k]) ++k;
-      border[i] = k;
+    const Where& top = *std::min_element(
+        trace.begin(), trace.end(),
+        [](const Where& a, const Where& b) { return a.depth < b.depth; });
+    anchor_ = {top.depth, top.fn, 0, 0};
+    struct Visits {
+      std::size_t count = 0;
+      std::size_t first = 0;
+      std::uint32_t block = 0;
+    };
+    std::vector<Visits> visits(m_.mod_.functions[top.fn].blocks.size());
+    for (std::uint32_t b = 0; b < visits.size(); ++b) visits[b].block = b;
+    for (std::size_t j = 0; j < trace.size(); ++j) {
+      const Where& w = trace[j];
+      if (w.depth != top.depth || w.ip != 0) continue;
+      Visits& v = visits[w.block];
+      if (v.count++ == 0) v.first = j;
     }
-    period_ = kW - border[kW - 1];
-    if (period_ > kW / 2) return false;
-    // The anchor: the first shallowest entry of the last period, met again
-    // one period on (where the run now stands, or a little further).
-    std::size_t anchor = kW - period_;
-    for (std::size_t j = anchor; j < kW; ++j) {
-      if (trace[j].depth < trace[anchor].depth) anchor = j;
+    std::erase_if(visits, [](const Visits& v) { return v.count < 2; });
+    std::sort(visits.begin(), visits.end(),
+              [](const Visits& a, const Visits& b) {
+                return a.count != b.count ? a.count < b.count
+                                          : a.first < b.first;
+              });
+    std::vector<std::uint32_t> out;
+    for (std::size_t j = 0; j < visits.size() && j < kMaxAnchors; ++j) {
+      out.push_back(visits[j].block);
     }
-    anchor_ = trace[anchor];
-    if (!stepN(anchor + period_ - kW) || !(where() == anchor_)) return false;
+    return out;
+  }
+
+  /// Step until the run stands at the anchor: at most kHangWindow steps,
+  /// the first of them taken even when it stands there now if `leave`.
+  bool stepToAnchor(bool leave) {
+    if (!m_.running() || (leave && !step())) return false;
+    for (std::size_t n = leave ? 1 : 0; !(where() == anchor_); ++n) {
+      if (n == kHangWindow || !step()) return false;
+    }
+    return true;
+  }
+
+  /// R0 and R1 at the anchor's next two visits (step 1); the run stands at
+  /// the second, and no byte is dirty yet.
+  bool enterLoop() {
+    dirty_.clear();
+    if (!stepToAnchor(false)) return false;
     const std::vector<std::uint64_t> r0(loopRegs().begin(), loopRegs().end());
-    if (!stepN(period_) || !(where() == anchor_)) return false;
+    if (!stepToAnchor(true)) return false;
     const std::span<const std::uint64_t> r1 = loopRegs();
     start_.resize(r1.size());
     for (std::size_t r = 0; r < r1.size(); ++r) {
@@ -237,47 +310,73 @@ class HangProof {
     return true;
   }
 
-  /// Steps 2 and 3 of the file comment: one symbolic iteration.
+  /// Steps 2 and 3 of the file comment: one symbolic iteration, path by
+  /// path.
   Pass iterate() {
     k_ = hang::kUnbounded;
+    pMin_ = kMaxPathLength;
     grew_ = false;
-    const Machine::CallFrame& lf = m_.frames_.back();
-    frames_.assign(1, {lf.fn, lf.block, lf.ip, 0, lf.frameBase, nullptr});
-    vals_ = start_;
-    written_.assign(start_.size(), false);
     liveIn_.assign(start_.size(), false);
-    sp_ = m_.sp_;
-    for (std::size_t n = 0; n < period_; ++n) {
-      if (!execute()) return Pass::Fail;
-    }
-    const Frame& f = frames_.back();
-    if (frames_.size() != 1 || f.block != anchor_.block ||
-        f.ip != anchor_.ip) {
-      return Pass::Fail;
+    broken_.assign(start_.size(), false);
+    const Machine::CallFrame& lf = m_.frames_.back();
+    path_.frames.assign(1, {lf.fn, lf.block, lf.ip, 0, lf.frameBase, nullptr});
+    path_.vals = start_;
+    path_.written.assign(start_.size(), false);
+    path_.sp = m_.sp_;
+    path_.length = 0;
+    pending_ = 0;
+    for (;;) {
+      do {
+        if (path_.length == kMaxPathLength || work_ == kMaxWork ||
+            !execute()) {
+          return Pass::Fail;
+        }
+        ++path_.length;
+        ++work_;
+      } while (!atAnchor());
+      endPath();
+      if (pending_ == 0) break;
+      std::swap(path_, forks_[--pending_]);
     }
     bool redo = grew_;
     for (std::size_t r = 0; r < start_.size(); ++r) {
-      Val& s = start_[r];
-      if (!liveIn_[r] || !s.known) continue;
-      const Val& e = vals_[r];
-      if (!e.known || e.v.a != s.v.a + s.v.b || e.v.b != s.v.b) {
-        s.known = false;
+      if (liveIn_[r] && broken_[r] && start_[r].known) {
+        start_[r].known = false;
         redo = true;
       }
     }
     return redo ? Pass::Redo : Pass::Done;
   }
 
+  [[nodiscard]] bool atAnchor() const {
+    const Frame& f = path_.frames.back();
+    return path_.frames.size() == 1 && f.block == anchor_.block && f.ip == 0;
+  }
+
+  /// A path back at the anchor: keep its length, and mark the loop
+  /// registers it does not step as hypothesized.
+  void endPath() {
+    pMin_ = std::min(pMin_, path_.length);
+    for (std::size_t r = 0; r < start_.size(); ++r) {
+      const Val& s = start_[r];
+      const Val& e = path_.vals[r];
+      if (s.known &&
+          (!e.known || e.v.a != s.v.a + s.v.b || e.v.b != s.v.b)) {
+        broken_[r] = true;
+      }
+    }
+  }
+
   void bound(std::uint64_t k) { k_ = std::min(k_, k); }
 
   Val read(ir::Reg r) {
-    if (frames_.size() == 1 && !written_[r]) liveIn_[r] = true;
-    return vals_[frames_.back().regBase + r];
+    if (path_.frames.size() == 1 && !path_.written[r]) liveIn_[r] = true;
+    return path_.vals[path_.frames.back().regBase + r];
   }
 
   void write(ir::Reg r, Val v) {
-    if (frames_.size() == 1) written_[r] = true;
-    vals_[frames_.back().regBase + r] = v;
+    if (path_.frames.size() == 1) path_.written[r] = true;
+    path_.vals[path_.frames.back().regBase + r] = v;
   }
 
   [[nodiscard]] bool dirty(std::uint64_t addr, unsigned width) const {
@@ -358,9 +457,10 @@ class HangProof {
     return constant(fn(a.a, b.a));
   }
 
-  /// Run one instruction symbolically; false ends the attempt.
+  /// Run one instruction of the current path symbolically; false ends the
+  /// attempt.
   bool execute() {
-    Frame& f = frames_.back();
+    Frame& f = path_.frames.back();
     const ir::Instr& in = f.fn->blocks[f.block].instrs[f.ip++];
     const std::size_t nops = in.operands.size();
     std::array<Val, ir::kMaxOperands> v{};
@@ -430,19 +530,34 @@ class HangProof {
         f.ip = 0;
         return true;
       case ir::Opcode::CondBr:
-        if (!v[0].known) return false;
+        if (!v[0].known) {
+          // Either side may run: take the true side now, the false one
+          // later.
+          if (forkCount_++ == kMaxForks || pending_ == kMaxPending) {
+            return false;
+          }
+          if (pending_ == forks_.size()) forks_.emplace_back();
+          Path& other = forks_[pending_++];
+          other = path_;  // reuses the slot's buffers
+          other.frames.back().block = in.target1;
+          other.frames.back().ip = 0;
+          ++other.length;
+          f.block = in.target0;
+          f.ip = 0;
+          return true;
+        }
         bound(hang::compareBound(ir::Opcode::ICmpNe, v[0].v, {}));
         f.block = v[0].v.a != 0 ? in.target0 : in.target1;
         f.ip = 0;
         return true;
       case ir::Opcode::Call: return call(in, std::span(v.data(), nops));
       case ir::Opcode::Ret: {
-        if (frames_.size() == 1) return false;
+        if (path_.frames.size() == 1) return false;
         const Val ret = nops > 0 ? v[0] : constant(0);
-        const Frame done = frames_.back();
-        sp_ -= frameSize(*done.fn);
-        vals_.resize(done.regBase);
-        frames_.pop_back();
+        const Frame done = path_.frames.back();
+        path_.sp -= frameSize(*done.fn);
+        path_.vals.resize(done.regBase);
+        path_.frames.pop_back();
         if (done.pendingCall->dest != ir::kNoReg) {
           write(done.pendingCall->dest, ret);
         }
@@ -480,32 +595,37 @@ class HangProof {
   /// A Call, with Machine::pushFrame's depth and stack checks.
   bool call(const ir::Instr& in, std::span<const Val> args) {
     const ir::Function& fn = m_.mod_.functions[in.callee];
-    if (m_.frames_.size() - 1 + frames_.size() >= m_.limits_.maxCallDepth) {
+    if (m_.frames_.size() - 1 + path_.frames.size() >=
+        m_.limits_.maxCallDepth) {
       return false;
     }
     const std::uint64_t aligned = frameSize(fn);
-    if (sp_ + aligned > m_.mem_.stackBytes()) return false;
-    Frame callee{&fn, 0, 0, vals_.size(), ir::kStackBase + sp_, &in};
-    sp_ += aligned;
-    vals_.resize(callee.regBase + fn.numRegs, constant(0));
+    if (path_.sp + aligned > m_.mem_.stackBytes()) return false;
+    Frame callee{&fn, 0, 0, path_.vals.size(), ir::kStackBase + path_.sp, &in};
+    path_.sp += aligned;
+    path_.vals.resize(callee.regBase + fn.numRegs, constant(0));
     for (std::size_t i = 0; i < args.size() && i < fn.numParams; ++i) {
-      vals_[callee.regBase + i] = args[i];
+      path_.vals[callee.regBase + i] = args[i];
     }
-    frames_.push_back(callee);
+    path_.frames.push_back(callee);
     return true;
   }
 
   Machine& m_;
-  std::size_t period_ = 0;
   Where anchor_;
   std::vector<Val> start_;  ///< the loop frame's registers at iteration i
   std::uint64_t k_ = hang::kUnbounded;
+  std::size_t pMin_ = 0;  ///< the shortest path of the pass
+  std::size_t work_ = 0;  ///< symbolic instructions so far
   bool grew_ = false;
-  std::vector<Frame> frames_;
-  std::vector<Val> vals_;
-  std::vector<bool> written_;
-  std::vector<bool> liveIn_;
-  std::uint64_t sp_ = 0;
+  std::vector<bool> liveIn_;  ///< loop registers some path reads first
+  std::vector<bool> broken_;  ///< loop registers some path misses
+  Path path_;
+  /// False sides still to run: the first pending_ slots. Slots keep their
+  /// buffers, so a fork copies without allocating once they have grown.
+  std::vector<Path> forks_;
+  std::size_t pending_ = 0;
+  std::size_t forkCount_ = 0;  ///< forks so far
   /// Byte ranges (address, length) a store may change.
   std::vector<std::pair<std::uint64_t, std::uint64_t>> dirty_;
 };

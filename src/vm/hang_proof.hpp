@@ -2,9 +2,9 @@
 //
 // The proof models each value of a loop iteration as affine in the
 // iteration count i — a + i·b (mod 2^64) — and shows that iterations
-// 0..K all take one path. Each helper here returns the largest K for which
-// one fact of that path holds at every i in [0, K]; the proof keeps the
-// least of them. They compute exactly, in 128-bit arithmetic, and return
+// 0..K each take one of the paths it follows. Each helper here returns the
+// largest K for which one fact of a path holds at every i in [0, K]; the
+// proof keeps the least of them. They compute exactly, in 128-bit arithmetic, and return
 // kUnbounded when the fact holds for every i.
 #pragma once
 

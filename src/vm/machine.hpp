@@ -103,15 +103,15 @@ class Machine {
   }
 
   /// Try to prove that this run ends FuelExhausted: that from here one loop
-  /// repeats on one path, with no trap and no halt, until the fuel runs
-  /// out (vm/hang_proof.cpp gives the argument). The run must be between
-  /// instructions and hook-free or exhausted (a runUntil() pause); any
-  /// other run is not eligible. The attempt steps the run on the reference
-  /// loop, at most 4,096 instructions, so a false return leaves the run
-  /// valid but further along, and possibly ended (run() then returns that
-  /// end). After a true return a full run() would end FuelExhausted with
-  /// instructions == maxInstructions + 1; the caller reports that instead
-  /// of running it.
+  /// goes round, on whichever of its paths, with no trap and no halt, until
+  /// the fuel runs out (vm/hang_proof.cpp gives the argument). The run must
+  /// be between instructions and hook-free or exhausted (a runUntil()
+  /// pause); any other run is not eligible. The attempt steps the run on
+  /// the reference loop, at most 14,336 instructions, so a false return
+  /// leaves the run valid but further along, and possibly ended (run() then
+  /// returns that end). After a true return a full run() would end
+  /// FuelExhausted with instructions == maxInstructions + 1; the caller
+  /// reports that instead of running it.
   [[nodiscard]] bool provesHang();
 
  private:

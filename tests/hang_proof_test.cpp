@@ -8,13 +8,18 @@
 //    just before or just after the budget (there the proof is tight: it
 //    must fire iff the reference ends FuelExhausted), every ICmp form with
 //    affine operands of both slopes near wrap, a divisor crossing zero,
-//    calls in the body, constant and memory-changing stores, and unknown
-//    values reaching a branch, an address or a divisor (never a proof);
-//  * a generated loop-heavy MiniC corpus, where fi::runExperiment must
-//    equal fi::runReference at hang factors 2-5, with proofs both fired and
-//    declined;
+//    calls in the body, constant and memory-changing stores, unknown values
+//    reaching an address, a divisor or a branch one side of which leaves
+//    the loop (never a proof), and branches on unknown values whose sides
+//    both stay (a proof bounded by the shorter side);
+//  * two generated MiniC corpora, loop-heavy and forking, where
+//    fi::runExperiment must equal fi::runReference at hang factors 2-5,
+//    with proofs both fired and declined, and in every forking shape;
+//  * every proof on the paper's programs under the Fig. 4/5 grid equals
+//    fi::runReference, and basicmath and crc32 prove every hang;
 //  * a hang factor whose budget overflows 64 bits is rejected.
 #include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <random>
 #include <span>
@@ -26,9 +31,12 @@
 
 #include "fi/experiment.hpp"
 #include "fi/fault_model.hpp"
+#include "fi/grid.hpp"
 #include "ir/builder.hpp"
 #include "ir/verifier.hpp"
 #include "lang/compile.hpp"
+#include "progs/registry.hpp"
+#include "util/rng.hpp"
 #include "vm/hang_proof.hpp"
 #include "vm/machine.hpp"
 
@@ -253,11 +261,11 @@ ir::Module walkModule(std::size_t words, unsigned width, std::int64_t step,
 }
 
 TEST(HangProof, LoadLeavingItsSegmentAtTheBudgetProvesIffFuelRunsOut) {
-  // The walk traps on the load that leaves the segment, instruction T. With
-  // the anchor on that load, iteration K + 1 traps on its first instruction,
-  // so the proof is tight: at budget T - 1 the run ends FuelExhausted and
-  // the proof fires, at T and T + 1 it traps and no proof may fire. Every
-  // pause phase is tried; only the one anchored on the load is tight.
+  // The walk traps on the load that leaves the segment, instruction T. The
+  // anchor is the loop's block start, that load, so iteration K + 1 traps
+  // on its first instruction and the proof is tight: at budget T - 1 the
+  // run ends FuelExhausted and the proof fires, at T and T + 1 it traps and
+  // no proof may fire. Every pause phase is tried.
   struct Walk {
     unsigned width;
     std::int64_t step;
@@ -544,7 +552,8 @@ TEST(HangProof, ConstantStoresProveMemoryChangingReadsDoNot) {
 }
 
 /// Where an unknown value (i·i, which is not affine) ends up in a loop that
-/// runs forever: `loop: i = i + 1; u = i * i; ...; br loop`.
+/// runs forever: `loop: i = i + 1; u = i * i; ...; br loop`. The branch
+/// always takes its loop side, but its other side would leave the loop.
 enum class Unknown { Branch, Address, Divisor };
 
 ir::Module unknownModule(Unknown where) {
@@ -591,13 +600,108 @@ ir::Module unknownModule(Unknown where) {
   return mod;
 }
 
-TEST(HangProof, UnknownValuesInBranchesAddressesOrDivisorsAreNoProof) {
+TEST(HangProof, UnknownExitBranchesAddressesOrDivisorsAreNoProof) {
   for (const Unknown where : {Unknown::Branch, Unknown::Address, Unknown::Divisor}) {
     const ir::Module mod = unknownModule(where);
     ASSERT_EQ(reference(mod, 100'000).status, vm::ExecStatus::FuelExhausted);
     for (const std::uint64_t budget : {std::uint64_t{10'000}, std::uint64_t{100'000}}) {
       EXPECT_FALSE(proves(mod, budget, 50,
                           "unknown " + std::to_string(static_cast<int>(where))));
+    }
+  }
+}
+
+/// Loops that branch on an unknown value u = i·i:
+/// `loop: i = i + 1; u = i * i; condbr on u`, then `latch: s = s + 1;
+/// condbr i < n, loop, exit`. `kind` picks where the sides of the branch on
+/// u go.
+enum class Fork {
+  BothStay,      ///< on u's low bit: `odd` (3 more instructions) or the latch
+  ExitsOnFalse,  ///< u < lim: the latch, else return
+  TrapsOnFalse,  ///< u < lim: the latch, else Abort
+  ExitsOnTrue,   ///< u >= lim: return, else the latch
+};
+
+ir::Module forkModule(Fork kind, std::int64_t n, std::int64_t lim) {
+  ir::Module mod;
+  ir::IRBuilder b(mod);
+  b.createFunction("main", ir::Type::I64, 0);
+  const std::uint32_t entry = b.createBlock("entry");
+  const std::uint32_t loop = b.createBlock("loop");
+  const std::uint32_t odd = b.createBlock("odd");
+  const std::uint32_t latch = b.createBlock("latch");
+  const std::uint32_t exit = b.createBlock("exit");
+  const std::uint32_t boom = b.createBlock("boom");
+  const auto bin = [&](Opcode op, Operand x, Operand y) {
+    return reg(b.emitBin(op, x, y, ir::Type::I64));
+  };
+  b.setInsertBlock(entry);
+  const ir::Reg i = b.newReg();
+  const ir::Reg s = b.newReg();
+  b.emitMoveInto(i, imm(0), ir::Type::I64);
+  b.emitMoveInto(s, imm(0), ir::Type::I64);
+  b.emitBr(loop);
+  b.setInsertBlock(loop);
+  b.emitMoveInto(i, bin(Opcode::Add, reg(i), imm(1)), ir::Type::I64);
+  const Operand u = bin(Opcode::Mul, reg(i), reg(i));
+  switch (kind) {
+    case Fork::BothStay:
+      b.emitCondBr(bin(Opcode::And, u, imm(1)), odd, latch);
+      break;
+    case Fork::ExitsOnFalse:
+      b.emitCondBr(bin(Opcode::ICmpLt, u, imm(lim)), latch, exit);
+      break;
+    case Fork::TrapsOnFalse:
+      b.emitCondBr(bin(Opcode::ICmpLt, u, imm(lim)), latch, boom);
+      break;
+    case Fork::ExitsOnTrue:
+      b.emitCondBr(bin(Opcode::ICmpGe, u, imm(lim)), exit, latch);
+      break;
+  }
+  b.setInsertBlock(odd);
+  b.emitMoveInto(s, bin(Opcode::Xor, bin(Opcode::Add, reg(s), imm(3)), imm(5)),
+                 ir::Type::I64);
+  b.emitBr(latch);
+  b.setInsertBlock(latch);
+  b.emitMoveInto(s, bin(Opcode::Add, reg(s), imm(1)), ir::Type::I64);
+  b.emitCondBr(bin(Opcode::ICmpLt, reg(i), imm(n)), loop, exit);
+  b.setInsertBlock(exit);
+  b.emitRet(reg(s));
+  b.setInsertBlock(boom);
+  b.emitAbort();
+  b.emitRet(imm(0));  // a terminator the Abort never reaches
+  ir::verifyOrThrow(mod);
+  return mod;
+}
+
+TEST(HangProof, BranchesOnUnknownValuesFollowBothSides) {
+  // Both sides stay in the loop, and the loop alternates between them: a
+  // proof, bounded by the shorter side. Bounding by the longer one would
+  // prove the loop past its end.
+  const ir::Module stays = forkModule(Fork::BothStay, 3000, 0);
+  const vm::ExecResult end = reference(stays, 1'000'000);
+  ASSERT_EQ(end.status, vm::ExecStatus::Ok);
+  const std::uint64_t t = end.instructions;
+  EXPECT_TRUE(proves(stays, t / 2, 100, "both stay"));
+  for (const std::uint64_t budget : {t, t + 1, t + 100}) {
+    EXPECT_FALSE(proves(stays, budget, 100, "both stay"));
+  }
+  EXPECT_TRUE(proves(forkModule(Fork::BothStay, kMax, 0), 1'000'000, 100,
+                     "both stay forever"));
+  // One side leaves the loop, to a return or a trap, once i reaches 1,000.
+  // No proof, though the other side loops: past the exit the reference ends
+  // Ok or traps, so a prover that follows one side only fails here.
+  for (const Fork kind : {Fork::ExitsOnFalse, Fork::TrapsOnFalse,
+                          Fork::ExitsOnTrue}) {
+    const std::string what = "fork " + std::to_string(static_cast<int>(kind));
+    const ir::Module mod = forkModule(kind, kMax, 1000 * 1000);
+    const vm::ExecResult out = reference(mod, 1'000'000);
+    ASSERT_EQ(out.status, kind == Fork::TrapsOnFalse ? vm::ExecStatus::Trapped
+                                                     : vm::ExecStatus::Ok)
+        << what;
+    const std::uint64_t e = out.instructions;
+    for (const std::uint64_t budget : {e / 2, e - 1, e, e + 1, e + 50'000}) {
+      EXPECT_FALSE(proves(mod, budget, 50, what)) << what;
     }
   }
 }
@@ -740,6 +844,161 @@ TEST(HangProofCorpus, RunExperimentEqualsTheReferenceAtHangFactorsTwoToFive) {
   }
   EXPECT_GT(proofs, 0);
   EXPECT_GT(declined, 0);
+}
+
+/// Random MiniC programs built around loops whose paths fork on values the
+/// proof cannot track, one shape per program. A flipped counter makes each
+/// loop long, and its iterations take either side of the fork:
+///  * FpBranch: branches on a floating-point value the loop updates;
+///  * DataBranch: branches on a global the loop stores and loads back;
+///  * NestedOuter: the outer counter of a nested loop whose inner body
+///    branches on a floating-point value;
+///  * CallBranch: calls a function that branches on its argument.
+enum class Shape { FpBranch, DataBranch, NestedOuter, CallBranch };
+constexpr int kShapes = 4;
+
+class ForkGen {
+ public:
+  explicit ForkGen(std::uint64_t seed) : rng_(seed) {}
+
+  std::string generate(Shape shape) {
+    std::string src;
+    src += "int g = 5;\n";
+    src += "int pick(int v) { if (v & 1) { return (v * 3 + 1) & 65535; } "
+           "return v / 2; }\n";
+    src += "int main() {\n  int s = 0;\n  double x = 0.5;\n";
+    src += "  " + loop(shape) + "\n";
+    src += "  print_i(s);\n  print_f(x);\n  return 0;\n}\n";
+    return src;
+  }
+
+ private:
+  std::string k(int lo, int hi) {
+    return std::to_string(std::uniform_int_distribution<int>(lo, hi)(rng_));
+  }
+
+  std::string loop(Shape shape) {
+    const std::string n = k(30, 120);
+    switch (shape) {
+      case Shape::FpBranch:
+        return "{ int m = " + n + "; while (m > 0) { m = m - 1; x = x * 1." +
+               k(3, 9) + " + 0.25; if (x > " + k(4, 9) + ".0) { x = x - " +
+               k(2, 3) + ".5; s = s + 1; } else { s = s + 2; } } }";
+      case Shape::DataBranch:
+        return "{ int m = " + n + "; while (m > 0) { m = m - 1; g = (g * " +
+               k(101, 999) + " + 7) & 1023; if (g > " + k(200, 800) +
+               ") { s = s + 1; } else { s = s + 3; } } }";
+      case Shape::NestedOuter:
+        return "{ int o = " + k(8, 30) + "; while (o > 0) { o = o - 1; "
+               "for (int j = 0; j < " + k(2, 5) + "; j++) { x = x * 1.3 + "
+               "0.1; if (x > 4.0) { x = x - 3.9; } s = s + j; } } }";
+      default:
+        return "{ int c = " + k(7, 99) + "; int m = " + n +
+               "; while (m > 0) { m = m - 1; c = pick(c); s = s + c; } }";
+    }
+  }
+
+  std::mt19937_64 rng_;
+};
+
+TEST(HangProofCorpus, ForkingLoopsEqualTheReferenceAndProve) {
+  constexpr int kPerShape = 3;
+  constexpr std::size_t kExperiments = 16;
+  int proofs[kShapes] = {};
+  for (int prog = 0; prog < kShapes * kPerShape; ++prog) {
+    const Shape shape = static_cast<Shape>(prog % kShapes);
+    ForkGen gen(0xf02c + static_cast<std::uint64_t>(prog));
+    const ir::Module mod = lang::compileMiniC(gen.generate(shape));
+    for (std::uint64_t hangFactor = 2; hangFactor <= 5; ++hangFactor) {
+      const fi::Workload w(mod, hangFactor,
+                           prog % 3 == 2 ? fi::SnapshotPolicy::disabled()
+                                         : fi::SnapshotPolicy{},
+                           fi::PrunePolicy{},
+                           (prog / kShapes) % 2 == 0
+                               ? vm::DispatchBackend::Threaded
+                               : vm::DispatchBackend::Switch);
+      for (const fi::FaultDomain d :
+           {fi::FaultDomain::RegisterRead, fi::FaultDomain::RegisterWrite}) {
+        for (const unsigned width : {32U, 64U}) {
+          fi::FaultModel model = fi::FaultModel::singleBit(d);
+          model.flipWidth = width;
+          for (std::size_t e = 0; e < kExperiments; ++e) {
+            const fi::FaultPlan plan = fi::FaultPlan::forExperiment(
+                model, w.candidates(d), 0xf0 + prog + width, e);
+            const fi::ExperimentResult got = fi::runExperiment(w, plan);
+            const fi::ExperimentResult want = fi::runReference(w, plan);
+            const std::string what =
+                "shape " + std::to_string(prog % kShapes) + " program " +
+                std::to_string(prog) + " hang factor " +
+                std::to_string(hangFactor) + " " + model.label() + "/" +
+                std::to_string(width) + " #" + std::to_string(e);
+            EXPECT_EQ(got.outcome, want.outcome) << what;
+            EXPECT_EQ(got.trap, want.trap) << what;
+            EXPECT_EQ(got.activations, want.activations) << what;
+            EXPECT_EQ(got.instructions, want.instructions) << what;
+            proofs[prog % kShapes] += got.hangProof ? 1 : 0;
+          }
+        }
+      }
+    }
+  }
+  std::printf("[ proofs   ] by shape: fp %d, data %d, nested %d, call %d\n",
+              proofs[0], proofs[1], proofs[2], proofs[3]);
+  for (int shape = 0; shape < kShapes; ++shape) {
+    EXPECT_GT(proofs[shape], 0) << "shape " << shape;
+  }
+}
+
+// --- the paper's programs ----------------------------------------------------
+
+TEST(HangProofPaper, EveryProofOnTheFig4GridEqualsTheReference) {
+  // The 15 programs under every Fig. 4/5 grid model of both techniques, at
+  // flip widths 32 and 64, as the drivers run them. A run ended by a proof
+  // must equal the reference run field for field. basicmath's hangs branch
+  // on floating-point values and crc32's on the bits of a shifted word:
+  // the prover must prove every one of them.
+  constexpr std::size_t kExperiments = 1;
+  std::size_t proofs = 0;
+  std::size_t mustProve[2] = {};  // basicmath's hangs, crc32's
+  std::uint64_t cell = 0;
+  for (const progs::ProgramInfo& info : progs::allPrograms()) {
+    const fi::Workload w(progs::compileProgram(info),
+                         fi::Workload::kDefaultHangFactor, fi::SnapshotPolicy{},
+                         fi::PrunePolicy{}, vm::DispatchBackend::Threaded);
+    const int all = info.name == "basicmath" ? 0 : info.name == "crc32" ? 1 : -1;
+    for (const fi::FaultDomain d :
+         {fi::FaultDomain::RegisterRead, fi::FaultDomain::RegisterWrite}) {
+      for (const unsigned width : {32U, 64U}) {
+        for (fi::FaultModel model : fi::multiRegisterCampaigns(d)) {
+          model.flipWidth = width;
+          const std::uint64_t seed = util::hashCombine(0x6a9, cell++);
+          for (std::size_t e = 0; e < kExperiments; ++e) {
+            const fi::FaultPlan plan = fi::FaultPlan::forExperiment(
+                model, w.candidates(d), seed, e);
+            const fi::ExperimentResult got = fi::runExperiment(w, plan);
+            const std::string what = info.name + " " + model.label() + "/" +
+                                     std::to_string(width) + " #" +
+                                     std::to_string(e);
+            if (all >= 0 && got.outcome == stats::Outcome::Hang) {
+              ++mustProve[all];
+              EXPECT_TRUE(got.hangProof) << what;
+            }
+            if (!got.hangProof) continue;
+            ++proofs;
+            const fi::ExperimentResult want = fi::runReference(w, plan);
+            EXPECT_EQ(got.outcome, want.outcome) << what;
+            EXPECT_EQ(got.trap, want.trap) << what;
+            EXPECT_EQ(got.activations, want.activations) << what;
+            EXPECT_EQ(got.instructions, want.instructions) << what;
+          }
+        }
+      }
+    }
+  }
+  std::printf("[ proofs   ] %zu on the grid; hangs: basicmath %zu, crc32 %zu\n",
+              proofs, mustProve[0], mustProve[1]);
+  EXPECT_GT(mustProve[0], 0u);
+  EXPECT_GT(mustProve[1], 0u);
 }
 
 // --- the hang budget ---------------------------------------------------------
